@@ -23,10 +23,6 @@ def _common_flags(parser):
     parser.add_argument("--config", required=True, help="pipeline config (JSON)")
     parser.add_argument("--stage-cache-dir", default=None,
                         help="directory for cached stage outputs")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (reserved; stages run deterministically)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; no stage is stochastic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,11 +80,6 @@ def _find_source(config, source_id):
     raise ConfigError(f"no enabled embedding source with id {source_id!r}")
 
 
-def _prepared_sources(config, cache):
-    return [pipeline.prepare_source(config, s, cache)
-            for s in config.enabled_embeddings()]
-
-
 def run(args) -> int:
     config = load_config(args.config)
     cache = pipeline.StageCache(args.stage_cache_dir)
@@ -101,19 +92,14 @@ def run(args) -> int:
                                          cache)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "graph":
-        matrix = pipeline.fuse_sources(config, _prepared_sources(config, cache), cache)
-        standardizer = pipeline.matrix_standardizer(config, matrix)
-        assertions = pipeline.load_graphs(config, standardizer, cache)
+        _, assertions = pipeline.fuse_and_load_graphs(config, cache)
         kgraph.write_assertions(args.out, assertions)
     elif args.command == "fuse":
-        matrix = pipeline.fuse_sources(config, _prepared_sources(config, cache), cache,
+        matrix = pipeline.fuse_sources(config, cache,
                                        singular_values_path=args.singular_values)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "retrofit":
-        matrix = pipeline.fuse_sources(config, _prepared_sources(config, cache), cache)
-        standardizer = pipeline.matrix_standardizer(config, matrix)
-        assertions = pipeline.load_graphs(config, standardizer, cache)
-        matrix = pipeline.retrofit_matrix(config, matrix, assertions, cache,
+        matrix = pipeline.ensemble_matrix(config, cache,
                                           checkpoint_dir=args.checkpoint_dir)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "evaluate":

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidLanguage
 from .evaluation import GOLD_FORMATS
 from .kgraph import DEFAULT_MAX_WORDS, DEFAULT_MIN_COUNT
+from .labels import validate_language
 from .rowmerge import MERGE_STRATEGIES
 
 SCHEMA_VERSION = 1
@@ -90,6 +91,13 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
+def _expect_language(code, owner):
+    try:
+        validate_language(code)
+    except InvalidLanguage as exc:
+        raise ConfigError(f"{owner}: {exc}") from None
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(isinstance(raw, dict), "config root must be an object")
     _expect(raw.get("schema_version") == SCHEMA_VERSION,
@@ -111,6 +119,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"embedding source {src.id}: native format needs labels_path")
         _expect(src.on_duplicate in ("error", "first"),
                 f"embedding source {src.id}: on_duplicate must be error|first")
+        _expect_language(src.language, f"embedding source {src.id}")
         embeddings.append(src)
     ids = [s.id for s in embeddings]
     _expect(len(set(ids)) == len(ids), "embedding source ids must be unique")
@@ -154,6 +163,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"dataset {ds.id}: splits must be among {SPLIT_IDS}")
         _expect(1 <= ds.test_chunk <= ds.num_chunks,
                 f"dataset {ds.id}: test_chunk outside [1, num_chunks]")
+        _expect_language(ds.language, f"dataset {ds.id}")
         evaluations.append(ds)
 
     config = PipelineConfig(

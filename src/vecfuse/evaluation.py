@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateCorrelation,
     DegenerateInput,
+    EmptyAfterNormalization,
     InvalidChunk,
     ParseError,
 )
@@ -129,7 +130,7 @@ class MatrixLookup:
         else:
             try:
                 label = self.standardizer.standardize(word, language)
-            except Exception:
+            except (EmptyAfterNormalization, ValueError):
                 return self._zero, False
             row = self._index.get(label.uri)
             if row is None and self.digit_fallback:

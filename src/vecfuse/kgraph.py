@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPositiveWeight, ParseError
+from .errors import DataError, NonPositiveWeight, ParseError
 from .labels import Standardizer
 
 DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
@@ -62,7 +62,7 @@ def load_assertions(path, standardizer: Standardizer | None = None) -> list:
             try:
                 start = _restandardize(start_uri, standardizer)
                 end = _restandardize(end_uri, standardizer)
-            except Exception as exc:
+            except (DataError, ValueError) as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno)
             if start == end:
                 continue
@@ -202,8 +202,10 @@ def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
 
     The vocabulary is the union of assertion endpoints and `extra_vocab`
     (typically the embedding labels): extra_vocab keeps its own order and
-    graph-only terms follow in lexicographic order.
+    graph-only terms follow in lexicographic order. Self-edges are dropped,
+    as `load_assertions` does, so the diagonal stays exactly 1.
     """
+    assertions = [a for a in assertions if a.start != a.end]
     vocab = []
     index: dict = {}
     for term in extra_vocab:

@@ -3,6 +3,8 @@
 Stage order: per embedding source, read, standardize and merge rows, then
 column-normalize; fuse when two sources are enabled; load, rescale and
 filter the graph edges; build the association matrix; retrofit; evaluate.
+This module is the only one that knows that order: `ensemble_matrix`
+builds the output matrix for both `run_pipeline` and the CLI.
 Each stage's output can be cached to disk and a cached stage is skipped
 on the next run; cached and straight-through runs produce identical bits.
 """
@@ -15,7 +17,7 @@ import sys
 
 from . import evaluation, interpolate, kgraph, matrixio, rowmerge
 from .config import EmbeddingSource, PipelineConfig
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, VecfuseError
 from .labels import LemmaRuleSet, DEFAULT_RULES, Standardizer, \
     default_rules, load_exceptions, load_stopwords, tokenize
 from .matrixio import LabeledMatrix
@@ -23,7 +25,8 @@ from .retrofit import assemble_problem, retrofit
 
 
 def _stage(name):
-    """Decorator attaching the stage name to any failure."""
+    """Decorator attaching the stage name to a data, I/O or numerical
+    failure; any other exception is a bug and propagates unchanged."""
     def wrap(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs):
@@ -31,7 +34,7 @@ def _stage(name):
                 return fn(*args, **kwargs)
             except StageError:
                 raise
-            except Exception as exc:
+            except (VecfuseError, OSError, ValueError) as exc:
                 raise StageError(name, exc) from exc
         return run
     return wrap
@@ -76,7 +79,9 @@ class StageCache:
                                     assertions)
 
 
-def build_standardizer(config: PipelineConfig, vocab=None) -> Standardizer:
+def build_standardizer(config: PipelineConfig, texts) -> Standardizer:
+    """The configured Standardizer. With `vocab_check` on, lemma candidates
+    are checked against the tokens of `texts`."""
     stopwords = load_stopwords(config.stopwords_path) \
         if config.stopwords_path else None
     if config.exceptions_path:
@@ -84,8 +89,8 @@ def build_standardizer(config: PipelineConfig, vocab=None) -> Standardizer:
                              exceptions=load_exceptions(config.exceptions_path))
     else:
         rules = default_rules()
-    return Standardizer(rules=rules, stopwords=stopwords,
-                        vocab=vocab if config.vocab_check else None)
+    vocab = token_vocabulary(texts) if config.vocab_check else None
+    return Standardizer(rules=rules, stopwords=stopwords, vocab=vocab)
 
 
 def token_vocabulary(labels) -> set:
@@ -96,11 +101,9 @@ def token_vocabulary(labels) -> set:
     return vocab
 
 
-def matrix_standardizer(config: PipelineConfig, matrix: LabeledMatrix) -> Standardizer:
-    """Standardizer whose lemma checks use the matrix's token vocabulary."""
-    vocab = token_vocabulary(lab.rsplit("/", 1)[-1] for lab in matrix.labels) \
-        if config.standardize_enabled and config.vocab_check else None
-    return build_standardizer(config, vocab=vocab)
+def _label_texts(matrix: LabeledMatrix):
+    """The text part of each standardized label of `matrix`."""
+    return (lab.rsplit("/", 1)[-1] for lab in matrix.labels)
 
 
 @_stage("ingest")
@@ -133,8 +136,7 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
         return cached
     matrix = ingest_source(source, cache)
     if config.standardize_enabled:
-        vocab = token_vocabulary(matrix.labels) if config.vocab_check else None
-        standardizer = build_standardizer(config, vocab=vocab)
+        standardizer = build_standardizer(config, matrix.labels)
         plan, kept = rowmerge.build_merge_plan(matrix, standardizer,
                                                language=source.language)
         if len(kept) != len(matrix):
@@ -150,8 +152,11 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
 
 
 @_stage("fuse")
-def fuse_sources(config: PipelineConfig, prepared: list, cache: StageCache,
+def fuse_sources(config: PipelineConfig, cache: StageCache,
                  singular_values_path=None) -> LabeledMatrix:
+    """Prepare every enabled source and fuse them when there are two."""
+    prepared = [prepare_source(config, source, cache)
+                for source in config.enabled_embeddings()]
     if len(prepared) == 1:
         return prepared[0]
     if len(prepared) != 2:
@@ -175,9 +180,11 @@ def fuse_sources(config: PipelineConfig, prepared: list, cache: StageCache,
 
 
 @_stage("graph")
-def load_graphs(config: PipelineConfig, standardizer: Standardizer,
+def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
                 cache: StageCache) -> list:
-    """Load, prune, rescale and term-filter all enabled edge lists."""
+    """Load, prune, rescale and term-filter all enabled edge lists,
+    standardizing their labels against the vocabulary of `matrix`."""
+    standardizer = build_standardizer(config, _label_texts(matrix))
     cached = cache.load_assertions("graph_filtered", standardizer)
     if cached is not None:
         return cached
@@ -224,12 +231,8 @@ def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix) -> list:
     """One EvalReport per configured dataset and split."""
     digit_fallback = any(s.format.startswith("word2vec")
                          for s in config.enabled_embeddings())
-    if config.standardize_enabled:
-        vocab = token_vocabulary(lab.rsplit("/", 1)[-1] for lab in matrix.labels) \
-            if config.vocab_check else None
-        standardizer = build_standardizer(config, vocab=vocab)
-    else:
-        standardizer = None
+    standardizer = build_standardizer(config, _label_texts(matrix)) \
+        if config.standardize_enabled else None
     reports = []
     for ds in config.evaluations:
         if ds.path:
@@ -261,19 +264,29 @@ def _run_eval(config, matrix, pairs, ds, split, standardizer, digit_fallback,
     return report
 
 
+def fuse_and_load_graphs(config: PipelineConfig, cache: StageCache):
+    """The fused matrix and the filtered edges of the enabled graphs
+    ([] when no graph is enabled)."""
+    matrix = fuse_sources(config, cache)
+    assertions = load_graphs(config, matrix, cache) if config.enabled_graphs() else []
+    return matrix, assertions
+
+
+def ensemble_matrix(config: PipelineConfig, cache: StageCache,
+                    checkpoint_dir=None) -> LabeledMatrix:
+    """The output matrix: the fused matrix, retrofitted onto the graph
+    when any edge survives filtering."""
+    matrix, assertions = fuse_and_load_graphs(config, cache)
+    if not assertions:
+        return matrix
+    return retrofit_matrix(config, matrix, assertions, cache,
+                           checkpoint_dir=checkpoint_dir)
+
+
 def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
     """Run every configured stage; returns the output artifact paths,
     the final matrix and the evaluation reports."""
-    cache = StageCache(cache_dir)
-    prepared = [prepare_source(config, source, cache)
-                for source in config.enabled_embeddings()]
-    matrix = fuse_sources(config, prepared, cache)
-
-    if config.enabled_graphs():
-        standardizer = matrix_standardizer(config, matrix)
-        assertions = load_graphs(config, standardizer, cache)
-        if assertions:
-            matrix = retrofit_matrix(config, matrix, assertions, cache)
+    matrix = ensemble_matrix(config, StageCache(cache_dir))
 
     os.makedirs(config.output_dir, exist_ok=True)
     matrix_path = os.path.join(config.output_dir, config.output_matrix)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRank, PlanMismatch
+from .errors import EmptyAfterNormalization, InvalidRank, PlanMismatch
 from .labels import Standardizer
 from .matrixio import LabeledMatrix
 
@@ -59,7 +59,7 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
     for idx, raw in enumerate(matrix.labels):
         try:
             uri = standardizer.uri(raw, language)
-        except Exception:
+        except (EmptyAfterNormalization, ValueError):
             continue
         new_idx = len(kept)
         kept.append(idx)

@@ -100,6 +100,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("language", ["english", "EN"])
+    def test_bad_language(self, language):
+        raw = minimal_config()
+        raw["embeddings"][0]["language"] = language
+        with pytest.raises(ConfigError, match="embedding source alpha"):
+            config_from_dict(raw)
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "x", "path": "g.txt", "language": language}]
+        with pytest.raises(ConfigError, match="dataset x"):
+            config_from_dict(raw)
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):

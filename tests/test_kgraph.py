@@ -197,6 +197,20 @@ class TestBuildAssociation:
         iso = assoc.vocab.index("/c/en/zzz_isolated")
         assert row_sums[iso] == 0.0
 
+    def test_self_edges_dropped(self):
+        assoc = build_association([
+            edge("/c/en/a", "/c/en/a", 2.0),
+            edge("/c/en/a", "/c/en/b", 1.0),
+        ])
+        plain = build_association([edge("/c/en/a", "/c/en/b", 1.0)])
+        assert assoc.vocab == plain.vocab
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(assoc, name), getattr(plain, name))
+        s = assoc.toarray()
+        i = assoc.vocab.index("/c/en/a")
+        assert s[i, i] == 1.0
+        assert s[i].sum() - s[i, i] == 1.0
+
     def test_vocab_ordering(self):
         assoc = build_association(
             [edge("/c/en/zeta", "/c/en/alpha")],

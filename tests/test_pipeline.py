@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal
-from vecfuse import cli
+from vecfuse import cli, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.labels import Standardizer
 from vecfuse.matrixio import read_native, read_text_embeddings
@@ -313,8 +313,13 @@ class TestCli:
         assert (workspace / "r.tsv").exists()
         assert "toy_gold" in capsys.readouterr().out
 
-    def test_retrofit_subcommand_matches_pipeline(self, workspace, capsys):
-        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"graphs": []},
+        {"term_filter": {"min_count": {"en": 100, "other": 100}}},
+    ], ids=["edges", "no_graph", "all_edges_filtered"])
+    def test_retrofit_subcommand_matches_pipeline(self, workspace, capsys, overrides):
+        config = self.write_config(workspace, self.raw_toy_dict(workspace, **overrides))
         assert cli.main(["retrofit", "--config", config,
                          "--out-matrix", str(workspace / "sub.emb1"),
                          "--out-labels", str(workspace / "sub.labels")]) == 0
@@ -332,6 +337,10 @@ class TestCli:
         bad = self.raw_toy_dict(workspace, merge={"strategy": "median"})
         config = self.write_config(workspace, bad)
         assert cli.main(["pipeline", "--config", config]) == 1
+        bad = self.raw_toy_dict(workspace)
+        bad["embeddings"][0]["language"] = "english"
+        config = self.write_config(workspace, bad)
+        assert cli.main(["pipeline", "--config", config]) == 1
         capsys.readouterr()
 
     def test_exit_code_data_error(self, workspace, capsys):
@@ -340,6 +349,15 @@ class TestCli:
         config = self.write_config(workspace, raw)
         assert cli.main(["pipeline", "--config", config]) == 2
         capsys.readouterr()
+
+    def test_bug_in_stage_propagates(self, workspace, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(rowmerge, "merge_standardized", broken)
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        with pytest.raises(TypeError, match="bug"):
+            cli.main(["pipeline", "--config", config])
 
     def test_exit_code_numerical_error(self, workspace, capsys):
         (workspace / "oov_gold.txt").write_text(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, make_matrix
-from vecfuse.errors import InvalidRank, PlanMismatch
+from vecfuse.errors import InvalidLanguage, InvalidRank, PlanMismatch
 from vecfuse.labels import Standardizer
 from vecfuse.rowmerge import (
     MergePlan,
@@ -39,6 +39,11 @@ class TestBuildMergePlan:
         assert list(kept) == [0, 2]
         # plan indexes rows of the kept subset
         assert plan.groups["/c/en/dog"] == [(1, 3)]
+
+    def test_bad_language_raises(self):
+        m = make_matrix(["cat", "dog"], np.eye(2))
+        with pytest.raises(InvalidLanguage):
+            build_merge_plan(m, Standardizer(), language="EN")
 
 
 class TestMergeStandardized:
