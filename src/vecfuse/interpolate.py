@@ -18,6 +18,9 @@ from .matrixio import LabeledMatrix
 
 DEFAULT_NEIGHBORS = 10
 _ZERO = 1e-12
+# Bytes of float64 similarities per inference block. Larger blocks were
+# barely faster and raised the peak RSS of a whole pipeline run.
+_SIMS_BYTES = 1 << 19
 
 
 @dataclass
@@ -61,17 +64,56 @@ def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     )
 
 
-def _infer_from_vector(vec: np.ndarray, have_unit: np.ndarray,
-                       want_shared: np.ndarray, k: int) -> np.ndarray:
-    norm = np.sqrt(vec @ vec)
-    sims = have_unit @ (vec / norm) if norm > _ZERO else np.zeros(len(have_unit))
-    top = np.argsort(-sims, kind="stable")[: min(k, len(have_unit))]
-    neighbors = want_shared[top].astype(np.float64)
-    weights = np.maximum(sims[top], 0.0)
-    total = weights.sum()
-    if total <= 0.0:
-        return neighbors.mean(axis=0)
-    return (weights[:, None] * neighbors).sum(axis=0) / total
+def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest entries of `neg`, ordered by
+    (value, index): the first k of a stable argsort, without sorting whole
+    rows."""
+    n = neg.shape[1]
+    if k < n:
+        cand = np.argpartition(neg, k, axis=1)[:, :k + 1]
+    else:
+        cand = np.broadcast_to(np.arange(n), neg.shape)
+    vals = np.take_along_axis(neg, cand, axis=1)
+    order = np.lexsort((cand, vals))
+    top = np.take_along_axis(cand, order[:, :k], axis=1)
+    if k < n:
+        edge = np.take_along_axis(vals, order[:, k - 1:k + 1], axis=1)
+        tied = edge[:, 0] == edge[:, 1]
+        if tied.any():
+            # the k-th value recurs past the k+1 candidates: only a full
+            # sort knows which of its copies have the lowest indices
+            top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return top
+
+
+def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
+                want_shared: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write into `out` the inferred `want`-space row of each row of
+    `vecs`, working in row blocks whose similarities fit `_SIMS_BYTES`.
+
+    Neighbors are the k shared rows most cosine-similar to the query, equal
+    similarities going to the lower shared index; a zero query is equally
+    similar to every shared row.
+    """
+    n = len(have_unit)
+    k = min(k, n)
+    block = max(1, _SIMS_BYTES // (8 * max(n, 1)))
+    for start in range(0, len(vecs), block):
+        q = vecs[start:start + block].astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+        q /= np.where(norms > _ZERO, norms, 1.0)[:, None]
+        q[norms <= _ZERO] = 0.0
+        neg = q @ have_unit.T
+        np.negative(neg, out=neg)
+        top = _top_k(neg, k)
+        weights = np.maximum(-np.take_along_axis(neg, top, axis=1), 0.0)
+        neighbors = want_shared[top].astype(np.float64)
+        total = weights.sum(axis=1)
+        rows = (weights[:, :, None] * neighbors).sum(axis=1)
+        flat = total <= 0.0
+        rows[~flat] /= total[~flat, None]
+        rows[flat] = neighbors[flat].mean(axis=1)
+        out[start:start + block] = rows
 
 
 def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
@@ -82,6 +124,8 @@ def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
     `have` space and averages their `want` vectors weighted by similarity
     (negative similarities clamped to zero; if every similarity is
     non-positive, the plain mean of the k neighbors is used instead).
+    Equal similarities go to the earlier shared term, in a's order, so a
+    zero vector takes the first k shared terms.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -93,8 +137,10 @@ def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
         have_unit, want_rows = index.b_shared_unit, index.a_shared_rows
     else:
         raise ValueError("index was built for different matrices")
-    vec = have.data[have.label_index()[term]].astype(np.float64)
-    return _infer_from_vector(vec, have_unit, want.data[want_rows], k)
+    row = have.label_index()[term]
+    out = np.empty((1, want.dims))
+    _infer_rows(have.data[row:row + 1], have_unit, want.data[want_rows], k, out)
+    return out[0]
 
 
 def svd_factors(m: np.ndarray):
@@ -148,34 +194,28 @@ def fuse(a: LabeledMatrix, b: LabeledMatrix, k: int = DEFAULT_NEIGHBORS,
     with `discount` off the raw concatenation is returned (dimensionality
     dims(a) + dims(b)) and `out_dims` is ignored.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     index = build_overlap(a, b)
     if (index.only_a or index.only_b) and not index.shared:
         raise EmptyOverlap("cannot infer missing vectors without shared terms")
     labels = index.shared + index.only_a + index.only_b
-    da, db = a.dims, b.dims
-    a_index = a.label_index()
-    b_index = b.label_index()
-    a_shared = a.data[index.a_shared_rows]
-    b_shared = b.data[index.b_shared_rows]
-    concat = np.empty((len(labels), da + db), dtype=np.float32)
-    for row, lab in enumerate(labels):
-        ai = a_index.get(lab)
-        bi = b_index.get(lab)
-        if ai is not None:
-            concat[row, :da] = a.data[ai]
-        else:
-            concat[row, :da] = _infer_from_vector(
-                b.data[bi].astype(np.float64), index.b_shared_unit, a_shared, k)
-        if bi is not None:
-            concat[row, da:] = b.data[bi]
-        else:
-            concat[row, da:] = _infer_from_vector(
-                a.data[ai].astype(np.float64), index.a_shared_unit, b_shared, k)
+    da = a.dims
+    ns, na = len(index.shared), len(index.only_a)
+    concat = np.empty((len(labels), da + b.dims), dtype=np.float32)
+    shared, only_a, only_b = concat[:ns], concat[ns:ns + na], concat[ns + na:]
+    shared[:, :da] = a.data[index.a_shared_rows]
+    shared[:, da:] = b.data[index.b_shared_rows]
+    # the rows outside the overlap, in their source's order
+    only_a[:, :da] = np.delete(a.data, index.a_shared_rows, axis=0)
+    only_b[:, da:] = np.delete(b.data, index.b_shared_rows, axis=0)
+    _infer_rows(only_a[:, :da], index.a_shared_unit, shared[:, da:], k, only_a[:, da:])
+    _infer_rows(only_b[:, da:], index.b_shared_unit, shared[:, :da], k, only_b[:, :da])
     if not discount:
         return FusionResult(matrix=LabeledMatrix(labels=labels, data=concat),
                             singular_values=np.zeros(0))
     if out_dims is None:
-        out_dims = da + db
+        out_dims = concat.shape[1]
     features, spectrum = svd_discount(concat.astype(np.float64), out_dims)
     return FusionResult(
         matrix=LabeledMatrix(labels=labels, data=features.astype(np.float32)),

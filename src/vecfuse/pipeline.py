@@ -154,17 +154,18 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
 @_stage("fuse")
 def fuse_sources(config: PipelineConfig, cache: StageCache,
                  singular_values_path=None) -> LabeledMatrix:
-    """Prepare every enabled source and fuse them when there are two."""
-    prepared = [prepare_source(config, source, cache)
-                for source in config.enabled_embeddings()]
-    if len(prepared) == 1:
-        return prepared[0]
-    if len(prepared) != 2:
-        raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(prepared)}")
+    """Prepare every enabled source and fuse them when there are two. A
+    cached fused matrix is used without preparing the sources."""
+    sources = config.enabled_embeddings()
+    if len(sources) == 1:
+        return prepare_source(config, sources[0], cache)
+    if len(sources) != 2:
+        raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(sources)}")
     cached = cache.load_matrix("fused")
     if cached is not None and singular_values_path is None:
         return cached
-    a, b = (rowmerge.l2_normalize_rows(m) for m in prepared)
+    a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache))
+            for source in sources)
     out_dims = config.fusion_out_dims
     if out_dims is not None and out_dims > a.dims + b.dims:
         raise ConfigError(f"out_dims {out_dims} exceeds {a.dims + b.dims} "

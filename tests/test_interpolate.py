@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_matrix
+from conftest import bits_equal, make_matrix
+from vecfuse import interpolate
 from vecfuse.errors import EmptyOverlap
 from vecfuse.interpolate import (
+    _infer_rows,
+    _top_k,
     build_overlap,
     fuse,
     infer_missing,
@@ -16,6 +19,27 @@ from vecfuse.rowmerge import l2_normalize_rows
 def unit_rows(labels, dims, rng):
     return l2_normalize_rows(
         make_matrix(labels, rng.randn(len(labels), dims).astype(np.float32)))
+
+
+def oracle_infer(vec, have_unit, want_shared, k):
+    """One row at a time, as fusion inferred rows before it worked in
+    blocks: GEMV, full stable argsort, weighted mean. Returns the neighbor
+    indices and the inferred row."""
+    vec = np.asarray(vec, dtype=np.float64)
+    norm = np.sqrt(vec @ vec)
+    sims = have_unit @ (vec / norm) if norm > 1e-12 else np.zeros(len(have_unit))
+    top = np.argsort(-sims, kind="stable")[: min(k, len(have_unit))]
+    neighbors = want_shared[top].astype(np.float64)
+    weights = np.maximum(sims[top], 0.0)
+    total = weights.sum()
+    if total <= 0.0:
+        return top, neighbors.mean(axis=0)
+    return top, (weights[:, None] * neighbors).sum(axis=0) / total
+
+
+def random_space(rng, n, dims):
+    data = rng.randn(n, dims)
+    return data / np.sqrt((data * data).sum(axis=1))[:, None]
 
 
 class TestBuildOverlap:
@@ -72,6 +96,105 @@ class TestInferMissing:
         idx = build_overlap(have, want)
         with pytest.raises(EmptyOverlap):
             infer_missing("term", have, want, idx, k=1)
+
+
+class TestBlockInference:
+    def test_matches_row_oracle(self, rng):
+        have_unit = random_space(rng, 200, 8)
+        want_shared = rng.randn(200, 6).astype(np.float32)
+        queries = rng.randn(50, 8).astype(np.float32)
+        for k in (1, 5, 17):
+            got = np.empty((len(queries), 6))
+            _infer_rows(queries, have_unit, want_shared, k, got)
+            neg = -(queries.astype(np.float64) @ have_unit.T)
+            neg /= np.sqrt((queries.astype(np.float64) ** 2).sum(axis=1))[:, None]
+            tops = _top_k(neg, k)
+            for i, vec in enumerate(queries):
+                top, row = oracle_infer(vec, have_unit, want_shared, k)
+                assert tops[i].tolist() == top.tolist()
+                assert np.abs(got[i] - row).max() < 1e-6
+
+    @pytest.mark.parametrize("row, k", [
+        ([0.5, 0.9, 0.5, 0.5, 0.1, 0.9], 1),
+        ([0.5, 0.9, 0.5, 0.5, 0.1, 0.9], 3),   # 0.5 tied across the cut
+        ([0.5, 0.9, 0.5, 0.5, 0.1, 0.9], 4),
+        ([0.2, 0.2, 0.2, 0.2, 0.2, 0.2], 2),   # all equal
+        ([0.0, -0.0, 0.0, -0.0, 0.0, 0.0], 3),  # signed zeros compare equal
+        ([0.3, 0.7, 0.3, 0.7, 0.7, 0.1], 2),   # tie inside the top k only
+        ([0.3, 0.7, 0.3, 0.7, 0.7, 0.1], 6),
+        ([0.3, 0.7, 0.3, 0.7, 0.7, 0.1], 9),
+    ])
+    def test_ties_go_to_lowest_index(self, row, k):
+        sims = np.array([row, row[::-1]], dtype=np.float64)
+        got = _top_k(-sims, min(k, sims.shape[1]))
+        for i in range(2):
+            want = np.argsort(-sims[i], kind="stable")[:k]
+            assert got[i].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("k", [1, 10, 40, 499])
+    def test_many_ties_in_long_rows(self, rng, k):
+        # few distinct levels over long rows: the partition scrambles
+        # indices, and most rows tie at the k-th value
+        sims = rng.randint(0, 6, size=(30, 500)) / 5.0
+        sims[:3] = np.sort(sims[:3], axis=1)  # the top levels sit at the end
+        got = _top_k(-sims, k)
+        want = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(got, want)
+
+    def test_ties_inside_top_k_ordered_by_index(self, rng):
+        # 20 copies each of two top levels, distinct values below them:
+        # the k = 40 winners are tied among themselves but not at the cut
+        sims = rng.uniform(0.0, 0.5, size=(30, 500))
+        for row in sims:
+            picks = rng.permutation(500)[:40]
+            row[picks[:20]], row[picks[20:]] = 1.0, 0.8
+        got = _top_k(-sims, 40)
+        want = np.argsort(-sims, axis=1, kind="stable")[:, :40]
+        assert np.array_equal(got, want)
+
+    def test_tied_neighbors_through_inference(self):
+        # shared rows alternate between two directions; the query matches
+        # the first one exactly, so rows 0, 2 and 4 tie
+        have_unit = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+        want_shared = np.eye(6, dtype=np.float32)
+        for k in (1, 2, 4):
+            got = np.empty((1, 6))
+            _infer_rows(np.array([[3.0, 0.0]], dtype=np.float32), have_unit,
+                        want_shared, k, got)
+            top, row = oracle_infer([3.0, 0.0], have_unit, want_shared, k)
+            assert top.tolist() == [0, 2, 4, 1][:k]
+            assert np.array_equal(got[0], row)
+
+    def test_zero_query_takes_mean_of_first_k(self, rng):
+        have_unit = random_space(rng, 10, 4)
+        want_shared = rng.randn(10, 3).astype(np.float32)
+        got = np.empty((2, 3))
+        queries = np.array([[0.0] * 4, [1e-14, 0.0, 0.0, 0.0]], dtype=np.float32)
+        _infer_rows(queries, have_unit, want_shared, 4, got)
+        for row in got:
+            assert np.allclose(row, want_shared[:4].astype(np.float64).mean(axis=0),
+                               atol=1e-12)
+
+    @pytest.mark.parametrize("k", [12, 13, 40])
+    def test_k_at_least_shared_count(self, rng, k):
+        have_unit = random_space(rng, 12, 5)
+        want_shared = rng.randn(12, 3).astype(np.float32)
+        queries = rng.randn(7, 5).astype(np.float32)
+        got = np.empty((7, 3))
+        _infer_rows(queries, have_unit, want_shared, k, got)
+        for i, vec in enumerate(queries):
+            _top, row = oracle_infer(vec, have_unit, want_shared, k)
+            assert np.abs(got[i] - row).max() < 1e-6
+
+    def test_block_size_does_not_change_bits(self, rng, monkeypatch):
+        a = unit_rows([f"w{i}" for i in range(60)], 6, rng)
+        b = unit_rows([f"w{i}" for i in range(25, 90)], 5, rng)
+        shared = 35
+        results = []
+        for rows_per_block in (1, 3, 10 ** 6):
+            monkeypatch.setattr(interpolate, "_SIMS_BYTES", 8 * shared * rows_per_block)
+            results.append(fuse(a, b, k=4, discount=False).matrix.data)
+        assert all(bits_equal(results[0], r) for r in results[1:])
 
 
 class TestSvdDiscount:
@@ -172,6 +295,39 @@ class TestFuse:
         for width in (600, 450, 300):
             result = fuse(a, b, k=5, out_dims=width, discount=True)
             assert result.matrix.dims == width
+
+    def test_inferred_rows_match_row_oracle(self, rng):
+        a = unit_rows([f"w{i}" for i in range(80)], 6, rng)
+        b = unit_rows([f"w{i}" for i in range(30, 120)], 5, rng)
+        result = fuse(a, b, k=4, discount=False)
+        idx = build_overlap(a, b)
+        rows = {lab: i for i, lab in enumerate(result.matrix.labels)}
+        for lab in idx.only_a:
+            _top, want = oracle_infer(a.data[a.label_index()[lab]], idx.a_shared_unit,
+                                      b.data[idx.b_shared_rows], 4)
+            assert np.abs(result.matrix.data[rows[lab], 6:] - want).max() < 1e-6
+        for lab in idx.only_b:
+            _top, want = oracle_infer(b.data[b.label_index()[lab]], idx.b_shared_unit,
+                                      a.data[idx.a_shared_rows], 4)
+            assert np.abs(result.matrix.data[rows[lab], :6] - want).max() < 1e-6
+
+    def test_permutation_equivariance(self, rng):
+        a = unit_rows([f"w{i}" for i in range(50)], 6, rng)
+        b = unit_rows([f"w{i}" for i in range(20, 75)], 5, rng)
+        pa, pb = rng.permutation(len(a)), rng.permutation(len(b))
+        base = fuse(a, b, k=3, discount=False).matrix
+        perm = fuse(a.take(pa), b.take(pb), k=3, discount=False).matrix
+        assert sorted(perm.labels) == sorted(base.labels)
+        rows = perm.label_index()
+        for i, lab in enumerate(base.labels):
+            assert np.abs(perm.data[rows[lab]] - base.data[i]).max() < 1e-6
+
+    def test_k_below_one_rejected(self, rng):
+        a = unit_rows(["s", "xa"], 3, rng)
+        b = unit_rows(["s", "xb"], 3, rng)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                fuse(a, b, k=k)
 
     def test_disjoint_vocabularies_rejected(self, rng):
         a = unit_rows(["only_a"], 3, rng)

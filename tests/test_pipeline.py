@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import bits_equal
-from vecfuse import cli, rowmerge
+from vecfuse import cli, matrixio, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.labels import Standardizer
 from vecfuse.matrixio import read_native, read_text_embeddings
@@ -168,6 +169,21 @@ class TestFullPipeline:
             assert result["matrix"].labels == plain["matrix"].labels
         assert (workspace / "cache" / "retrofitted.emb1").exists()
         assert (workspace / "cache" / "graph_filtered.tsv").exists()
+
+    def test_warm_fused_cache_skips_source_preparation(self, workspace, monkeypatch):
+        cache_dir = str(workspace / "cache")
+        run_pipeline(toy_config(workspace, out="warm"), cache_dir=cache_dir,
+                     verbose=False)
+        read = []
+
+        def recording_read_native(matrix_path, labels_path):
+            read.append(os.path.basename(matrix_path))
+            return read_native(matrix_path, labels_path)
+
+        monkeypatch.setattr(matrixio, "read_native", recording_read_native)
+        run_pipeline(toy_config(workspace, out="cached"), cache_dir=cache_dir,
+                     verbose=False)
+        assert read == ["fused.emb1", "retrofitted.emb1"]
 
     def test_source_exclusion_equals_manual_prefilter(self, workspace):
         excluded = toy_config(workspace, out="excl",
