@@ -25,8 +25,8 @@ _SIMS_BYTES = 1 << 19
 
 @dataclass
 class OverlapIndex:
-    """Shared/exclusive vocabulary split between two spaces, with unit
-    copies of the shared vectors for cosine search."""
+    """Shared/exclusive vocabulary split between two spaces, with each
+    space's label->row map and unit copies of the shared vectors."""
 
     a: LabeledMatrix
     b: LabeledMatrix
@@ -37,12 +37,16 @@ class OverlapIndex:
     b_shared_rows: np.ndarray
     a_shared_unit: np.ndarray
     b_shared_unit: np.ndarray
+    a_index: dict
+    b_index: dict
 
 
 def _unit_rows(data: np.ndarray) -> np.ndarray:
+    """Float64 unit rows; rows of norm at or below `_ZERO` become zero."""
     out = data.astype(np.float64)
     norms = np.sqrt((out * out).sum(axis=1))
     out /= np.where(norms > _ZERO, norms, 1.0)[:, None]
+    out[norms <= _ZERO] = 0.0
     return out
 
 
@@ -58,7 +62,7 @@ def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     b_rows = np.array([b_index[lab] for lab in shared], dtype=np.int64)
     return OverlapIndex(
         a=a, b=b, shared=shared, only_a=only_a, only_b=only_b,
-        a_shared_rows=a_rows, b_shared_rows=b_rows,
+        a_shared_rows=a_rows, b_shared_rows=b_rows, a_index=a_index, b_index=b_index,
         a_shared_unit=_unit_rows(a.data[a_rows]) if len(shared) else np.zeros((0, a.dims)),
         b_shared_unit=_unit_rows(b.data[b_rows]) if len(shared) else np.zeros((0, b.dims)),
     )
@@ -99,11 +103,7 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
     k = min(k, n)
     block = max(1, _SIMS_BYTES // (8 * max(n, 1)))
     for start in range(0, len(vecs), block):
-        q = vecs[start:start + block].astype(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
-        q /= np.where(norms > _ZERO, norms, 1.0)[:, None]
-        q[norms <= _ZERO] = 0.0
-        neg = q @ have_unit.T
+        neg = _unit_rows(vecs[start:start + block]) @ have_unit.T
         np.negative(neg, out=neg)
         top = _top_k(neg, k)
         weights = np.maximum(-np.take_along_axis(neg, top, axis=1), 0.0)
@@ -132,12 +132,12 @@ def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
     if not index.shared:
         raise EmptyOverlap("the two spaces share no vocabulary")
     if have is index.a and want is index.b:
-        have_unit, want_rows = index.a_shared_unit, index.b_shared_rows
+        row_of, have_unit, want_rows = index.a_index, index.a_shared_unit, index.b_shared_rows
     elif have is index.b and want is index.a:
-        have_unit, want_rows = index.b_shared_unit, index.a_shared_rows
+        row_of, have_unit, want_rows = index.b_index, index.b_shared_unit, index.a_shared_rows
     else:
         raise ValueError("index was built for different matrices")
-    row = have.label_index()[term]
+    row = row_of[term]
     out = np.empty((1, want.dims))
     _infer_rows(have.data[row:row + 1], have_unit, want.data[want_rows], k, out)
     return out[0]

@@ -167,34 +167,24 @@ class AssociationMatrix:
         return out
 
 
-def label_ranks(vocab) -> np.ndarray:
-    """Position of each vocab entry in the lexicographic label ordering."""
-    ranks = np.empty(len(vocab), dtype=np.int64)
-    ranks[np.argsort(np.asarray(vocab, dtype=object), kind="stable")] = \
-        np.arange(len(vocab))
-    return ranks
-
-
 def canonical_csr(rows, cols, vals, vocab):
     """Build CSR arrays with per-row entries in neighbor-label order,
-    summing duplicate coordinates."""
+    summing duplicate coordinates. This is the retrofit matrix's only sort:
+    relabelling keeps that order, so later steps move rows whole."""
     m = len(vocab)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
-    ranks = label_ranks(vocab)
-    order = np.lexsort((ranks[cols], rows)) if len(rows) else np.zeros(0, np.int64)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[np.argsort(np.asarray(vocab, dtype=object), kind="stable")] = np.arange(m)
+    order = np.lexsort((ranks[cols], rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    if len(rows):
-        boundary = np.ones(len(rows), dtype=bool)
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(boundary)
-        vals = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    return indptr, cols, vals
+    boundary = np.ones(len(rows), dtype=bool)
+    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(boundary)
+    vals = np.add.reduceat(vals, starts)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[starts], minlength=m))])
+    return indptr, cols[starts], vals
 
 
 def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
@@ -203,7 +193,8 @@ def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
     The vocabulary is the union of assertion endpoints and `extra_vocab`
     (typically the embedding labels): extra_vocab keeps its own order and
     graph-only terms follow in lexicographic order. Self-edges are dropped,
-    as `load_assertions` does, so the diagonal stays exactly 1.
+    as `load_assertions` does, so the diagonal stays exactly 1. One sort
+    places every entry, self-loops included.
     """
     assertions = [a for a in assertions if a.start != a.end]
     vocab = []
@@ -224,20 +215,20 @@ def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
         rows.extend((i, j))
         cols.extend((j, i))
         vals.extend((a.weight, a.weight))
+    # a zero placeholder for every self-loop, so the sort gives it its slot
+    rows.extend(range(m))
+    cols.extend(range(m))
+    vals.extend([0.0] * m)
     indptr, indices, data = canonical_csr(rows, cols, vals, vocab)
 
-    # L1-normalize each row (all accumulated entries are off-diagonal).
-    if len(data):
-        nonempty = indptr[:-1] < indptr[1:]
-        starts = indptr[:-1][nonempty]
-        sums = np.add.reduceat(data, starts)
-        scale = np.repeat(sums, np.diff(indptr)[nonempty])
-        data = data / scale
-
-    # Unit self-loops for every term, inserted in label-canonical position.
-    diag = np.arange(m, dtype=np.int64)
-    all_rows = np.concatenate([np.repeat(np.arange(m), np.diff(indptr)), diag])
-    all_cols = np.concatenate([indices, diag])
-    all_vals = np.concatenate([data, np.ones(m)])
-    indptr, indices, data = canonical_csr(all_rows, all_cols, all_vals, vocab)
+    # L1-normalize the off-diagonal entries of each row, then set the
+    # diagonal. The placeholders stay out of the row sums: an extra term
+    # would regroup numpy's pairwise summation of long rows.
+    diag = indices == np.repeat(np.arange(m), np.diff(indptr))
+    off = data[~diag]
+    counts = np.diff(indptr) - 1
+    nonempty = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    data[~diag] = off / np.repeat(np.add.reduceat(off, starts), counts[nonempty])
+    data[diag] = 1.0
     return AssociationMatrix(vocab=vocab, indptr=indptr, indices=indices, data=data)

@@ -7,6 +7,7 @@ round-trips bit-exactly (labels in a separate UTF-8 file, one per line).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -81,6 +82,12 @@ def _parse_floats(fields, dims, path, lineno):
         raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno)
 
 
+def _first_nonfinite_row(data: np.ndarray):
+    """Index of the first row holding a nan or inf, or None."""
+    finite = np.isfinite(data).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def read_text_embeddings(path, header: bool = False,
                          on_duplicate: str = "error") -> LabeledMatrix:
     """Read GloVe-style (no header) or word2vec text (header) vectors.
@@ -88,13 +95,17 @@ def read_text_embeddings(path, header: bool = False,
     The token is everything before the first U+0020; no other whitespace is
     treated as a separator, so messy tokens survive verbatim and are cleaned
     later by label standardization. `on_duplicate` is "error" or "first".
+    A header's row count must match the vector lines, duplicates included;
+    a nan or inf anywhere is a `ParseError` naming its line.
     """
     if on_duplicate not in ("error", "first"):
         raise ValueError(f"on_duplicate must be 'error' or 'first': {on_duplicate}")
     labels = []
     seen = {}
     rows = []
+    linenos = []
     dims = None
+    vector_lines = 0
     with open(path, encoding="utf-8") as f:
         lineno = 0
         if header:
@@ -104,7 +115,7 @@ def read_text_embeddings(path, header: bool = False,
             if len(parts) != 2:
                 raise ParseError(f"bad header {head!r}", path=str(path), line=lineno)
             try:
-                _declared_rows, dims = int(parts[0]), int(parts[1])
+                declared_rows, dims = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"bad header {head!r}", path=str(path), line=lineno)
         for line in f:
@@ -117,6 +128,7 @@ def read_text_embeddings(path, header: bool = False,
             if dims is None:
                 dims = len(fields)
             values = _parse_floats(fields, dims, str(path), lineno)
+            vector_lines += 1
             if token in seen:
                 if on_duplicate == "first":
                     continue
@@ -124,13 +136,26 @@ def read_text_embeddings(path, header: bool = False,
             seen[token] = True
             labels.append(token)
             rows.append(values)
-    data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
+            linenos.append(lineno)
+    if header and vector_lines != declared_rows:
+        raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
+                         path=str(path), line=1)
+    with np.errstate(over="ignore"):  # values past float32 range become inf
+        data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
+    bad = _first_nonfinite_row(data)
+    if bad is not None:
+        raise ParseError("non-finite value (nan, inf or past float32 range)",
+                         path=str(path), line=linenos[bad])
     ranks = np.arange(1, len(labels) + 1, dtype=np.int64)
     return LabeledMatrix(labels=labels, data=data, source_rank=ranks)
 
 
 def read_word2vec_binary(path) -> LabeledMatrix:
-    """Read the word2vec binary format (Google News distribution style)."""
+    """Read the word2vec binary format (Google News distribution style).
+
+    The header's counts are checked against the file size before anything
+    is allocated; a nan or inf is a `ParseError` naming its vector.
+    """
     with open(path, "rb") as f:
         header = f.readline()
         parts = header.split()
@@ -142,9 +167,13 @@ def read_word2vec_binary(path) -> LabeledMatrix:
             raise ParseError(f"bad binary header {header!r}", path=str(path))
         if rows < 0 or dims < 0:
             raise ParseError(f"negative counts in header {header!r}", path=str(path))
+        vec_bytes = 4 * dims
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if remaining < rows * (vec_bytes + 1):
+            raise TruncatedFile(f"{path}: header declares {rows} vectors of {dims} "
+                                f"floats, but only {remaining} bytes follow")
         labels = []
         data = np.empty((rows, dims), dtype=np.float32)
-        vec_bytes = 4 * dims
         for i in range(rows):
             token_bytes = bytearray()
             while True:
@@ -164,6 +193,9 @@ def read_word2vec_binary(path) -> LabeledMatrix:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"token {i + 1} is not UTF-8: {exc}", path=str(path))
             data[i] = np.frombuffer(payload, dtype="<f4")
+    bad = _first_nonfinite_row(data)
+    if bad is not None:
+        raise ParseError(f"vector {bad + 1} has a non-finite value", path=str(path))
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"{path}: repeated token in binary vocabulary")
     ranks = np.arange(1, rows + 1, dtype=np.int64)

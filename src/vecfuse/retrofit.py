@@ -16,7 +16,7 @@ import numpy as np
 import os
 
 from .errors import DimensionMismatch
-from .kgraph import AssociationMatrix, canonical_csr
+from .kgraph import AssociationMatrix
 from .matrixio import LabeledMatrix, write_native
 from .rowmerge import normalize_rows_inplace
 
@@ -65,7 +65,8 @@ def assemble_problem(embeddings: LabeledMatrix, assoc: AssociationMatrix,
     unit self-loop so the update leaves them anchored in place. With
     `self_loops` off (ablation) every diagonal entry is dropped.
 
-    Embedding rows are expected to be L2-normalized already.
+    Rows of `assoc` move whole to their slots, unsorted: neighbor-label
+    order survives relabelling. Embedding rows should be L2-normalized.
     """
     if len(embeddings) == 0:
         raise DimensionMismatch("cannot assemble a problem from an empty matrix")
@@ -75,20 +76,21 @@ def assemble_problem(embeddings: LabeledMatrix, assoc: AssociationMatrix,
     position = {term: i for i, term in enumerate(vocab)}
     m = len(vocab)
 
-    remap = np.array([position[t] for t in assoc.vocab], dtype=np.int64) \
-        if assoc.vocab else np.zeros(0, np.int64)
-    src_rows = np.repeat(np.arange(assoc.size), np.diff(assoc.indptr))
-    rows = remap[src_rows] if len(src_rows) else src_rows
-    cols = remap[assoc.indices] if len(assoc.indices) else assoc.indices
-    vals = assoc.data
-    keep = rows != cols  # diagonal handled explicitly below
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if self_loops:
-        diag = np.arange(m, dtype=np.int64)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-        vals = np.concatenate([vals, np.ones(m)])
-    indptr, indices, data = canonical_csr(rows, cols, vals, vocab)
+    remap = np.array([position[t] for t in assoc.vocab], dtype=np.int64)
+    counts = np.diff(assoc.indptr)
+    lengths = np.ones(m, dtype=np.int64)
+    lengths[remap] = counts
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    rows = np.repeat(np.arange(m), lengths)
+    # every row starts as a bare self-loop; graph rows then overwrite theirs
+    indices, data = rows.copy(), np.ones(len(rows))
+    moved = np.repeat(indptr[remap] - assoc.indptr[:-1], counts) + np.arange(len(assoc.data))
+    indices[moved] = remap[assoc.indices]
+    data[moved] = assoc.data
+    if not self_loops:
+        keep = indices != rows
+        indices, data = indices[keep], data[keep]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=m))])
 
     w0 = np.zeros((m, embeddings.dims), dtype=np.float32)
     w0[: len(embeddings)] = embeddings.data

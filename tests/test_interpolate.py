@@ -4,6 +4,7 @@ import pytest
 from conftest import bits_equal, make_matrix
 from vecfuse import interpolate
 from vecfuse.errors import EmptyOverlap
+from vecfuse.matrixio import LabeledMatrix
 from vecfuse.interpolate import (
     _infer_rows,
     _top_k,
@@ -90,6 +91,22 @@ class TestInferMissing:
         hi = want.data.max(axis=0) + 1e-9
         assert np.all(got >= lo) and np.all(got <= hi)
 
+    def test_repeated_calls_reuse_overlap_label_maps(self, rng, monkeypatch):
+        a = unit_rows([f"a{i}" for i in range(10)] + [f"s{i}" for i in range(8)], 5, rng)
+        b = unit_rows([f"s{i}" for i in range(8)] + [f"b{i}" for i in range(10)], 4, rng)
+        idx = build_overlap(a, b)
+        calls = []
+        label_index = LabeledMatrix.label_index
+        monkeypatch.setattr(LabeledMatrix, "label_index",
+                            lambda self: calls.append(self) or label_index(self))
+        for i in range(10):
+            got = infer_missing(f"a{i}", a, b, idx, k=3)
+            _top, want = oracle_infer(a.data[i], idx.a_shared_unit,
+                                      b.data[idx.b_shared_rows], 3)
+            assert np.allclose(got, want, atol=1e-6)
+            infer_missing(f"b{i}", b, a, idx, k=3)
+        assert calls == []
+
     def test_empty_overlap(self):
         have = make_matrix(["term"], [[1.0, 0.0]])
         want = make_matrix(["other"], [[1.0, 0.0]])
@@ -99,6 +116,10 @@ class TestInferMissing:
 
 
 class TestBlockInference:
+    def test_unit_rows_zero_rows_at_or_below_threshold(self):
+        out = interpolate._unit_rows(np.array([[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]]))
+        assert out.tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]]
+
     def test_matches_row_oracle(self, rng):
         have_unit = random_space(rng, 200, 8)
         want_shared = rng.randn(200, 6).astype(np.float32)

@@ -7,6 +7,7 @@ from conftest import bits_equal, make_matrix
 from vecfuse.errors import (
     BadMagic,
     ChecksumOrLengthMismatch,
+    DataError,
     DimensionMismatch,
     DuplicateLabel,
     ParseError,
@@ -85,6 +86,38 @@ class TestTextReader:
         m = read_text_embeddings(path, header=False)
         assert m.labels == ["a\tb"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"the 0.1 0.2\n\ncat 1.0 {value}\ndog 0.3 0.4\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_text_embeddings(path, header=False)
+        assert err.value.line == 3
+        assert str(path) in str(err.value)
+
+    def test_non_finite_after_float32_cast_rejected(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("the 0.1 0.2\ncat 1e39 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_text_embeddings(path, header=False)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_header_row_count_must_match(self, tmp_path, declared):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{declared} 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_text_embeddings(path, header=True)
+        assert err.value.line == 1
+        assert str(path) in str(err.value)
+
+    def test_header_counts_skipped_duplicates(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1 2\n\na 3 4\nb 5 6\n", encoding="utf-8")
+        m = read_text_embeddings(path, header=True, on_duplicate="first")
+        assert m.labels == ["a", "b"]
+
 
 def w2v_binary_bytes(entries, dims):
     blob = f"{len(entries)} {dims}\n".encode("ascii")
@@ -133,6 +166,36 @@ class TestWord2vecBinary:
         path.write_bytes(b"not a header\n")
         with pytest.raises(ParseError):
             read_word2vec_binary(path)
+
+    def test_header_larger_than_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"1000000000 1000\n")
+        with pytest.raises(TruncatedFile) as err:
+            read_word2vec_binary(path)
+        assert isinstance(err.value, DataError)
+
+    def test_header_checked_against_file_size(self, tmp_path):
+        path = tmp_path / "v.bin"
+        blob = w2v_binary_bytes([("a", [1.0, 2.0]), ("b", [3.0, 4.0])], 2)
+        path.write_bytes(blob)
+        assert read_word2vec_binary(path).labels == ["a", "b"]
+        path.write_bytes(b"3 2\n" + blob[len(b"2 2\n"):])  # 3 records need 27 bytes, 22 follow
+        with pytest.raises(TruncatedFile):
+            read_word2vec_binary(path)
+
+    def test_truncated_inside_vector_after_long_token(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"1 2\nlongtoken " + struct.pack("<f", 1.0))
+        with pytest.raises(TruncatedFile, match="inside vector 1"):
+            read_word2vec_binary(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_with_vector_number(self, tmp_path, value):
+        path = tmp_path / "v.bin"
+        path.write_bytes(w2v_binary_bytes([("cat", [0.5, 1.0]), ("dog", [1.0, value])], 2))
+        with pytest.raises(ParseError, match="vector 2") as err:
+            read_word2vec_binary(path)
+        assert str(path) in str(err.value)
 
 
 class TestNativeFormat:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,11 +151,11 @@ class TestFullPipeline:
         config2 = toy_config(workspace, out="out2")
         r1 = run_pipeline(config1, verbose=False)
         r2 = run_pipeline(config2, verbose=False)
-        b1 = open(r1["matrix_path"], "rb").read()
-        b2 = open(r2["matrix_path"], "rb").read()
+        b1 = Path(r1["matrix_path"]).read_bytes()
+        b2 = Path(r2["matrix_path"]).read_bytes()
         assert b1 == b2
-        assert open(r1["labels_path"], "rb").read() == open(r2["labels_path"], "rb").read()
-        assert open(r1["report_path"], "rb").read() == open(r2["report_path"], "rb").read()
+        assert Path(r1["labels_path"]).read_bytes() == Path(r2["labels_path"]).read_bytes()
+        assert Path(r1["report_path"]).read_bytes() == Path(r2["report_path"]).read_bytes()
 
     def test_cache_path_matches_straight_path(self, workspace):
         plain = run_pipeline(toy_config(workspace, out="plain"), verbose=False)
@@ -365,6 +366,21 @@ class TestCli:
         config = self.write_config(workspace, raw)
         assert cli.main(["pipeline", "--config", config]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_exit_code_non_finite_input(self, workspace, capsys, value):
+        (workspace / "alpha.txt").write_text(
+            ALPHA_TEXT.replace("dog 0.6 0.4 0.2", f"dog 0.6 {value} 0.2"), encoding="utf-8")
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        assert cli.main(["pipeline", "--config", config]) == 2
+        assert "alpha.txt:4: non-finite value" in capsys.readouterr().err
+
+    def test_exit_code_inconsistent_word2vec_header(self, workspace, capsys):
+        (workspace / "beta.txt").write_text(BETA_TEXT.replace("6 2", "7 2", 1),
+                                            encoding="utf-8")
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        assert cli.main(["pipeline", "--config", config]) == 2
+        assert "beta.txt:1: header declares 7 rows, file has 6" in capsys.readouterr().err
 
     def test_bug_in_stage_propagates(self, workspace, monkeypatch):
         def broken(*args, **kwargs):

@@ -217,3 +217,130 @@ class TestOscillationControl:
     def test_without_self_loops_oscillation_persists(self):
         disp = self.seeded_displacements(self.build_two_node(self_loops=False))
         assert all(d >= 0.5 for d in disp)
+
+
+# The three-sort construction that the single sort replaced, kept as a
+# bitwise reference: build_association sorted without and then with the
+# self-loops, and assemble_problem stripped the diagonal, added it back
+# and sorted a third time.
+
+def reference_csr(rows, cols, vals, vocab):
+    m = len(vocab)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[np.argsort(np.asarray(vocab, dtype=object), kind="stable")] = np.arange(m)
+    order = np.lexsort((ranks[cols], rows)) if len(rows) else np.zeros(0, np.int64)
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if len(rows):
+        boundary = np.ones(len(rows), dtype=bool)
+        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(boundary)
+        vals = np.add.reduceat(vals, starts)
+        rows, cols = rows[starts], cols[starts]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    return np.cumsum(indptr), cols, vals
+
+
+def reference_association(assertions, extra_vocab=()):
+    assertions = [a for a in assertions if a.start != a.end]
+    vocab, index = [], {}
+    for term in extra_vocab:
+        if term not in index:
+            index[term] = len(vocab)
+            vocab.append(term)
+    graph_terms = {a.start for a in assertions} | {a.end for a in assertions}
+    for term in sorted(t for t in graph_terms if t not in index):
+        index[term] = len(vocab)
+        vocab.append(term)
+    m = len(vocab)
+    rows, cols, vals = [], [], []
+    for a in assertions:
+        i, j = index[a.start], index[a.end]
+        rows.extend((i, j))
+        cols.extend((j, i))
+        vals.extend((a.weight, a.weight))
+    indptr, indices, data = reference_csr(rows, cols, vals, vocab)
+    if len(data):
+        nonempty = indptr[:-1] < indptr[1:]
+        sums = np.add.reduceat(data, indptr[:-1][nonempty])
+        data = data / np.repeat(sums, np.diff(indptr)[nonempty])
+    diag = np.arange(m, dtype=np.int64)
+    indptr, indices, data = reference_csr(
+        np.concatenate([np.repeat(np.arange(m), np.diff(indptr)), diag]),
+        np.concatenate([indices, diag]), np.concatenate([data, np.ones(m)]), vocab)
+    return {"vocab": vocab, "indptr": indptr, "indices": indices, "data": data}
+
+
+def reference_problem(embeddings, assoc, self_loops=True):
+    emb_index = embeddings.label_index()
+    vocab = list(embeddings.labels)
+    vocab.extend(sorted(t for t in assoc.vocab if t not in emb_index))
+    position = {term: i for i, term in enumerate(vocab)}
+    m = len(vocab)
+    remap = np.array([position[t] for t in assoc.vocab], dtype=np.int64) \
+        if assoc.vocab else np.zeros(0, np.int64)
+    src_rows = np.repeat(np.arange(assoc.size), np.diff(assoc.indptr))
+    rows = remap[src_rows] if len(src_rows) else src_rows
+    cols = remap[assoc.indices] if len(assoc.indices) else assoc.indices
+    keep = rows != cols
+    rows, cols, vals = rows[keep], cols[keep], assoc.data[keep]
+    if self_loops:
+        diag = np.arange(m, dtype=np.int64)
+        rows = np.concatenate([rows, diag])
+        cols = np.concatenate([cols, diag])
+        vals = np.concatenate([vals, np.ones(m)])
+    indptr, indices, data = reference_csr(rows, cols, vals, vocab)
+    return {"vocab": vocab, "indptr": indptr, "indices": indices, "data": data}
+
+
+def assert_same_bits(got, want):
+    assert got.vocab == want["vocab"]
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), want[name]
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def random_graph(seed):
+    """Edges with duplicates, self-edges and hubs of 9+ neighbors, plus an
+    embedding matrix that shares part of the graph's vocabulary."""
+    rng = np.random.default_rng(seed)
+    pool = [f"/c/{'fr' if i % 7 == 0 else 'en'}/w{i}" for i in range(40)]
+    pairs = [tuple(rng.integers(0, len(pool), 2)) for _ in range(60)]
+    for hub in rng.choice(len(pool), 2, replace=False):
+        pairs += [(hub, j) for j in rng.choice(len(pool), 25, replace=False)]
+    pairs += [pairs[i] for i in rng.integers(0, len(pairs), 20)]  # duplicates
+    edges = [edge(pool[i], pool[j], float(w))
+             for (i, j), w in zip(pairs, rng.uniform(0.1, 3.0, len(pairs)))]
+    labels = [pool[i] for i in rng.choice(len(pool), 15, replace=False)]
+    labels += [f"/c/en/emb{i}" for i in range(5)]  # absent from the graph
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+    emb = make_matrix(labels, rng.standard_normal((len(labels), 3)))
+    return edges, emb
+
+
+class TestSingleSortMatchesThreeSorts:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs_bitwise(self, seed):
+        edges, emb = random_graph(seed)
+        for extra in (emb.labels, ()):
+            assoc = build_association(edges, extra_vocab=extra)
+            assert_same_bits(assoc, reference_association(edges, extra_vocab=extra))
+            assert np.diff(assoc.indptr).max() >= 10  # a diagonal and 9+ neighbors
+            for self_loops in (True, False):
+                assert_same_bits(assemble_problem(emb, assoc, self_loops=self_loops),
+                                 reference_problem(emb, assoc, self_loops=self_loops))
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["empty_vocab", "isolated_only"])
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_empty_edge_list(self, extra, self_loops):
+        _edges, emb = random_graph(0)
+        vocab = emb.labels if extra else ()
+        assoc = build_association([], extra_vocab=vocab)
+        assert assoc.size == len(vocab)
+        assert_same_bits(assoc, reference_association([], extra_vocab=vocab))
+        assert_same_bits(assemble_problem(emb, assoc, self_loops=self_loops),
+                         reference_problem(emb, assoc, self_loops=self_loops))
