@@ -253,17 +253,28 @@ def map_digit_runs(text: str) -> str:
 
 
 class Standardizer:
-    """Bundles a rule set, stopword list and optional validity vocabulary."""
+    """Bundles a rule set, stopword list and optional validity vocabulary.
+
+    The rules, stopwords and vocabulary are fixed for the life of an
+    instance, so each (text, language) result is memoised per instance.
+    Errors are not memoised: a bad input raises on every call.
+    """
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
                  vocab=None):
         self.rules = rules if rules is not None else default_rules()
         self.stopwords = stopwords if stopwords is not None else default_stopwords()
         self.vocab = vocab
+        self._memo = {}
 
     def standardize(self, text: str, language: str) -> StandardLabel:
-        return standardize(text, language, rules=self.rules,
-                           stopwords=self.stopwords, vocab=self.vocab)
+        key = (text, language)
+        label = self._memo.get(key)
+        if label is None:
+            label = standardize(text, language, rules=self.rules,
+                                stopwords=self.stopwords, vocab=self.vocab)
+            self._memo[key] = label
+        return label
 
     def uri(self, text: str, language: str) -> str:
         return self.standardize(text, language).uri

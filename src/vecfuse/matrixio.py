@@ -24,6 +24,10 @@ from .errors import (
 
 NATIVE_MAGIC = b"EMB1"
 
+# float32 bytes per block of parsed text rows; the blocks are concatenated
+# once at the end of the file
+_TEXT_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class LabeledMatrix:
@@ -73,6 +77,8 @@ class LabeledMatrix:
 
 
 def _parse_floats(fields, dims, path, lineno):
+    if not fields:
+        raise ParseError("vector line has no values", path=path, line=lineno)
     if len(fields) != dims:
         raise DimensionMismatch(
             f"{path}:{lineno}: expected {dims} values, got {len(fields)}")
@@ -96,17 +102,24 @@ def read_text_embeddings(path, header: bool = False,
     treated as a separator, so messy tokens survive verbatim and are cleaned
     later by label standardization. `on_duplicate` is "error" or "first".
     A header's row count must match the vector lines, duplicates included;
-    a nan or inf anywhere is a `ParseError` naming its line.
+    a vector line without values, a header declaring fewer than one
+    dimension, and a nan or inf anywhere are each a `ParseError` naming
+    its line.
+
+    Each field is parsed as a double and rounded once to float32, in
+    blocks of `_TEXT_BLOCK_BYTES` that are concatenated at the end.
     """
     if on_duplicate not in ("error", "first"):
         raise ValueError(f"on_duplicate must be 'error' or 'first': {on_duplicate}")
     labels = []
-    seen = {}
-    rows = []
+    seen = set()
+    blocks = []
+    block, filled = None, 0
     linenos = []
     dims = None
     vector_lines = 0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, np.errstate(over="ignore"):
+        # values past float32 range become inf and fail the finite check
         lineno = 0
         if header:
             head = f.readline()
@@ -118,6 +131,9 @@ def read_text_embeddings(path, header: bool = False,
                 declared_rows, dims = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"bad header {head!r}", path=str(path), line=lineno)
+            if dims < 1:
+                raise ParseError(f"header declares {dims} dimensions",
+                                 path=str(path), line=lineno)
         for line in f:
             lineno += 1
             line = line.rstrip("\n")
@@ -133,15 +149,26 @@ def read_text_embeddings(path, header: bool = False,
                 if on_duplicate == "first":
                     continue
                 raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
-            seen[token] = True
+            seen.add(token)
             labels.append(token)
-            rows.append(values)
             linenos.append(lineno)
+            if block is None or filled == len(block):
+                # sized only once a line has proved `dims`
+                block = np.empty((max(1, _TEXT_BLOCK_BYTES // (4 * dims)), dims),
+                                 dtype=np.float32)
+                blocks.append(block)
+                filled = 0
+            block[filled] = values
+            filled += 1
     if header and vector_lines != declared_rows:
         raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
                          path=str(path), line=1)
-    with np.errstate(over="ignore"):  # values past float32 range become inf
-        data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
+    if blocks:
+        blocks[-1] = block[:filled]
+        data = np.concatenate(blocks)
+        del blocks, block  # freed before the finite check allocates
+    else:
+        data = np.zeros((0, dims or 0), dtype=np.float32)
     bad = _first_nonfinite_row(data)
     if bad is not None:
         raise ParseError("non-finite value (nan, inf or past float32 range)",
@@ -165,8 +192,10 @@ def read_word2vec_binary(path) -> LabeledMatrix:
             rows, dims = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"bad binary header {header!r}", path=str(path))
-        if rows < 0 or dims < 0:
+        if rows < 0:
             raise ParseError(f"negative counts in header {header!r}", path=str(path))
+        if dims < 1:
+            raise ParseError(f"header declares {dims} dimensions", path=str(path), line=1)
         vec_bytes = 4 * dims
         remaining = os.fstat(f.fileno()).st_size - f.tell()
         if remaining < rows * (vec_bytes + 1):

@@ -1,15 +1,17 @@
 """Expanded retrofitting over the union vocabulary.
 
-The whole matrix is updated at once each step: blend the graph-propagated
+Each step updates every row simultaneously: blend the graph-propagated
 state S·W with the anchored original rows, halve anchored rows, then
 L2-normalize nonzero rows. Out-of-vocabulary terms (zero original rows)
 take values purely from their neighbors, stabilized by the unit
-self-loops on the diagonal of S.
+self-loops on the diagonal of S. The step runs in row blocks of at most
+`_PROD_BYTES` of float64 products, so its memory grows with the
+vocabulary, not with the number of edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +23,9 @@ from .matrixio import LabeledMatrix, write_native
 from .rowmerge import normalize_rows_inplace
 
 DEFAULT_ITERATIONS = 10
+
+# float64 products S[i, j] * W[j] computed at once by one row block of a step
+_PROD_BYTES = 256 * 1024
 
 
 @dataclass
@@ -39,7 +44,6 @@ class RetrofitProblem:
     data: np.ndarray
     w0: np.ndarray
     anchored: np.ndarray
-    _w0_64: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -48,11 +52,6 @@ class RetrofitProblem:
     @property
     def dims(self) -> int:
         return self.w0.shape[1]
-
-    def w0_64(self) -> np.ndarray:
-        if self._w0_64 is None:
-            self._w0_64 = self.w0.astype(np.float64)
-        return self._w0_64
 
 
 def assemble_problem(embeddings: LabeledMatrix, assoc: AssociationMatrix,
@@ -105,23 +104,39 @@ def retrofit_step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
 
     Computes S·W + A·W0, halves anchored rows, and L2-normalizes nonzero
     rows. Products accumulate in float64 in each row's fixed entry order;
-    the result is cast back to float32 storage.
+    the result is cast back to float32 storage. Rows are processed in
+    blocks of at most `_PROD_BYTES` of products (at least one row each);
+    since every row is reduced on its own, the block size never changes
+    a bit of the output.
     """
     if w.shape != (problem.size, problem.dims):
         raise DimensionMismatch(
             f"state is {w.shape}, problem needs {(problem.size, problem.dims)}")
-    w64 = np.asarray(w, dtype=np.float64)
-    out = np.zeros((problem.size, problem.dims))
-    if len(problem.data):
-        prod = problem.data[:, None] * w64[problem.indices]
-        nonempty = problem.indptr[:-1] < problem.indptr[1:]
-        starts = problem.indptr[:-1][nonempty]
-        out[nonempty] = np.add.reduceat(prod, starts, axis=0)
-    anchored = problem.anchored
-    out[anchored] += problem.w0_64()[anchored]
-    out[anchored] *= 0.5
-    normalize_rows_inplace(out)
-    return out.astype(np.float32)
+    indptr, indices, data = problem.indptr, problem.indices, problem.data
+    out = np.empty((problem.size, problem.dims), dtype=np.float32)
+    budget = max(1, _PROD_BYTES // (8 * max(1, problem.dims)))
+    r0 = 0
+    while r0 < problem.size:
+        # the most rows whose entries fit the budget: at least one row, and
+        # at most `budget` rows so that runs of empty rows stay bounded too
+        r1 = int(np.searchsorted(indptr, indptr[r0] + budget, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), r0 + budget)
+        lo, hi = indptr[r0], indptr[r1]
+        block = np.zeros((r1 - r0, problem.dims))
+        # float32 -> float64 is exact, so widening w and w0 block by block
+        # gives the bits of widening them whole
+        if hi > lo:
+            prod = data[lo:hi, None] * w[indices[lo:hi]]
+            starts = indptr[r0:r1]
+            nonempty = starts < indptr[r0 + 1:r1 + 1]
+            block[nonempty] = np.add.reduceat(prod, starts[nonempty] - lo, axis=0)
+        anchored = problem.anchored[r0:r1]
+        block[anchored] += problem.w0[r0:r1][anchored]
+        block[anchored] *= 0.5
+        normalize_rows_inplace(block)
+        out[r0:r1] = block
+        r0 = r1
+    return out
 
 
 def retrofit(problem: RetrofitProblem, iterations: int = DEFAULT_ITERATIONS,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vecfuse import labels
 from vecfuse.errors import EmptyAfterNormalization, InvalidLanguage, ParseError
 from vecfuse.labels import (
     LemmaRuleSet,
@@ -238,3 +239,38 @@ class TestDigitRuns:
         assert map_digit_runs("abc123def45") == "abc#def#"
         assert map_digit_runs("2024") == "#"
         assert map_digit_runs("none") == "none"
+
+
+class TestStandardizerMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = labels.standardize
+
+        def counting(text, language, **kwargs):
+            seen.append((text, language))
+            return real(text, language, **kwargs)
+
+        monkeypatch.setattr(labels, "standardize", counting)
+        return seen
+
+    def test_repeat_call_is_memoised(self, calls):
+        std = Standardizer()
+        first = std.standardize("Running Dogs", "en")
+        assert std.standardize("Running Dogs", "en") == first
+        assert std.uri("Running Dogs", "en") == first.uri
+        assert calls == [("Running Dogs", "en")]
+        std.standardize("Running Dogs", "fr")
+        assert calls == [("Running Dogs", "en"), ("Running Dogs", "fr")]
+
+    def test_memo_is_per_instance(self, calls):
+        Standardizer().standardize("cats", "en")
+        Standardizer().standardize("cats", "en")
+        assert len(calls) == 2
+
+    def test_errors_are_not_memoised(self, calls):
+        std = Standardizer()
+        for _ in range(2):
+            with pytest.raises(EmptyAfterNormalization):
+                std.standardize("!!!", "en")
+        assert calls == [("!!!", "en"), ("!!!", "en")]

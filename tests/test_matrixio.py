@@ -1,4 +1,6 @@
+import importlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from vecfuse.matrixio import (
     read_word2vec_binary,
     write_native,
 )
+
+matrixio = importlib.import_module("vecfuse.matrixio")
 
 
 class TestLabeledMatrix:
@@ -117,6 +121,34 @@ class TestTextReader:
         path.write_text("3 2\na 1 2\n\na 3 4\nb 5 6\n", encoding="utf-8")
         m = read_text_embeddings(path, header=True, on_duplicate="first")
         assert m.labels == ["a", "b"]
+
+
+class TestZeroDimensionVectors:
+    @pytest.mark.parametrize("text, line", [
+        ("the\ncat\n", 1), ("the \n", 1), ("the 0.1\n\ncat\n", 3)])
+    def test_vector_line_without_values(self, tmp_path, text, line):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="no values") as err:
+            read_text_embeddings(path)
+        assert err.value.line == line
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("head", ["2 0", "0 0", "2 -1"])
+    def test_word2vec_text_header_without_dimensions(self, tmp_path, head):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{head}\na\nb\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="dimensions") as err:
+            read_text_embeddings(path, header=True)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("head", [b"2 0\n", b"0 0\n"])
+    def test_word2vec_binary_header_without_dimensions(self, tmp_path, head):
+        path = tmp_path / "v.bin"
+        path.write_bytes(head + b"a \nb \n")
+        with pytest.raises(ParseError, match="dimensions") as err:
+            read_word2vec_binary(path)
+        assert str(path) in str(err.value)
 
 
 def w2v_binary_bytes(entries, dims):
@@ -249,3 +281,121 @@ class TestNativeFormat:
         write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
         back = read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
         assert list(back.source_rank) == [1, 2]
+
+
+# The list-of-lists text reader that the float32-block reader replaced,
+# kept as a bitwise reference.
+
+def reference_read_text(path, header=False, on_duplicate="error"):
+    labels, seen, rows, linenos = [], set(), [], []
+    dims = None
+    with open(path, encoding="utf-8") as f:
+        lineno = 0
+        if header:
+            lineno += 1
+            declared_rows, dims = (int(v) for v in f.readline().split())
+        for line in f:
+            lineno += 1
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            token, _, rest = line.partition(" ")
+            fields = [v for v in rest.split(" ") if v]
+            if dims is None:
+                dims = len(fields)
+            assert len(fields) == dims
+            values = [float(v) for v in fields]
+            if token in seen:
+                assert on_duplicate == "first"
+                continue
+            seen.add(token)
+            labels.append(token)
+            rows.append(values)
+            linenos.append(lineno)
+    with np.errstate(over="ignore"):
+        data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
+    finite = np.isfinite(data).all(axis=1)
+    bad = None if finite.all() else linenos[int(np.argmin(finite))]
+    return labels, data, bad
+
+
+def awkward_values(seed, rows, dims):
+    """Normals spread over float32's whole range, subnormals included."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-46, 38, (rows, dims))
+    return rng.standard_normal((rows, dims)) * scale
+
+
+def write_vectors(path, labels, values, head=None):
+    lines = [head] if head else []
+    lines += [f"{t} {' '.join(repr(float(v)) for v in row)}" for t, row in zip(labels, values)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBlockReaderMatchesListReader:
+    def check(self, path, monkeypatch, **kwargs):
+        labels, data, bad = reference_read_text(path, **kwargs)
+        dims = data.shape[1]
+        # one row per block, three rows per block, the default block
+        for block in (4 * dims, 12 * dims, matrixio._TEXT_BLOCK_BYTES):
+            monkeypatch.setattr(matrixio, "_TEXT_BLOCK_BYTES", block)
+            if bad is not None:
+                with pytest.raises(ParseError) as err:
+                    read_text_embeddings(path, **kwargs)
+                assert err.value.line == bad
+                continue
+            m = read_text_embeddings(path, **kwargs)
+            assert m.labels == labels
+            assert m.data.dtype == np.float32
+            assert m.data.tobytes() == data.tobytes()
+
+    def test_criterion_8_twin(self, tmp_path, monkeypatch):
+        values = [("cat", [0.5, -1.0, 0.25]), ("dog", [0.1, 2.5, -0.125]),
+                  ("fish", [-3.5, 0.0, 1e-8])]
+        path = tmp_path / "twin.txt"
+        path.write_text("3 3\n" + "\n".join(
+            f"{t} {' '.join(repr(float(np.float32(v))) for v in vec)}"
+            for t, vec in values) + "\n", encoding="utf-8")
+        self.check(path, monkeypatch, header=True)
+
+    def test_longer_than_a_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        write_vectors(path, [f"w{i}" for i in range(50)], awkward_values(1, 50, 7))
+        self.check(path, monkeypatch)
+
+    def test_word2vec_text_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        write_vectors(path, [f"w{i}" for i in range(10)], awkward_values(2, 10, 5),
+                      head="10 5")
+        self.check(path, monkeypatch, header=True)
+
+    def test_skipped_duplicates(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        labels = [f"w{i % 6}" for i in range(20)]
+        write_vectors(path, labels, awkward_values(3, 20, 4))
+        self.check(path, monkeypatch, on_duplicate="first")
+
+    def test_past_float32_range_raises_at_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        values = awkward_values(4, 9, 3)
+        values[6, 1] = 1e39
+        write_vectors(path, [f"w{i}" for i in range(9)], values)
+        self.check(path, monkeypatch)
+
+
+def test_reader_peak_memory_is_a_small_multiple_of_the_payload(tmp_path, rng):
+    rows, dims = 20000, 100
+    path = tmp_path / "big.txt"
+    # 100 distinct vectors keep the file quick to write; every field is parsed
+    parts = [" ".join(map(str, v)) for v in rng.randn(100, dims).astype(np.float32).tolist()]
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"w{i} {parts[i % 100]}\n" for i in range(rows))
+    tracemalloc.start()
+    try:
+        m = read_text_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.data.shape == (rows, dims)
+    # a list of Python floats per row costs about 10x the float32 payload
+    assert peak <= 3 * m.data.nbytes

@@ -382,6 +382,18 @@ class TestCli:
         assert cli.main(["pipeline", "--config", config]) == 2
         assert "beta.txt:1: header declares 7 rows, file has 6" in capsys.readouterr().err
 
+    def test_exit_code_zero_dimension_vectors(self, workspace, capsys):
+        bare = "".join(line.split(" ")[0] + "\n" for line in ALPHA_TEXT.splitlines())
+        (workspace / "alpha.txt").write_text(bare, encoding="utf-8")
+        raw = self.raw_toy_dict(
+            workspace, embeddings=[{"id": "alpha", "path": str(workspace / "alpha.txt"),
+                                    "format": "glove_text"}],
+            evaluations=[])
+        config = self.write_config(workspace, raw)
+        assert cli.main(["pipeline", "--config", config]) == 2
+        assert "alpha.txt:1: vector line has no values" in capsys.readouterr().err
+        assert not (workspace / "cli_out" / "ensemble.emb1").exists()
+
     def test_bug_in_stage_propagates(self, workspace, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug")

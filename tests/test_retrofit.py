@@ -1,3 +1,7 @@
+import dataclasses
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +9,11 @@ from conftest import bits_equal, make_matrix
 from vecfuse.errors import DimensionMismatch
 from vecfuse.kgraph import Assertion, build_association
 from vecfuse.matrixio import LabeledMatrix
-from vecfuse.retrofit import assemble_problem, retrofit, retrofit_step
-from vecfuse.rowmerge import l2_normalize_rows
+from vecfuse.retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
+from vecfuse.rowmerge import l2_normalize_rows, normalize_rows_inplace
+
+# the package attribute `vecfuse.retrofit` is the function, not the module
+retrofit_module = importlib.import_module("vecfuse.retrofit")
 
 
 def edge(start, end, weight=1.0):
@@ -344,3 +351,96 @@ class TestSingleSortMatchesThreeSorts:
         assert_same_bits(assoc, reference_association([], extra_vocab=vocab))
         assert_same_bits(assemble_problem(emb, assoc, self_loops=self_loops),
                          reference_problem(emb, assoc, self_loops=self_loops))
+
+
+# The whole-matrix step that the row-blocked step replaced, kept as a
+# bitwise reference: one nnz x dims product, one reduceat, one normalize.
+
+def reference_step(problem, w):
+    w64 = np.asarray(w, dtype=np.float64)
+    out = np.zeros((problem.size, problem.dims))
+    if len(problem.data):
+        prod = problem.data[:, None] * w64[problem.indices]
+        nonempty = problem.indptr[:-1] < problem.indptr[1:]
+        starts = problem.indptr[:-1][nonempty]
+        out[nonempty] = np.add.reduceat(prod, starts, axis=0)
+    anchored = problem.anchored
+    out[anchored] += problem.w0.astype(np.float64)[anchored]
+    out[anchored] *= 0.5
+    normalize_rows_inplace(out)
+    return out.astype(np.float32)
+
+
+def random_state(problem, seed):
+    """A state with graph-only rows already filled in, as after a step."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((problem.size, problem.dims)).astype(np.float32)
+
+
+# per-entry budgets: one row per block, a few rows, the whole matrix
+BLOCK_ENTRIES = [1, 7, 10 ** 9]
+
+
+class TestBlockedStepMatchesWholeMatrix:
+    def check(self, problem, w, monkeypatch):
+        want = reference_step(problem, w)
+        before = w.copy()
+        for entries in BLOCK_ENTRIES:
+            monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * problem.dims * entries)
+            got = retrofit_step(problem, w)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), entries
+            assert got is not w and w.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_random_graphs(self, seed, self_loops, monkeypatch):
+        edges, emb = random_graph(seed)
+        problem = assemble_problem(emb, build_association(edges, extra_vocab=emb.labels),
+                                   self_loops=self_loops)
+        assert np.diff(problem.indptr).max() > 7  # a hub longer than the budget
+        if not self_loops:
+            assert (np.diff(problem.indptr) == 0).any()  # empty rows
+        self.check(problem, problem.w0, monkeypatch)
+        self.check(problem, random_state(problem, seed), monkeypatch)
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_empty_edge_list(self, self_loops, monkeypatch):
+        _edges, emb = random_graph(0)
+        problem = assemble_problem(emb, build_association([]), self_loops=self_loops)
+        assert len(problem.data) == (len(emb) if self_loops else 0)
+        self.check(problem, random_state(problem, 1), monkeypatch)
+
+    def test_all_rows_graph_only(self, monkeypatch):
+        edges, emb = random_graph(3)
+        problem = assemble_problem(emb, build_association(edges))
+        problem = dataclasses.replace(problem, anchored=np.zeros(problem.size, dtype=bool))
+        self.check(problem, random_state(problem, 3), monkeypatch)
+
+
+def dense_graph_problem(size, dims, degree, seed):
+    """A problem whose nnz is about `degree` times its vocabulary."""
+    rng = np.random.default_rng(seed)
+    indptr = np.arange(0, size * degree + 1, degree, dtype=np.int64)
+    indices = np.sort(rng.integers(0, size, (size, degree)), axis=1).ravel()
+    data = rng.uniform(0.1, 1.0, size * degree)
+    w0 = rng.standard_normal((size, dims)).astype(np.float32)
+    anchored = rng.random(size) < 0.5
+    w0[~anchored] = 0.0
+    return RetrofitProblem(vocab=list(range(size)), indptr=indptr, indices=indices,
+                           data=data, w0=w0, anchored=anchored)
+
+
+def test_step_memory_grows_with_vocabulary_not_edges():
+    size, dims = 500, 64
+    problem = dense_graph_problem(size, dims, degree=50, seed=0)
+    w = random_state(problem, 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        retrofit_step(problem, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-matrix product alone would be 8 * nnz * dims = 12.8 MB
+    assert peak < 12 * size * dims + 4 * retrofit_module._PROD_BYTES
