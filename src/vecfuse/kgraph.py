@@ -3,16 +3,26 @@
 Relation labels are discarded: an edge between two terms contributes its
 confidence weight symmetrically, duplicate pairs accumulate, rows are
 L1-normalized off the diagonal, and every term gets a unit self-loop.
+
+Edges are held in an `EdgeTable`: each term string once, int32 start and
+end term ids, float64 weights and int32 source ids, plus the source
+names. Loading, rescaling, term filtering and the association matrix are
+numpy operations on its columns. The table is also a read-only sequence
+of `Assertion`, and every public function accepts a list of `Assertion`
+in its place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NonPositiveWeight, ParseError
-from .labels import Standardizer
+from .labels import StandardLabel, Standardizer
 
 DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
 DEFAULT_MAX_WORDS = 3
@@ -28,16 +38,132 @@ class Assertion:
     source: str
 
 
-def load_assertions(path, standardizer: Standardizer | None = None) -> list:
+class EdgeTable(Sequence):
+    """Edges as columns over a term list and a source list.
+
+    Row r joins `terms[start[r]]` and `terms[end[r]]` with weight
+    `weight[r]` from `sources[source[r]]`. Term strings are unique, so
+    equal ids mean equal terms. Row order is input order; the lists may
+    hold terms and sources that no row uses.
+    """
+
+    def __init__(self, terms, start, end, weight, source, sources):
+        self.terms = terms
+        self.start = np.asarray(start, dtype=np.int32)
+        self.end = np.asarray(end, dtype=np.int32)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        self.source = np.asarray(source, dtype=np.int32)
+        self.sources = sources
+
+    @classmethod
+    def from_assertions(cls, assertions) -> "EdgeTable":
+        terms: dict = {}
+        sources: dict = {}
+        start = [terms.setdefault(a.start, len(terms)) for a in assertions]
+        end = [terms.setdefault(a.end, len(terms)) for a in assertions]
+        source = [sources.setdefault(a.source, len(sources)) for a in assertions]
+        return cls(list(terms), start, end, [a.weight for a in assertions],
+                   source, list(sources))
+
+    @classmethod
+    def concat(cls, tables) -> "EdgeTable":
+        """The rows of `tables`, in order, over merged term and source lists."""
+        terms: dict = {}
+        sources: dict = {}
+        parts = []
+        for t in tables:
+            term_ids = np.array([terms.setdefault(s, len(terms)) for s in t.terms],
+                                dtype=np.int32)
+            source_ids = np.array([sources.setdefault(s, len(sources))
+                                   for s in t.sources], dtype=np.int32)
+            parts.append((term_ids[t.start], term_ids[t.end], t.weight,
+                          source_ids[t.source]))
+        if not parts:
+            return cls([], (), (), (), (), [])
+        start, end, weight, source = (np.concatenate(c) for c in zip(*parts))
+        return cls(list(terms), start, end, weight, source, list(sources))
+
+    def take(self, rows) -> "EdgeTable":
+        """The rows selected by a slice, boolean mask or index array."""
+        return EdgeTable(self.terms, self.start[rows], self.end[rows],
+                         self.weight[rows], self.source[rows], self.sources)
+
+    def without_sources(self, names) -> "EdgeTable":
+        dropped = [i for i, name in enumerate(self.sources) if name in names]
+        return self.take(~np.isin(self.source, dropped))
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return Assertion(start=self.terms[self.start[i]], end=self.terms[self.end[i]],
+                         weight=float(self.weight[i]), source=self.sources[self.source[i]])
+
+    def __iter__(self):
+        terms, sources = self.terms, self.sources
+        for s, e, w, src in zip(self.start.tolist(), self.end.tolist(),
+                                self.weight.tolist(), self.source.tolist()):
+            yield Assertion(start=terms[s], end=terms[e], weight=w, source=sources[src])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+
+def as_table(assertions) -> EdgeTable:
+    """`assertions` as an EdgeTable: a table is returned as it is, any
+    other sequence of `Assertion` is converted."""
+    if isinstance(assertions, EdgeTable):
+        return assertions
+    return EdgeTable.from_assertions(assertions)
+
+
+def load_assertions(path, standardizer: Standardizer | None = None) -> EdgeTable:
     """Read a UTF-8 TSV edge list: start_uri, end_uri, weight, source.
 
-    An empty weight field means 1.0 (PPDB-style unweighted edges). Labels
+    An empty weight field means 1.0 (PPDB-style unweighted edges); a
+    weight that is not a positive finite number is a data error. Labels
     are re-standardized so that file content and embedding vocabularies
-    agree; edges that collapse onto a single term are dropped.
+    agree, each distinct URI once; edges that collapse onto a single term
+    are dropped.
     """
     if standardizer is None:
         standardizer = Standardizer()
-    assertions = []
+    return _read_edges(path, lambda uri: _restandardize(uri, standardizer))
+
+
+def read_assertions(path) -> EdgeTable:
+    """Read an edge list that `write_assertions` wrote. Its labels are
+    checked to be standard URIs but are not standardized again."""
+    return _read_edges(path, _standard_uri)
+
+
+def _read_edges(path, label) -> EdgeTable:
+    """The edge list at `path`, with `label(uri)` naming each distinct
+    URI's term; a DataError or ValueError from it is reported at the
+    URI's first line."""
+    ids: dict = {}       # raw URI -> term id
+    index: dict = {}     # term -> term id
+    terms: list = []
+    source_ids: dict = {}
+    # typed columns, so a row costs its 20 bytes while the file is read
+    starts, ends, sources = array("i"), array("i"), array("i")
+    weights = array("d")
+
+    def term_id(uri):
+        term = label(uri)
+        tid = index.get(term)
+        if tid is None:
+            tid = index[term] = len(terms)
+            terms.append(term)
+        ids[uri] = tid
+        return tid
+
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -56,19 +182,28 @@ def load_assertions(path, standardizer: Standardizer | None = None) -> list:
                 except ValueError:
                     raise ParseError(f"bad weight {weight_field!r}",
                                      path=str(path), line=lineno)
+                if not math.isfinite(weight):
+                    raise ParseError(f"non-finite weight {weight_field!r}",
+                                     path=str(path), line=lineno)
             if weight <= 0:
                 raise NonPositiveWeight(
                     f"{path}:{lineno}: weight must be positive, got {weight}")
             try:
-                start = _restandardize(start_uri, standardizer)
-                end = _restandardize(end_uri, standardizer)
+                start = ids.get(start_uri)
+                if start is None:
+                    start = term_id(start_uri)
+                end = ids.get(end_uri)
+                if end is None:
+                    end = term_id(end_uri)
             except (DataError, ValueError) as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno)
             if start == end:
                 continue
-            assertions.append(Assertion(start=start, end=end,
-                                         weight=weight, source=source))
-    return assertions
+            starts.append(start)
+            ends.append(end)
+            weights.append(weight)
+            sources.append(source_ids.setdefault(source, len(source_ids)))
+    return EdgeTable(terms, starts, ends, weights, sources, list(source_ids))
 
 
 def _restandardize(uri: str, standardizer: Standardizer) -> str:
@@ -80,28 +215,36 @@ def _restandardize(uri: str, standardizer: Standardizer) -> str:
     return standardizer.uri(parts[3], parts[2])
 
 
+def _standard_uri(uri: str) -> str:
+    StandardLabel.from_uri(uri)
+    return uri
+
+
 def write_assertions(path, assertions) -> None:
     """Write assertions back out in the edge-list TSV format."""
+    table = as_table(assertions)
+    terms, sources = table.terms, table.sources
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for a in assertions:
-            f.write(f"{a.start}\t{a.end}\t{float(a.weight)!r}\t{a.source}\n")
+        for s, e, w, src in zip(table.start.tolist(), table.end.tolist(),
+                                table.weight.tolist(), table.source.tolist()):
+            f.write(f"{terms[s]}\t{terms[e]}\t{w!r}\t{sources[src]}\n")
 
 
-def rescale_by_source(assertions) -> list:
+def rescale_by_source(assertions) -> EdgeTable:
     """Divide each weight by its data source's mean weight.
 
     Confidence scores are not comparable across sources; afterwards every
-    source has mean weight 1.
+    source has mean weight 1. `bincount` adds each source's weights left
+    to right, in row order.
     """
-    if not assertions:
+    table = as_table(assertions)
+    if not len(table):
         raise ValueError("cannot rescale an empty assertion list")
-    totals: dict = {}
-    counts: dict = {}
-    for a in assertions:
-        totals[a.source] = totals.get(a.source, 0.0) + a.weight
-        counts[a.source] = counts.get(a.source, 0) + 1
-    means = {s: totals[s] / counts[s] for s in totals}
-    return [replace(a, weight=a.weight / means[a.source]) for a in assertions]
+    totals = np.bincount(table.source, weights=table.weight)
+    # a source no row uses has total 0 and is never looked up
+    means = totals / np.maximum(np.bincount(table.source), 1)
+    return EdgeTable(table.terms, table.start, table.end,
+                     table.weight / means[table.source], table.source, table.sources)
 
 
 def _term_language(uri: str) -> str:
@@ -113,7 +256,7 @@ def _term_words(uri: str) -> int:
 
 
 def filter_terms(assertions, min_count: dict | None = None,
-                 max_words: int = DEFAULT_MAX_WORDS) -> list:
+                 max_words: int = DEFAULT_MAX_WORDS) -> EdgeTable:
     """Drop assertions touching fringe terms.
 
     A term is excluded when it appears (on either side) in fewer input
@@ -121,21 +264,18 @@ def filter_terms(assertions, min_count: dict | None = None,
     `max_words` underscore-joined words. Thresholds are computed once on
     the input counts; exclusion does not cascade.
     """
+    table = as_table(assertions)
     if min_count is None:
         min_count = DEFAULT_MIN_COUNT
     other = min_count.get("other", DEFAULT_MIN_COUNT["other"])
-    counts: dict = {}
-    for a in assertions:
-        counts[a.start] = counts.get(a.start, 0) + 1
-        counts[a.end] = counts.get(a.end, 0) + 1
-
-    def excluded(term: str) -> bool:
-        if _term_words(term) > max_words:
-            return True
-        return counts[term] < min_count.get(_term_language(term), other)
-
-    bad = {t for t in counts if excluded(t)}
-    return [a for a in assertions if a.start not in bad and a.end not in bad]
+    n = len(table.terms)
+    counts = np.bincount(table.start, minlength=n) + np.bincount(table.end, minlength=n)
+    bad = np.zeros(n, dtype=bool)
+    for tid in np.flatnonzero(counts).tolist():
+        term = table.terms[tid]
+        bad[tid] = (_term_words(term) > max_words
+                    or counts[tid] < min_count.get(_term_language(term), other))
+    return table.take(~(bad[table.start] | bad[table.end]))
 
 
 @dataclass
@@ -196,29 +336,38 @@ def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
     as `load_assertions` does, so the diagonal stays exactly 1. One sort
     places every entry, self-loops included.
     """
-    assertions = [a for a in assertions if a.start != a.end]
+    table = as_table(assertions)
+    keep = table.start != table.end
+    start, end, weight = table.start[keep], table.end[keep], table.weight[keep]
     vocab = []
     index: dict = {}
     for term in extra_vocab:
         if term not in index:
             index[term] = len(vocab)
             vocab.append(term)
-    graph_terms = {a.start for a in assertions} | {a.end for a in assertions}
+    used = np.zeros(len(table.terms), dtype=bool)
+    used[start] = True
+    used[end] = True
+    used_ids = np.flatnonzero(used)
+    graph_terms = [table.terms[i] for i in used_ids.tolist()]
     for term in sorted(t for t in graph_terms if t not in index):
         index[term] = len(vocab)
         vocab.append(term)
     m = len(vocab)
+    position = np.zeros(len(table.terms), dtype=np.int64)
+    position[used_ids] = [index[t] for t in graph_terms]
 
-    rows, cols, vals = [], [], []
-    for a in assertions:
-        i, j = index[a.start], index[a.end]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((a.weight, a.weight))
-    # a zero placeholder for every self-loop, so the sort gives it its slot
-    rows.extend(range(m))
-    cols.extend(range(m))
-    vals.extend([0.0] * m)
+    # Each edge gives (i, j) then (j, i), in row order, so that duplicate
+    # coordinates are summed in input order; then a zero placeholder for
+    # every self-loop, so the sort gives it its slot.
+    n = len(start)
+    rows = np.empty(2 * n + m, dtype=np.int64)
+    cols = np.empty(2 * n + m, dtype=np.int64)
+    vals = np.zeros(2 * n + m, dtype=np.float64)
+    rows[0:2 * n:2] = cols[1:2 * n:2] = position[start]
+    rows[1:2 * n:2] = cols[0:2 * n:2] = position[end]
+    rows[2 * n:] = cols[2 * n:] = np.arange(m)
+    vals[0:2 * n:2] = vals[1:2 * n:2] = weight
     indptr, indices, data = canonical_csr(rows, cols, vals, vocab)
 
     # L1-normalize the off-diagonal entries of each row, then set the

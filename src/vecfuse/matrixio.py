@@ -244,18 +244,31 @@ def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
 
 
 def read_native(matrix_path, labels_path) -> LabeledMatrix:
-    """Read a native matrix; bit-exact inverse of write_native."""
+    """Read a native matrix; bit-exact inverse of write_native.
+
+    The payload size is checked against the header before anything is
+    allocated, and the payload is read straight into the result. Fewer
+    than one dimension and a nan or inf value are each a `ParseError`
+    naming the file.
+    """
     with open(matrix_path, "rb") as f:
         head = f.read(12)
         if len(head) < 12 or head[:4] != NATIVE_MAGIC:
             raise BadMagic(f"{matrix_path}: not a native matrix file")
         rows, dims = struct.unpack("<II", head[4:12])
-        payload = f.read()
-    expected = rows * dims * 4
-    if len(payload) != expected:
-        raise ChecksumOrLengthMismatch(
-            f"{matrix_path}: payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dims).copy()
+        if dims < 1:
+            raise ParseError(f"header declares {dims} dimensions", path=str(matrix_path))
+        expected = rows * dims * 4
+        size = os.fstat(f.fileno()).st_size - len(head)
+        if size != expected:
+            raise ChecksumOrLengthMismatch(
+                f"{matrix_path}: payload is {size} bytes, expected {expected}")
+        data = np.empty((rows, dims), dtype="<f4")
+        if f.readinto(data.reshape(-1).view(np.uint8)) != expected:
+            raise TruncatedFile(f"{matrix_path}: ended inside the payload")
+    bad = _first_nonfinite_row(data)
+    if bad is not None:
+        raise ParseError(f"row {bad + 1} has a non-finite value", path=str(matrix_path))
     with open(labels_path, encoding="utf-8") as f:
         labels = f.read().split("\n")
     if labels and labels[-1] == "":

@@ -65,12 +65,14 @@ class StageCache:
             matrix_path, labels_path = self._paths(name)
             matrixio.write_native(matrix, matrix_path, labels_path)
 
-    def load_assertions(self, name, standardizer):
+    def load_assertions(self, name):
+        """The cached edge table. Its labels were standardized when it was
+        stored, so they are checked but not standardized again."""
         if not self.directory:
             return None
         path = os.path.join(self.directory, name + ".tsv")
         if os.path.exists(path):
-            return kgraph.load_assertions(path, standardizer=standardizer)
+            return kgraph.read_assertions(path)
         return None
 
     def store_assertions(self, name, assertions):
@@ -182,37 +184,37 @@ def fuse_sources(config: PipelineConfig, cache: StageCache,
 
 @_stage("graph")
 def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
-                cache: StageCache) -> list:
+                cache: StageCache) -> kgraph.EdgeTable:
     """Load, prune, rescale and term-filter all enabled edge lists,
-    standardizing their labels against the vocabulary of `matrix`."""
-    standardizer = build_standardizer(config, _label_texts(matrix))
-    cached = cache.load_assertions("graph_filtered", standardizer)
+    standardizing their labels against the vocabulary of `matrix`. A
+    cached table is used without building a Standardizer."""
+    cached = cache.load_assertions("graph_filtered")
     if cached is not None:
         return cached
-    filtered_pool = []
-    unfiltered_pool = []
+    standardizer = build_standardizer(config, _label_texts(matrix))
+    excluded = set(config.excluded_graph_sources)
+    filtered, unfiltered = [], []
     for graph in config.enabled_graphs():
-        assertions = kgraph.load_assertions(graph.path, standardizer=standardizer)
-        if config.excluded_graph_sources:
-            excluded = set(config.excluded_graph_sources)
-            assertions = [a for a in assertions if a.source not in excluded]
-        (filtered_pool if graph.apply_term_filter else unfiltered_pool).extend(assertions)
-    combined = filtered_pool + unfiltered_pool
+        table = kgraph.load_assertions(graph.path, standardizer=standardizer)
+        if excluded:
+            table = table.without_sources(excluded)
+        (filtered if graph.apply_term_filter else unfiltered).append(table)
+    combined = kgraph.EdgeTable.concat(filtered + unfiltered)
     if not combined:
-        return []
+        return combined
     combined = kgraph.rescale_by_source(combined)
-    n_filtered = len(filtered_pool)
-    kept = kgraph.filter_terms(combined[:n_filtered],
-                               min_count=config.filter_min_count,
-                               max_words=config.filter_max_words)
-    kept.extend(combined[n_filtered:])
+    n_filtered = sum(len(table) for table in filtered)
+    kept = kgraph.EdgeTable.concat([
+        kgraph.filter_terms(combined[:n_filtered], min_count=config.filter_min_count,
+                            max_words=config.filter_max_words),
+        combined[n_filtered:]])
     cache.store_assertions("graph_filtered", kept)
     return kept
 
 
 @_stage("retrofit")
 def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
-                    assertions: list, cache: StageCache,
+                    assertions: kgraph.EdgeTable, cache: StageCache,
                     checkpoint_dir=None) -> LabeledMatrix:
     cached = cache.load_matrix("retrofitted")
     if cached is not None and checkpoint_dir is None:

@@ -1,15 +1,26 @@
+import gc
+import json
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from test_retrofit import assert_same_bits, reference_association
+from vecfuse import cli, pipeline
+from vecfuse.config import config_from_dict
 from vecfuse.errors import NonPositiveWeight, ParseError
 from vecfuse.kgraph import (
     Assertion,
+    EdgeTable,
     build_association,
     filter_terms,
     load_assertions,
+    read_assertions,
     rescale_by_source,
     write_assertions,
 )
+from vecfuse.labels import Standardizer, default_rules, default_stopwords
 
 
 def edge(start, end, weight=1.0, source="s"):
@@ -69,6 +80,93 @@ class TestLoadAssertions:
         path = tmp_path / "edges.tsv"
         write_assertions(path, original)
         assert load_assertions(path) == original
+        assert read_assertions(path) == original
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_weight_rejected_at_its_line(self, tmp_path, value):
+        path = tmp_path / "edges.tsv"
+        path.write_text("/c/en/cat\t/c/en/pet\t2.0\tomcs\n"
+                        f"/c/en/dog\t/c/en/pet\t{value}\tomcs\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite weight") as err:
+            load_assertions(path)
+        assert err.value.line == 2 and err.value.path == str(path)
+
+    def test_weight_checked_before_self_edge_drop(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("/c/en/cat\t/c/en/cats\tnan\tomcs\n", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_assertions(path)
+        path.write_text("/c/en/cat\t/c/en/cats\t-1\tomcs\n", encoding="utf-8")
+        with pytest.raises(NonPositiveWeight):
+            load_assertions(path)
+
+    def test_bad_uri_raises_at_first_occurrence(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("/c/en/a\t/c/en/b\t1\tx\n"
+                        "/c/en/a\t/c/EN/b\t1\tx\n"
+                        "/c/en/b\t/c/EN/b\t1\tx\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_assertions(path)
+        assert err.value.line == 2
+
+    def test_each_distinct_uri_standardized_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "edges.tsv"
+        path.write_text("/c/en/Cats\t/c/en/dog\t1\tx\n"
+                        "/c/en/dog\t/c/en/Cats\t1\tx\n"
+                        "/c/en/cat\t/c/en/dogs\t1\tx\n", encoding="utf-8")
+        calls = []
+        inner = Standardizer.uri
+        monkeypatch.setattr(Standardizer, "uri",
+                            lambda self, text, lang: calls.append(text) or inner(self, text, lang))
+        table = load_assertions(path)
+        assert sorted(calls) == ["Cats", "cat", "dog", "dogs"]
+        assert table.terms == ["/c/en/cat", "/c/en/dog"]
+        assert [(a.start, a.end) for a in table] == [
+            ("/c/en/cat", "/c/en/dog"), ("/c/en/dog", "/c/en/cat"),
+            ("/c/en/cat", "/c/en/dog")]
+
+    def test_read_assertions_checks_but_does_not_standardize(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("/c/en/cats\t/c/en/dog\t1.5\tx\n", encoding="utf-8")
+        assert read_assertions(path) == [edge("/c/en/cats", "/c/en/dog", 1.5, "x")]
+        path.write_text("/c/en/Cats\t/c/en/dog\t1.5\tx\n", encoding="utf-8")
+        with pytest.raises(ParseError):
+            read_assertions(path)
+
+
+class TestEdgeTable:
+    EDGES = [edge("/c/en/a", "/c/en/b", 1.0, "x"), edge("/c/en/b", "/c/en/c", 2.0, "y"),
+             edge("/c/en/c", "/c/en/a", 3.0, "x")]
+
+    def test_is_a_sequence_of_assertions(self):
+        table = EdgeTable.from_assertions(self.EDGES)
+        assert len(table) == 3 and table == self.EDGES and self.EDGES == list(table)
+        assert table[1] == self.EDGES[1] and table[-1] == self.EDGES[-1]
+        assert table[1:] == self.EDGES[1:]
+        assert self.EDGES[2] in table
+        assert table != self.EDGES[:2]
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_columns(self):
+        table = EdgeTable.from_assertions(self.EDGES)
+        assert table.terms == ["/c/en/a", "/c/en/b", "/c/en/c"]
+        assert table.sources == ["x", "y"]
+        assert (table.start.dtype, table.end.dtype, table.weight.dtype,
+                table.source.dtype) == (np.int32, np.int32, np.float64, np.int32)
+
+    def test_concat_keeps_order_and_merges_terms(self):
+        a = EdgeTable.from_assertions(self.EDGES[:2])
+        b = EdgeTable.from_assertions(self.EDGES[2:] + [edge("/c/en/d", "/c/en/a", 4.0, "z")])
+        both = EdgeTable.concat([a, b])
+        assert both == self.EDGES + [edge("/c/en/d", "/c/en/a", 4.0, "z")]
+        assert len(both.terms) == len(set(both.terms)) == 4
+        assert EdgeTable.concat([]) == []
+
+    def test_without_sources(self):
+        table = EdgeTable.from_assertions(self.EDGES)
+        assert table.without_sources({"x"}) == [self.EDGES[1]]
+        assert table.without_sources({"nope"}) == self.EDGES
 
 
 class TestRescaleBySource:
@@ -216,3 +314,216 @@ class TestBuildAssociation:
             [edge("/c/en/zeta", "/c/en/alpha")],
             extra_vocab=["/c/en/zeta", "/c/en/beta"])
         assert assoc.vocab == ["/c/en/zeta", "/c/en/beta", "/c/en/alpha"]
+
+
+# The list-of-Assertion graph path that the edge table replaced, kept as
+# a bitwise reference: the loader, rescale, term filter and TSV writer,
+# and the graph stage of the pipeline built on them. The association
+# matrix's list reference lives in test_retrofit.
+
+def reference_load_assertions(path, standardizer):
+    assertions = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            start_uri, end_uri, weight_field, source = line.split("\t")
+            weight = 1.0 if weight_field.strip() == "" else float(weight_field)
+            start, end = (standardizer.uri(uri.split("/", 3)[3], uri.split("/", 3)[2])
+                          for uri in (start_uri, end_uri))
+            if start != end:
+                assertions.append(Assertion(start=start, end=end, weight=weight,
+                                            source=source))
+    return assertions
+
+
+def reference_rescale(assertions):
+    totals, counts = {}, {}
+    for a in assertions:
+        totals[a.source] = totals.get(a.source, 0.0) + a.weight
+        counts[a.source] = counts.get(a.source, 0) + 1
+    means = {s: totals[s] / counts[s] for s in totals}
+    return [replace(a, weight=a.weight / means[a.source]) for a in assertions]
+
+
+def reference_filter(assertions, min_count, max_words):
+    other = min_count.get("other", 3)
+    counts = {}
+    for a in assertions:
+        counts[a.start] = counts.get(a.start, 0) + 1
+        counts[a.end] = counts.get(a.end, 0) + 1
+    bad = {t for t in counts
+           if t.split("/", 3)[3].count("_") + 1 > max_words
+           or counts[t] < min_count.get(t.split("/", 3)[2], other)}
+    return [a for a in assertions if a.start not in bad and a.end not in bad]
+
+
+def reference_write(path, assertions):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for a in assertions:
+            f.write(f"{a.start}\t{a.end}\t{float(a.weight)!r}\t{a.source}\n")
+
+
+def reference_load_graphs(config, matrix):
+    standardizer = pipeline.build_standardizer(
+        config, (label.rsplit("/", 1)[-1] for label in matrix.labels))
+    filtered_pool, unfiltered_pool = [], []
+    for graph in config.enabled_graphs():
+        assertions = reference_load_assertions(graph.path, standardizer)
+        if config.excluded_graph_sources:
+            excluded = set(config.excluded_graph_sources)
+            assertions = [a for a in assertions if a.source not in excluded]
+        (filtered_pool if graph.apply_term_filter else unfiltered_pool).extend(assertions)
+    combined = filtered_pool + unfiltered_pool
+    if not combined:
+        return []
+    combined = reference_rescale(combined)
+    n_filtered = len(filtered_pool)
+    kept = reference_filter(combined[:n_filtered], config.filter_min_count,
+                            config.filter_max_words)
+    return kept + combined[n_filtered:]
+
+
+# Surface forms that standardize onto each other ("cats" -> "cat"), multi-
+# word labels past the default max_words, and two languages.
+SURFACES = ["cat", "cats", "Cat", "dog", "dogs", "running", "run", "runs", "fish",
+            "stone", "stones", "big_red_barn", "one_two_three_four", "the_cat"]
+EMBEDDING_WORDS = ["cat", "dog", "run", "fish", "stone", "barn", "tree", "bird"]
+
+
+def random_uri(rng):
+    if rng.rand() < 0.4:
+        return f"/c/en/{SURFACES[rng.randint(len(SURFACES))]}"
+    language = "en" if rng.rand() < 0.7 else "fr"
+    words = "_".join(f"w{rng.randint(60)}" for _ in range(1 + rng.randint(0, 4) // 3))
+    return f"/c/{language}/{words}"
+
+
+def random_edge_file(path, rng, n, sources):
+    """`n` edge lines from `sources` (name -> log10 of its weight scale),
+    with duplicate edges, self-edges and empty weights among them."""
+    lines = ["# random edges"]
+    names = list(sources)
+    for _ in range(n):
+        source = names[rng.randint(len(names))]
+        start, end = random_uri(rng), random_uri(rng)
+        if rng.rand() < 0.05:
+            end = start
+        roll = rng.rand()
+        weight = "" if roll < 0.05 else "2" if roll < 0.1 else \
+            repr(float(10.0 ** (sources[source] + rng.uniform(-1, 1))))
+        line = f"{start}\t{end}\t{weight}\t{source}"
+        lines.append(line)
+        if rng.rand() < 0.1:
+            lines.append(line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def graph_config(tmp_path, graphs, **overrides):
+    """A config over one small GloVe file and `graphs`, written to
+    config.json for the CLI."""
+    glove = tmp_path / "glove.txt"
+    glove.write_text("".join(f"{w} {i + 1} {len(EMBEDDING_WORDS) - i} 0.5\n"
+                             for i, w in enumerate(EMBEDDING_WORDS)), encoding="utf-8")
+    raw = {"schema_version": 1,
+           "embeddings": [{"id": "glove", "path": str(glove), "format": "glove_text"}],
+           "graphs": graphs,
+           "term_filter": {"min_count": {"en": 3, "other": 2}, "max_words": 2},
+           "output": {"dir": str(tmp_path / "out")}}
+    raw.update(overrides)
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return config_from_dict(raw)
+
+
+class TestTableMatchesListPath:
+    """The table path gives the list path's association arrays, vocabulary
+    and `vecfuse graph --out` bytes."""
+
+    # sources spanning six orders of magnitude of weight
+    SOURCES = {"conceptnet": -3.0, "wiktionary": 0.0, "ppdb": 3.0, "verbosity": -1.0}
+
+    def check(self, tmp_path, config):
+        cache = pipeline.StageCache(None)
+        matrix = pipeline.fuse_sources(config, cache)
+        want = reference_load_graphs(config, matrix)
+        got = pipeline.load_graphs(config, matrix, cache)
+        assert isinstance(got, EdgeTable) and got == want
+        if want:
+            assert_same_bits(
+                build_association(got, extra_vocab=matrix.labels),
+                reference_association(want, extra_vocab=matrix.labels))
+        assert cli.main(["graph", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "got.tsv")]) == 0
+        reference_write(tmp_path / "want.tsv", want)
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        return want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_graphs_with_exclusion(self, tmp_path, seed):
+        rng = np.random.RandomState(seed)
+        random_edge_file(tmp_path / "a.tsv", rng, 400, self.SOURCES)
+        random_edge_file(tmp_path / "b.tsv", rng, 150, {"ppdb": 3.0, "extra": -2.0})
+        graphs = [{"id": "unfiltered", "path": str(tmp_path / "b.tsv"),
+                   "apply_term_filter": False},
+                  {"id": "filtered", "path": str(tmp_path / "a.tsv")}]
+        config = graph_config(tmp_path, graphs,
+                           retrofit={"excluded_sources": ["verbosity"]})
+        want = self.check(tmp_path, config)
+        assert want and not any(a.source == "verbosity" for a in want)
+
+    def test_every_edge_filtered_out(self, tmp_path):
+        rng = np.random.RandomState(7)
+        random_edge_file(tmp_path / "a.tsv", rng, 100, self.SOURCES)
+        random_edge_file(tmp_path / "b.tsv", rng, 50, {"ppdb": 3.0})
+        graphs = [{"id": "filtered", "path": str(tmp_path / "a.tsv")},
+                  {"id": "unfiltered", "path": str(tmp_path / "b.tsv"),
+                   "apply_term_filter": False}]
+        config = graph_config(tmp_path, graphs,
+                           term_filter={"min_count": {"en": 10**6, "other": 10**6}})
+        want = self.check(tmp_path, config)
+        assert want and all(a.source == "ppdb" for a in want)
+        # with only the filtered graph, nothing is left at all
+        config = graph_config(tmp_path, graphs[:1],
+                           term_filter={"min_count": {"en": 10**6, "other": 10**6}})
+        assert self.check(tmp_path, config) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_list_input_matches_reference(self, seed):
+        rng = np.random.RandomState(100 + seed)
+        n = 3000
+        assertions = [edge(random_uri(rng).lower(), random_uri(rng).lower(),
+                           float(10.0 ** rng.uniform(-3, 3)), f"s{rng.randint(5)}")
+                      for _ in range(n)]
+        assertions += assertions[:200]  # duplicate edges
+        rescaled = rescale_by_source(assertions)
+        want = reference_rescale(assertions)
+        assert rescaled == want
+        assert np.array([a.weight for a in want]).tobytes() == rescaled.weight.tobytes()
+        limits = {"en": 3, "other": 2}
+        assert filter_terms(want, min_count=limits, max_words=2) == \
+            reference_filter(want, limits, 2)
+        assert_same_bits(build_association(want, extra_vocab=["/c/en/zzz"]),
+                                reference_association(want, extra_vocab=["/c/en/zzz"]))
+
+
+def test_loaded_table_holds_at_most_40_bytes_per_edge(tmp_path):
+    rng = np.random.RandomState(3)
+    n, n_terms = 100_000, 10_000
+    ends = rng.randint(n_terms, size=(n, 2))
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"/c/en/term{i}\t/c/en/term{j}\t{w!r}\tsource{i % 3}\n"
+                            for (i, j), w in zip(ends.tolist(),
+                                                 rng.uniform(0.5, 3, n).tolist())),
+                    encoding="utf-8")
+    default_rules(), default_stopwords()  # cached outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = load_assertions(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 0.99 * n and len(table.terms) > 0.99 * n_terms
+    assert held <= 40 * n, f"{held / n:.1f} bytes per edge"

@@ -282,6 +282,53 @@ class TestNativeFormat:
         back = read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
         assert list(back.source_rank) == [1, 2]
 
+    def test_payload_longer_than_header(self, tmp_path):
+        (tmp_path / "m.emb1").write_bytes(b"EMB1" + struct.pack("<II", 1, 1) + b"\x00" * 8)
+        (tmp_path / "m.labels").write_text("a\n", encoding="utf-8")
+        with pytest.raises(ChecksumOrLengthMismatch, match="payload is 8 bytes"):
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+
+    def test_header_checked_before_allocating(self, tmp_path):
+        # a damaged header declaring (2^32-1)^2 values: allocating them
+        # first would fail with MemoryError instead
+        (tmp_path / "m.emb1").write_bytes(b"EMB1" + b"\xff" * 8 + b"\x00" * 4)
+        (tmp_path / "m.labels").write_text("a\n", encoding="utf-8")
+        with pytest.raises(ChecksumOrLengthMismatch):
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_zero_dimensions_rejected(self, tmp_path, rows):
+        (tmp_path / "m.emb1").write_bytes(b"EMB1" + struct.pack("<II", rows, 0))
+        (tmp_path / "m.labels").write_text("a\nb\n"[:2 * rows], encoding="utf-8")
+        with pytest.raises(ParseError, match="0 dimensions") as err:
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert str(tmp_path / "m.emb1") in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_row_number(self, tmp_path, value):
+        m = make_matrix(["a", "b", "c"], [[1, 2], [3, 4], [5, 6]])
+        m.data[1, 1] = value
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        with pytest.raises(ParseError, match="row 2 has a non-finite value") as err:
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert str(tmp_path / "m.emb1") in str(err.value)
+
+    def test_payload_read_without_a_second_copy(self, tmp_path):
+        rows, dims = 2000, 100
+        m = LabeledMatrix(labels=[f"w{i}" for i in range(rows)],
+                          data=np.ones((rows, dims), dtype=np.float32))
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        tracemalloc.start()
+        try:
+            back = read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits_equal(back.data, m.data)
+        # the payload, the finite check's booleans and the labels; reading
+        # the payload and then copying it would be 2x
+        assert peak < 1.6 * m.data.nbytes
+
 
 # The list-of-lists text reader that the float32-block reader replaced,
 # kept as a bitwise reference.

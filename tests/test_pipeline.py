@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal
-from vecfuse import cli, matrixio, rowmerge
+from vecfuse import cli, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.labels import Standardizer
 from vecfuse.matrixio import read_native, read_text_embeddings
@@ -170,6 +170,45 @@ class TestFullPipeline:
             assert result["matrix"].labels == plain["matrix"].labels
         assert (workspace / "cache" / "retrofitted.emb1").exists()
         assert (workspace / "cache" / "graph_filtered.tsv").exists()
+
+    def test_warm_graph_cache_calls_no_standardizer(self, workspace, monkeypatch):
+        cache_dir = workspace / "cache"
+        first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir),
+                             verbose=False)
+        # retrofit again, from the cached fused matrix and edge table
+        (cache_dir / "retrofitted.emb1").unlink()
+        calls = {"standardize": 0, "build_standardizer": 0}
+        in_graph = dict(calls)
+
+        def counting(owner, name):
+            inner = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        def graph_stage(load_graphs):
+            def call(*args, **kwargs):
+                before = dict(calls)
+                try:
+                    return load_graphs(*args, **kwargs)
+                finally:
+                    for name in calls:
+                        in_graph[name] += calls[name] - before[name]
+            return call
+
+        counting(Standardizer, "standardize")
+        counting(pipeline, "build_standardizer")
+        monkeypatch.setattr(pipeline, "load_graphs", graph_stage(pipeline.load_graphs))
+        second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir),
+                              verbose=False)
+        assert in_graph == {"standardize": 0, "build_standardizer": 0}
+        assert calls["standardize"] > 0  # evaluation still standardizes
+        assert bits_equal(second["matrix"].data, first["matrix"].data)
+        assert second["matrix"].labels == first["matrix"].labels
+        assert Path(second["matrix_path"]).read_bytes() == \
+            Path(first["matrix_path"]).read_bytes()
 
     def test_warm_fused_cache_skips_source_preparation(self, workspace, monkeypatch):
         cache_dir = str(workspace / "cache")
@@ -374,6 +413,16 @@ class TestCli:
         config = self.write_config(workspace, self.raw_toy_dict(workspace))
         assert cli.main(["pipeline", "--config", config]) == 2
         assert "alpha.txt:4: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_exit_code_non_finite_edge_weight(self, workspace, capsys, value):
+        (workspace / "edges.tsv").write_text(
+            GRAPH_TSV.replace("dog\t/c/en/stone\t0.5", f"dog\t/c/en/stone\t{value}"),
+            encoding="utf-8")
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        assert cli.main(["pipeline", "--config", config]) == 2
+        assert "edges.tsv:4: non-finite weight" in capsys.readouterr().err
+        assert not (workspace / "cli_out" / "ensemble.emb1").exists()
 
     def test_exit_code_inconsistent_word2vec_header(self, workspace, capsys):
         (workspace / "beta.txt").write_text(BETA_TEXT.replace("6 2", "7 2", 1),
