@@ -98,19 +98,45 @@ def _expect_language(code, owner):
         raise ConfigError(f"{owner}: {exc}") from None
 
 
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "list",
+               dict: "object"}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _reader(section: dict, owner: str):
+    """get(key, default, kind[, item]): `section[key]`, or `default` when
+    absent. A value that is not of JSON type `kind` (a bool is not an
+    integer; null only where the default is None), or a list or object
+    with a member not of type `item`, is a ConfigError naming the setting."""
+    def get(key, default, kind, item=None):
+        value = section.get(key, default)
+        if value is None and default is None:
+            return None
+        members = value.values() if isinstance(value, dict) else value
+        _expect(_is(value, kind) and (item is None or all(_is(v, item) for v in members)),
+                f"{owner}{key} must be a JSON {_JSON_TYPES[kind]}"
+                + (f" of {_JSON_TYPES[item]} values" if item else "") + f", got {value!r}")
+        return value
+    return get
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(isinstance(raw, dict), "config root must be an object")
     _expect(raw.get("schema_version") == SCHEMA_VERSION,
             f"schema_version must be {SCHEMA_VERSION}")
+    get = _reader(raw, "")
 
     embeddings = []
-    for entry in raw.get("embeddings", []):
+    for i, entry in enumerate(get("embeddings", [], list, dict)):
+        e = _reader(entry, f"embeddings[{i}].")
         src = EmbeddingSource(
-            id=entry.get("id", ""), path=entry.get("path", ""),
-            format=entry.get("format", ""), enabled=entry.get("enabled", True),
-            language=entry.get("language", "en"),
-            labels_path=entry.get("labels_path"),
-            on_duplicate=entry.get("on_duplicate", "error"))
+            id=e("id", "", str), path=e("path", "", str), format=e("format", "", str),
+            enabled=e("enabled", True, bool), language=e("language", "en", str),
+            labels_path=e("labels_path", None, str),
+            on_duplicate=e("on_duplicate", "error", str))
         _expect(src.id, "embedding source needs an id")
         _expect(src.path, f"embedding source {src.id}: needs a path")
         _expect(src.format in EMBEDDING_FORMATS,
@@ -125,35 +151,32 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(len(set(ids)) == len(ids), "embedding source ids must be unique")
 
     graphs = []
-    for entry in raw.get("graphs", []):
-        g = GraphSource(id=entry.get("id", ""), path=entry.get("path", ""),
-                        enabled=entry.get("enabled", True),
-                        apply_term_filter=entry.get("apply_term_filter", True))
+    for i, entry in enumerate(get("graphs", [], list, dict)):
+        e = _reader(entry, f"graphs[{i}].")
+        g = GraphSource(id=e("id", "", str), path=e("path", "", str),
+                        enabled=e("enabled", True, bool),
+                        apply_term_filter=e("apply_term_filter", True, bool))
         _expect(g.id, "graph source needs an id")
         _expect(g.path, f"graph source {g.id}: needs a path")
         graphs.append(g)
     gids = [g.id for g in graphs]
     _expect(len(set(gids)) == len(gids), "graph source ids must be unique")
 
-    std = raw.get("standardize", {})
-    merge = raw.get("merge", {})
-    norm = raw.get("normalize", {})
-    fusion = raw.get("fusion", {})
-    retro = raw.get("retrofit", {})
-    term_filter = raw.get("term_filter", {})
-    output = raw.get("output", {})
+    std, merge, norm, fusion, retro, term_filter, output = (
+        _reader(get(name, {}, dict), name + ".") for name in (
+            "standardize", "merge", "normalize", "fusion", "retrofit", "term_filter",
+            "output"))
 
     evaluations = []
-    for entry in raw.get("evaluations", []):
+    for i, entry in enumerate(get("evaluations", [], list, dict)):
+        e = _reader(entry, f"evaluations[{i}].")
         ds = EvalDataset(
-            id=entry.get("id", ""), path=entry.get("path"),
-            dev_path=entry.get("dev_path"), test_path=entry.get("test_path"),
-            format=entry.get("format", "generic"),
-            language=entry.get("language", "en"),
-            splits=tuple(entry.get("splits", ["all"])),
-            num_chunks=entry.get("num_chunks", 3),
-            test_chunk=entry.get("test_chunk", 3),
-            drop_oov=entry.get("drop_oov", False))
+            id=e("id", "", str), path=e("path", None, str),
+            dev_path=e("dev_path", None, str), test_path=e("test_path", None, str),
+            format=e("format", "generic", str), language=e("language", "en", str),
+            splits=tuple(e("splits", ["all"], list, str)),
+            num_chunks=e("num_chunks", 3, int), test_chunk=e("test_chunk", 3, int),
+            drop_oov=e("drop_oov", False, bool))
         _expect(ds.id, "evaluation dataset needs an id")
         _expect(ds.path or ds.dev_path or ds.test_path,
                 f"dataset {ds.id}: needs path or dev_path/test_path")
@@ -169,25 +192,25 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     config = PipelineConfig(
         embeddings=embeddings,
         graphs=graphs,
-        standardize_enabled=std.get("enabled", True),
-        stopwords_path=std.get("stopwords"),
-        exceptions_path=std.get("exceptions"),
-        vocab_check=std.get("vocab_check", True),
-        merge_strategy=merge.get("strategy", "zipf"),
-        column_norm=norm.get("columns", "l1"),
-        fusion_k=fusion.get("k", 10),
-        fusion_out_dims=fusion.get("out_dims"),
-        fusion_discount=fusion.get("discount", True),
-        retrofit_iterations=retro.get("iterations", 10),
-        retrofit_self_loops=retro.get("self_loops", True),
-        excluded_graph_sources=tuple(retro.get("excluded_sources", [])),
-        filter_min_count=term_filter.get("min_count", dict(DEFAULT_MIN_COUNT)),
-        filter_max_words=term_filter.get("max_words", DEFAULT_MAX_WORDS),
+        standardize_enabled=std("enabled", True, bool),
+        stopwords_path=std("stopwords", None, str),
+        exceptions_path=std("exceptions", None, str),
+        vocab_check=std("vocab_check", True, bool),
+        merge_strategy=merge("strategy", "zipf", str),
+        column_norm=norm("columns", "l1", str),
+        fusion_k=fusion("k", 10, int),
+        fusion_out_dims=fusion("out_dims", None, int),
+        fusion_discount=fusion("discount", True, bool),
+        retrofit_iterations=retro("iterations", 10, int),
+        retrofit_self_loops=retro("self_loops", True, bool),
+        excluded_graph_sources=tuple(retro("excluded_sources", [], list, str)),
+        filter_min_count=term_filter("min_count", dict(DEFAULT_MIN_COUNT), dict, int),
+        filter_max_words=term_filter("max_words", DEFAULT_MAX_WORDS, int),
         evaluations=evaluations,
-        output_dir=output.get("dir", "out"),
-        output_matrix=output.get("matrix", "ensemble.emb1"),
-        output_labels=output.get("labels", "ensemble.labels"),
-        output_report=output.get("report", "report.tsv"),
+        output_dir=output("dir", "out", str),
+        output_matrix=output("matrix", "ensemble.emb1", str),
+        output_labels=output("labels", "ensemble.labels", str),
+        output_report=output("report", "report.tsv", str),
     )
     _expect(config.enabled_embeddings(), "at least one embedding source must be enabled")
     _expect(config.standardize_enabled or not config.enabled_graphs(),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class MatrixLookup:
                 return self._zero, False
             row = self._index.get(label.uri)
             if row is None and self.digit_fallback:
-                row = self._index.get(f"/c/{label.language}/{map_digit_runs(label.text)}")
+                row = self._index.get(replace(label, text=map_digit_runs(label.text)).uri)
         if row is None:
             return self._zero, False
         return self.matrix.data[row].astype(np.float64), True

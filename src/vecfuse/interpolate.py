@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, EmptyOverlap
 from .matrixio import LabeledMatrix
+from .rowmerge import unit_rows
 
 DEFAULT_NEIGHBORS = 10
-_ZERO = 1e-12
 # Bytes of float64 similarities per inference block. Larger blocks were
 # barely faster and raised the peak RSS of a whole pipeline run.
 _SIMS_BYTES = 1 << 19
@@ -41,15 +41,6 @@ class OverlapIndex:
     b_index: dict
 
 
-def _unit_rows(data: np.ndarray) -> np.ndarray:
-    """Float64 unit rows; rows of norm at or below `_ZERO` become zero."""
-    out = data.astype(np.float64)
-    norms = np.sqrt((out * out).sum(axis=1))
-    out /= np.where(norms > _ZERO, norms, 1.0)[:, None]
-    out[norms <= _ZERO] = 0.0
-    return out
-
-
 def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     """Index the vocabulary overlap; shared terms keep a's order."""
     b_index = b.label_index()
@@ -63,8 +54,8 @@ def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     return OverlapIndex(
         a=a, b=b, shared=shared, only_a=only_a, only_b=only_b,
         a_shared_rows=a_rows, b_shared_rows=b_rows, a_index=a_index, b_index=b_index,
-        a_shared_unit=_unit_rows(a.data[a_rows]) if len(shared) else np.zeros((0, a.dims)),
-        b_shared_unit=_unit_rows(b.data[b_rows]) if len(shared) else np.zeros((0, b.dims)),
+        a_shared_unit=unit_rows(a.data[a_rows]) if len(shared) else np.zeros((0, a.dims)),
+        b_shared_unit=unit_rows(b.data[b_rows]) if len(shared) else np.zeros((0, b.dims)),
     )
 
 
@@ -103,7 +94,7 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
     k = min(k, n)
     block = max(1, _SIMS_BYTES // (8 * max(n, 1)))
     for start in range(0, len(vecs), block):
-        neg = _unit_rows(vecs[start:start + block]) @ have_unit.T
+        neg = unit_rows(vecs[start:start + block]) @ have_unit.T
         np.negative(neg, out=neg)
         top = _top_k(neg, k)
         weights = np.maximum(-np.take_along_axis(neg, top, axis=1), 0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NonPositiveWeight, ParseError
-from .labels import StandardLabel, Standardizer
+from .labels import StandardLabel, Standardizer, split_uri
 
 DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
 DEFAULT_MAX_WORDS = 3
@@ -128,13 +128,18 @@ def load_assertions(path, standardizer: Standardizer | None = None) -> EdgeTable
 
     An empty weight field means 1.0 (PPDB-style unweighted edges); a
     weight that is not a positive finite number is a data error. Labels
-    are re-standardized so that file content and embedding vocabularies
+    may be in any surface form (mixed case, inflected); they are
+    re-standardized so that file content and embedding vocabularies
     agree, each distinct URI once; edges that collapse onto a single term
     are dropped.
     """
     if standardizer is None:
         standardizer = Standardizer()
-    return _read_edges(path, lambda uri: _restandardize(uri, standardizer))
+
+    def label(uri):
+        language, text = split_uri(uri)
+        return standardizer.uri(text, language)
+    return _read_edges(path, label)
 
 
 def read_assertions(path) -> EdgeTable:
@@ -206,15 +211,6 @@ def _read_edges(path, label) -> EdgeTable:
     return EdgeTable(terms, starts, ends, weights, sources, list(source_ids))
 
 
-def _restandardize(uri: str, standardizer: Standardizer) -> str:
-    # Lenient parse: input files may carry labels that are not yet in
-    # normal form (mixed case, inflected); standardization fixes them.
-    parts = uri.split("/", 3)
-    if len(parts) != 4 or parts[0] != "" or parts[1] != "c" or not parts[3]:
-        raise ValueError(f"not a /c/<language>/<text> uri: {uri!r}")
-    return standardizer.uri(parts[3], parts[2])
-
-
 def _standard_uri(uri: str) -> str:
     StandardLabel.from_uri(uri)
     return uri
@@ -247,14 +243,6 @@ def rescale_by_source(assertions) -> EdgeTable:
                      table.weight / means[table.source], table.source, table.sources)
 
 
-def _term_language(uri: str) -> str:
-    return uri.split("/", 3)[2]
-
-
-def _term_words(uri: str) -> int:
-    return uri.split("/", 3)[3].count("_") + 1
-
-
 def filter_terms(assertions, min_count: dict | None = None,
                  max_words: int = DEFAULT_MAX_WORDS) -> EdgeTable:
     """Drop assertions touching fringe terms.
@@ -272,9 +260,9 @@ def filter_terms(assertions, min_count: dict | None = None,
     counts = np.bincount(table.start, minlength=n) + np.bincount(table.end, minlength=n)
     bad = np.zeros(n, dtype=bool)
     for tid in np.flatnonzero(counts).tolist():
-        term = table.terms[tid]
-        bad[tid] = (_term_words(term) > max_words
-                    or counts[tid] < min_count.get(_term_language(term), other))
+        language, text = split_uri(table.terms[tid])
+        bad[tid] = (text.count("_") + 1 > max_words
+                    or counts[tid] < min_count.get(language, other))
     return table.take(~(bad[table.start] | bad[table.end]))
 
 

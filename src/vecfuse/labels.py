@@ -29,6 +29,15 @@ def validate_language(code: str) -> str:
     return code
 
 
+def split_uri(uri: str) -> tuple:
+    """(language, text) of a `/c/<language>/<text>` URI, checking only its
+    shape. The text is everything after the language; it may hold '/'."""
+    parts = uri.split("/", 3)
+    if len(parts) != 4 or parts[0] != "" or parts[1] != "c":
+        raise ValueError(f"not a /c/<language>/<text> uri: {uri!r}")
+    return parts[2], parts[3]
+
+
 @dataclass(frozen=True)
 class StandardLabel:
     """A language-tagged, normalized term identifier."""
@@ -54,10 +63,7 @@ class StandardLabel:
 
     @classmethod
     def from_uri(cls, uri: str) -> "StandardLabel":
-        parts = uri.split("/", 3)
-        if len(parts) != 4 or parts[0] != "" or parts[1] != "c":
-            raise ValueError(f"not a /c/<language>/<text> uri: {uri!r}")
-        return cls(language=parts[2], text=parts[3])
+        return cls(*split_uri(uri))
 
     def __str__(self) -> str:
         return self.uri

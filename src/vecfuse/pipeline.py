@@ -19,7 +19,7 @@ from . import evaluation, interpolate, kgraph, matrixio, rowmerge
 from .config import EmbeddingSource, PipelineConfig
 from .errors import ConfigError, StageError, VecfuseError
 from .labels import LemmaRuleSet, DEFAULT_RULES, Standardizer, \
-    default_rules, load_exceptions, load_stopwords, tokenize
+    default_rules, load_exceptions, load_stopwords, split_uri, tokenize
 from .matrixio import LabeledMatrix
 from .retrofit import assemble_problem, retrofit
 
@@ -105,7 +105,7 @@ def token_vocabulary(labels) -> set:
 
 def _label_texts(matrix: LabeledMatrix):
     """The text part of each standardized label of `matrix`."""
-    return (lab.rsplit("/", 1)[-1] for lab in matrix.labels)
+    return (split_uri(lab)[1] for lab in matrix.labels)
 
 
 @_stage("ingest")
@@ -220,8 +220,8 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
     if cached is not None and checkpoint_dir is None:
         return cached
     normalized = rowmerge.l2_normalize_rows(matrix)
-    assoc = kgraph.build_association(assertions, extra_vocab=normalized.labels)
-    problem = assemble_problem(normalized, assoc,
+    # assemble_problem adds the embedding terms to the graph's vocabulary
+    problem = assemble_problem(normalized, kgraph.build_association(assertions),
                                self_loops=config.retrofit_self_loops)
     result = retrofit(problem, iterations=config.retrofit_iterations,
                       checkpoint_dir=checkpoint_dir)

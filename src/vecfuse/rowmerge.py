@@ -3,7 +3,7 @@
 Frequency is approximated by Zipf's law from each row's rank in its
 source file (the nth most frequent token gets pseudo-frequency 1/n), and
 rows standardizing to the same label are combined by a weighted average.
-Column and row rescaling live here too.
+Every column and row norm of the package lives here too.
 """
 
 from __future__ import annotations
@@ -107,48 +107,53 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
     return LabeledMatrix(labels=labels, data=out, source_rank=ranks)
 
 
-def _scaled(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Divide slices by their norms, skipping zero and already-unit slices.
-
-    Leaving near-unit slices untouched keeps normalization exactly
+def _divide(data: np.ndarray, norms: np.ndarray) -> None:
+    """Divide `data` in place by `norms` (one per row or column), skipping
+    zero and already-unit slices: that keeps normalization exactly
     idempotent at the bit level, which downstream fixed-point behavior
-    relies on; the deviation from exact unit norm is below 1e-6.
-    """
-    scale = np.ones_like(norms)
-    divide = (norms > ZERO_NORM_THRESHOLD) & (np.abs(norms - 1.0) > UNIT_NORM_TOLERANCE)
-    scale[divide] = norms[divide]
-    return values / scale
+    relies on; the deviation from exact unit norm is below 1e-6."""
+    data /= np.where(
+        (norms > ZERO_NORM_THRESHOLD) & (np.abs(norms - 1.0) > UNIT_NORM_TOLERANCE),
+        norms, 1.0)
+
+
+def _rescaled(matrix: LabeledMatrix, normalize) -> LabeledMatrix:
+    """`matrix` with `normalize` applied in place to a float64 copy."""
+    data = matrix.data.astype(np.float64)
+    normalize(data)
+    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32),
+                         source_rank=matrix.source_rank)
 
 
 def l1_normalize_columns(matrix: LabeledMatrix) -> LabeledMatrix:
     """Scale each column to unit absolute-value sum; zero columns unchanged."""
-    data = matrix.data.astype(np.float64)
-    norms = np.abs(data).sum(axis=0)
-    data = _scaled(data, norms[None, :])
-    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32),
-                         source_rank=matrix.source_rank)
+    return _rescaled(matrix, lambda data: _divide(data, np.abs(data).sum(axis=0)))
 
 
 def l2_normalize_columns(matrix: LabeledMatrix) -> LabeledMatrix:
     """Scale each column to unit Euclidean norm; zero columns unchanged."""
-    data = matrix.data.astype(np.float64)
-    norms = np.sqrt((data * data).sum(axis=0))
-    data = _scaled(data, norms[None, :])
-    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32),
-                         source_rank=matrix.source_rank)
+    return _rescaled(matrix,
+                     lambda data: _divide(data, np.sqrt((data * data).sum(axis=0))))
 
 
 def l2_normalize_rows(matrix: LabeledMatrix) -> LabeledMatrix:
     """Scale each row to unit Euclidean norm; zero rows unchanged."""
-    data = matrix.data.astype(np.float64)
-    normalize_rows_inplace(data)
-    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32),
-                         source_rank=matrix.source_rank)
+    return _rescaled(matrix, normalize_rows_inplace)
 
 
 def normalize_rows_inplace(data: np.ndarray) -> None:
-    """L2-normalize the nonzero rows of a float64 matrix in place."""
-    norms = np.sqrt((data * data).sum(axis=1))
-    data /= np.where(
-        (norms > ZERO_NORM_THRESHOLD) & (np.abs(norms - 1.0) > UNIT_NORM_TOLERANCE),
-        norms, 1.0)[:, None]
+    """L2-normalize the nonzero rows of a float64 matrix in place; rows
+    already of unit norm are left as they are (see `_divide`)."""
+    _divide(data, np.sqrt((data * data).sum(axis=1))[:, None])
+
+
+def unit_rows(data: np.ndarray) -> np.ndarray:
+    """Float64 unit rows for fusion's neighbour search; rows of norm at or
+    below `ZERO_NORM_THRESHOLD` become zero. Unlike `normalize_rows_inplace`
+    it divides near-unit rows too: the two policies stay apart by design,
+    since one shared policy changes fused bits."""
+    out = data.astype(np.float64)
+    norms = np.sqrt((out * out).sum(axis=1))
+    out /= np.where(norms > ZERO_NORM_THRESHOLD, norms, 1.0)[:, None]
+    out[norms <= ZERO_NORM_THRESHOLD] = 0.0
+    return out

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,44 @@ class TestConfigValidation:
         raw["evaluations"] = [{"id": "x", "path": "g.txt", "language": language}]
         with pytest.raises(ConfigError, match="dataset x"):
             config_from_dict(raw)
+
+
+# (top-level key, value, the setting the error must name)
+WRONG_JSON_TYPES = {
+    "excluded_sources_string": ("retrofit", {"excluded_sources": "cn"},
+                                "retrofit.excluded_sources"),
+    "enabled_string": ("standardize", {"enabled": "false"}, "standardize.enabled"),
+    "k_float": ("fusion", {"k": 2.5}, "fusion.k"),
+    "iterations_bool": ("retrofit", {"iterations": True}, "retrofit.iterations"),
+    "min_count_string_value": ("term_filter", {"min_count": {"en": "4"}},
+                               "term_filter.min_count"),
+    "iterations_string": ("retrofit", {"iterations": "10"}, "retrofit.iterations"),
+    "num_chunks_string": ("evaluations", [{"id": "x", "path": "g.txt", "num_chunks": "3"}],
+                          "evaluations[0].num_chunks"),
+    "section_null": ("standardize", None, "standardize"),
+    "embeddings_object": ("embeddings", {"id": "alpha", "path": "a.txt",
+                                         "format": "glove_text"}, "embeddings"),
+}
+
+
+class TestJsonTypes:
+    @pytest.mark.parametrize("key, value, setting", WRONG_JSON_TYPES.values(),
+                             ids=WRONG_JSON_TYPES.keys())
+    def test_wrong_type_is_config_error_naming_setting(self, key, value, setting):
+        raw = minimal_config()
+        raw[key] = value
+        with pytest.raises(ConfigError, match="^" + re.escape(setting) + " must be a JSON"):
+            config_from_dict(raw)
+
+    def test_readme_example_parses(self):
+        """The full example config of the README is accepted as written."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        config = config_from_dict(json.loads(blocks[0]))
+        assert [s.id for s in config.enabled_embeddings()] == ["glove", "w2v"]
+        assert config.fusion_out_dims == 600 and config.stopwords_path is None
+        assert config.filter_min_count == {"en": 4, "other": 3}
 
 
 class TestLoadConfig:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, make_matrix
-from vecfuse import interpolate
+from vecfuse import interpolate, rowmerge
 from vecfuse.errors import EmptyOverlap
 from vecfuse.matrixio import LabeledMatrix
 from vecfuse.interpolate import (
@@ -117,7 +117,7 @@ class TestInferMissing:
 
 class TestBlockInference:
     def test_unit_rows_zero_rows_at_or_below_threshold(self):
-        out = interpolate._unit_rows(np.array([[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]]))
+        out = rowmerge.unit_rows(np.array([[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]]))
         assert out.tolist() == [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0]]
 
     def test_matches_row_oracle(self, rng):

@@ -14,6 +14,7 @@ from vecfuse.labels import (
     load_exceptions,
     load_stopwords,
     map_digit_runs,
+    split_uri,
     standardize,
     tokenize,
     validate_language,
@@ -91,6 +92,16 @@ class TestStandardLabel:
             StandardLabel(language="en", text="")
         with pytest.raises(InvalidLanguage):
             StandardLabel(language="English", text="a")
+
+    def test_split_uri_keeps_slashes_in_text(self):
+        assert split_uri("/c/en/and/or") == ("en", "and/or")
+        label = StandardLabel.from_uri("/c/en/ac/dc")
+        assert (label.language, label.text, label.uri) == ("en", "ac/dc", "/c/en/ac/dc")
+
+    @pytest.mark.parametrize("uri", ["/x/en/a", "/c/en", "c/en/a", ""])
+    def test_split_uri_rejects_bad_shape(self, uri):
+        with pytest.raises(ValueError, match="not a /c/<language>/<text> uri"):
+            split_uri(uri)
 
     def test_uri_injective_on_fixtures(self):
         seen = {}

@@ -298,6 +298,29 @@ class TestFullPipeline:
         assert report.n == 6
 
 
+class TestSlashInLabelText:
+    def test_inflected_edge_term_lands_on_embedding_row(self, workspace):
+        """The lemma vocabulary of the graph stage holds a label's whole
+        text, '/' included, so `ac/dcs` lemmatizes onto the `ac/dc` row."""
+        (workspace / "alpha.txt").write_text(ALPHA_TEXT + "AC/DC 0.1 0.9 0.7\n",
+                                             encoding="utf-8")
+        (workspace / "slash.tsv").write_text(
+            "/c/en/ac/dcs\t/c/en/cat\t1.0\tomcs\n"
+            "/c/en/ac/dcs\t/c/en/dog\t1.0\tomcs\n", encoding="utf-8")
+        config = toy_config(
+            workspace,
+            embeddings=[{"id": "alpha", "path": str(workspace / "alpha.txt"),
+                         "format": "glove_text"}],
+            graphs=[{"id": "slash", "path": str(workspace / "slash.tsv")}])
+        assert config.vocab_check
+        cache = pipeline.StageCache()
+        matrix = pipeline.fuse_sources(config, cache)
+        assert "/c/en/ac/dc" in matrix.labels
+        edges = pipeline.load_graphs(config, matrix, cache)
+        assert [(a.start, a.end) for a in edges] == [
+            ("/c/en/ac/dc", "/c/en/cat"), ("/c/en/ac/dc", "/c/en/dog")]
+
+
 class TestCli:
     def write_config(self, workspace, config_dict):
         path = workspace / "config.json"
@@ -398,6 +421,12 @@ class TestCli:
         config = self.write_config(workspace, bad)
         assert cli.main(["pipeline", "--config", config]) == 1
         capsys.readouterr()
+
+    def test_exit_code_wrong_json_type(self, workspace, capsys):
+        bad = self.raw_toy_dict(workspace, retrofit={"iterations": "10"})
+        config = self.write_config(workspace, bad)
+        assert cli.main(["pipeline", "--config", config]) == 1
+        assert "retrofit.iterations must be a JSON integer" in capsys.readouterr().err
 
     def test_exit_code_data_error(self, workspace, capsys):
         raw = self.raw_toy_dict(workspace)

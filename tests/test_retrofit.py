@@ -333,13 +333,20 @@ class TestSingleSortMatchesThreeSorts:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graphs_bitwise(self, seed):
         edges, emb = random_graph(seed)
+        problems = {True: [], False: []}
         for extra in (emb.labels, ()):
             assoc = build_association(edges, extra_vocab=extra)
             assert_same_bits(assoc, reference_association(edges, extra_vocab=extra))
             assert np.diff(assoc.indptr).max() >= 10  # a diagonal and 9+ neighbors
             for self_loops in (True, False):
-                assert_same_bits(assemble_problem(emb, assoc, self_loops=self_loops),
+                problem = assemble_problem(emb, assoc, self_loops=self_loops)
+                assert_same_bits(problem,
                                  reference_problem(emb, assoc, self_loops=self_loops))
+                problems[self_loops].append(problem)
+        # assemble_problem adds the embedding terms itself, so the graph's
+        # association matrix needs no extra_vocab
+        for with_extra, without in problems.values():
+            assert_same_bits(without, vars(with_extra))
 
     @pytest.mark.parametrize("extra", [False, True], ids=["empty_vocab", "isolated_only"])
     @pytest.mark.parametrize("self_loops", [True, False])
