@@ -106,37 +106,56 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def _reader(section: dict, owner: str):
-    """get(key, default, kind[, item]): `section[key]`, or `default` when
-    absent. A value that is not of JSON type `kind` (a bool is not an
-    integer; null only where the default is None), or a list or object
-    with a member not of type `item`, is a ConfigError naming the setting."""
-    def get(key, default, kind, item=None):
-        value = section.get(key, default)
+class _Section:
+    """One JSON object of the config. `section(key, default, kind[, item])`
+    is `section[key]`, or `default` when absent. A value that is not of
+    JSON type `kind` (a bool is not an integer; null only where the
+    default is None), or a list or object with a member not of type
+    `item`, is a ConfigError naming the setting. `close()` is a
+    ConfigError naming the first key that was never read."""
+
+    def __init__(self, section: dict, owner: str):
+        self.section, self.owner, self.read = section, owner, set()
+
+    def __call__(self, key, default, kind, item=None):
+        self.read.add(key)
+        value = self.section.get(key, default)
         if value is None and default is None:
             return None
         members = value.values() if isinstance(value, dict) else value
         _expect(_is(value, kind) and (item is None or all(_is(v, item) for v in members)),
-                f"{owner}{key} must be a JSON {_JSON_TYPES[kind]}"
+                f"{self.owner}{key} must be a JSON {_JSON_TYPES[kind]}"
                 + (f" of {_JSON_TYPES[item]} values" if item else "") + f", got {value!r}")
         return value
-    return get
+
+    def close(self):
+        for key in self.section:
+            _expect(key in self.read, f"unknown setting {self.owner}{key}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(isinstance(raw, dict), "config root must be an object")
-    _expect(raw.get("schema_version") == SCHEMA_VERSION,
+    get = _Section(raw, "")
+    _expect(get("schema_version", None, int) == SCHEMA_VERSION,
             f"schema_version must be {SCHEMA_VERSION}")
-    get = _reader(raw, "")
+    embedding_entries = get("embeddings", [], list, dict)
+    graph_entries = get("graphs", [], list, dict)
+    std, merge, norm, fusion, retro, term_filter, output = (
+        _Section(get(name, {}, dict), name + ".") for name in (
+            "standardize", "merge", "normalize", "fusion", "retrofit", "term_filter",
+            "output"))
+    evaluation_entries = get("evaluations", [], list, dict)
+    get.close()
 
     embeddings = []
-    for i, entry in enumerate(get("embeddings", [], list, dict)):
-        e = _reader(entry, f"embeddings[{i}].")
+    for i, entry in enumerate(embedding_entries):
+        e = _Section(entry, f"embeddings[{i}].")
         src = EmbeddingSource(
             id=e("id", "", str), path=e("path", "", str), format=e("format", "", str),
             enabled=e("enabled", True, bool), language=e("language", "en", str),
             labels_path=e("labels_path", None, str),
             on_duplicate=e("on_duplicate", "error", str))
+        e.close()
         _expect(src.id, "embedding source needs an id")
         _expect(src.path, f"embedding source {src.id}: needs a path")
         _expect(src.format in EMBEDDING_FORMATS,
@@ -151,25 +170,21 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(len(set(ids)) == len(ids), "embedding source ids must be unique")
 
     graphs = []
-    for i, entry in enumerate(get("graphs", [], list, dict)):
-        e = _reader(entry, f"graphs[{i}].")
+    for i, entry in enumerate(graph_entries):
+        e = _Section(entry, f"graphs[{i}].")
         g = GraphSource(id=e("id", "", str), path=e("path", "", str),
                         enabled=e("enabled", True, bool),
                         apply_term_filter=e("apply_term_filter", True, bool))
+        e.close()
         _expect(g.id, "graph source needs an id")
         _expect(g.path, f"graph source {g.id}: needs a path")
         graphs.append(g)
     gids = [g.id for g in graphs]
     _expect(len(set(gids)) == len(gids), "graph source ids must be unique")
 
-    std, merge, norm, fusion, retro, term_filter, output = (
-        _reader(get(name, {}, dict), name + ".") for name in (
-            "standardize", "merge", "normalize", "fusion", "retrofit", "term_filter",
-            "output"))
-
     evaluations = []
-    for i, entry in enumerate(get("evaluations", [], list, dict)):
-        e = _reader(entry, f"evaluations[{i}].")
+    for i, entry in enumerate(evaluation_entries):
+        e = _Section(entry, f"evaluations[{i}].")
         ds = EvalDataset(
             id=e("id", "", str), path=e("path", None, str),
             dev_path=e("dev_path", None, str), test_path=e("test_path", None, str),
@@ -177,6 +192,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             splits=tuple(e("splits", ["all"], list, str)),
             num_chunks=e("num_chunks", 3, int), test_chunk=e("test_chunk", 3, int),
             drop_oov=e("drop_oov", False, bool))
+        e.close()
         _expect(ds.id, "evaluation dataset needs an id")
         _expect(ds.path or ds.dev_path or ds.test_path,
                 f"dataset {ds.id}: needs path or dev_path/test_path")
@@ -212,6 +228,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         output_labels=output("labels", "ensemble.labels", str),
         output_report=output("report", "report.tsv", str),
     )
+    for section in (std, merge, norm, fusion, retro, term_filter, output):
+        section.close()
     _expect(config.enabled_embeddings(), "at least one embedding source must be enabled")
     _expect(config.standardize_enabled or not config.enabled_graphs(),
             "graph sources require standardized labels; disable them or "

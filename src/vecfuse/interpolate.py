@@ -2,9 +2,12 @@
 
 Terms missing from one space get a vector inferred from their nearest
 overlapping neighbors (cosine-weighted average in the space where they do
-exist). The aligned spaces are concatenated and, optionally, passed
-through an SVD that replaces the concatenation with U·Σ^1/2, shrinking
-directions that both sources over-represent.
+exist), found in fixed-size tiles of query rows × shared rows. The
+aligned spaces are concatenated and, optionally, passed through an SVD
+that replaces the concatenation with U·Σ^1/2, shrinking directions that
+both sources over-represent. The discount works from the c × c Gram
+matrix of the c concatenated columns and writes the features block by
+block, so its memory beyond the output is a fixed block budget plus c × c.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ from .matrixio import LabeledMatrix
 from .rowmerge import unit_rows
 
 DEFAULT_NEIGHBORS = 10
-# Bytes of float64 similarities per inference block. Larger blocks were
+# Bytes of float64 similarities per inference tile. Larger tiles were
 # barely faster and raised the peak RSS of a whole pipeline run.
 _SIMS_BYTES = 1 << 19
+# Below 16 query rows per tile a GEMM against every shared row degrades
+# towards one GEMV per query; 64 x 1,024 tiles then timed fastest of
+# 32 x 2,048 to 256 x 256 on 1,000 queries against 5k-40k shared rows.
+_MIN_TILE_ROWS = 16
+_TILE_COLS = 1024
+# Bytes of each float64 row block the SVD discount widens and projects.
+_GRAM_BYTES = 1 << 20
 
 
 @dataclass
@@ -81,30 +91,62 @@ def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def _tile_shape(n: int) -> tuple:
+    """(query rows, shared rows) of one similarity tile against `n` shared
+    rows: every shared row while that leaves at least `_MIN_TILE_ROWS`
+    query rows, else `_TILE_COLS` shared rows and as many query rows as
+    `_SIMS_BYTES` holds."""
+    rows = _SIMS_BYTES // (8 * max(n, 1))
+    if rows >= _MIN_TILE_ROWS:
+        return rows, n
+    cols = min(n, _TILE_COLS)
+    return max(1, _SIMS_BYTES // (8 * cols)), cols
+
+
+def _nearest(query: np.ndarray, have_unit: np.ndarray, k: int, cols: int) -> tuple:
+    """(negated similarities, shared indices) of the k shared rows nearest
+    each row of the unit rows `query`, ordered by (-similarity, shared
+    index), from tiles of `cols` shared rows. Each tile's exact top k is
+    merged into the running top k by that order, which is total, so equal
+    similarities go to the lower index across tiles too."""
+    best = None
+    for col in range(0, len(have_unit), cols):
+        neg = query @ have_unit[col:col + cols].T
+        np.negative(neg, out=neg)
+        top = _top_k(neg, min(k, neg.shape[1]))
+        vals, top = np.take_along_axis(neg, top, axis=1), top + col
+        if best is not None:
+            vals = np.concatenate((best[0], vals), axis=1)
+            top = np.concatenate((best[1], top), axis=1)
+            order = np.lexsort((top, vals))[:, :k]
+            vals = np.take_along_axis(vals, order, axis=1)
+            top = np.take_along_axis(top, order, axis=1)
+        best = vals, top
+    return best
+
+
 def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
                 want_shared: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into `out` the inferred `want`-space row of each row of
-    `vecs`, working in row blocks whose similarities fit `_SIMS_BYTES`.
+    `vecs`, working in tiles of query rows × shared rows whose
+    similarities fit `_SIMS_BYTES`.
 
     Neighbors are the k shared rows most cosine-similar to the query, equal
     similarities going to the lower shared index; a zero query is equally
     similar to every shared row.
     """
-    n = len(have_unit)
-    k = min(k, n)
-    block = max(1, _SIMS_BYTES // (8 * max(n, 1)))
-    for start in range(0, len(vecs), block):
-        neg = unit_rows(vecs[start:start + block]) @ have_unit.T
-        np.negative(neg, out=neg)
-        top = _top_k(neg, k)
-        weights = np.maximum(-np.take_along_axis(neg, top, axis=1), 0.0)
+    k = min(k, len(have_unit))
+    rows, cols = _tile_shape(len(have_unit))
+    for start in range(0, len(vecs), rows):
+        neg, top = _nearest(unit_rows(vecs[start:start + rows]), have_unit, k, cols)
+        weights = np.maximum(-neg, 0.0)
         neighbors = want_shared[top].astype(np.float64)
         total = weights.sum(axis=1)
-        rows = (weights[:, :, None] * neighbors).sum(axis=1)
+        sums = (weights[:, :, None] * neighbors).sum(axis=1)
         flat = total <= 0.0
-        rows[~flat] /= total[~flat, None]
-        rows[flat] = neighbors[flat].mean(axis=1)
-        out[start:start + block] = rows
+        sums[~flat] /= total[~flat, None]
+        sums[flat] = neighbors[flat].mean(axis=1)
+        out[start:start + rows] = sums
 
 
 def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
@@ -156,15 +198,61 @@ def svd_discount(m: np.ndarray, out_dims: int):
     """Redundancy-discounted features U·Σ^1/2, truncated to `out_dims`.
 
     Returns (features, singular_values); the full non-increasing spectrum
-    is returned even when the features are truncated.
+    is returned even when the features are truncated. The features have
+    the input's float dtype (float64 for any other input).
+
+    The factors come from the c × c Gram matrix MᵀM, accumulated in
+    float64 over row blocks: σ² are its eigenvalues and the features are
+    M·V·Σ^-1/2, written block by block, so no float64 copy of M and no
+    whole-matrix U is ever held. The Gram matrix squares the condition
+    number, so a direction whose eigenvalue is at most λ_max · c · eps is
+    treated as null: its singular value is 0 and its feature column is 0.
+    A live direction's σ_j and feature column carry a relative error of
+    about eps · (σ_max / σ_j)², where an SVD of M keeps about
+    eps · σ_max / σ_j; past a condition number of about 1e4 that exceeds a
+    float32 ulp. Each column's sign is fixed as `svd_factors` fixes it.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(m)
+    dtype = m.dtype if np.issubdtype(m.dtype, np.floating) else np.dtype(np.float64)
     r, c = m.shape
     if not 1 <= out_dims <= min(r, c):
         raise ValueError(f"out_dims must be in [1, {min(r, c)}], got {out_dims}")
-    u, s, _vt = svd_factors(m)
-    features = u * np.sqrt(s)[None, :]
-    return features[:, :out_dims], s
+    block = max(1, _GRAM_BYTES // (8 * c))
+    gram = np.zeros((c, c))
+    for start in range(0, r, block):
+        rows = m[start:start + block].astype(np.float64)
+        if not np.isfinite(rows).all():
+            raise ConvergenceFailure("SVD did not converge: non-finite input")
+        gram += rows.T @ rows
+    try:
+        eigvals, eigvecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}")
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    live = eigvals > eigvals[0] * c * np.finfo(np.float64).eps
+    spectrum = np.sqrt(np.where(live, eigvals, 0.0))
+    # features = M·V·Σ^-1/2; a null direction's column of the map is 0
+    scale = np.zeros(c)
+    scale[live] = 1.0 / np.sqrt(spectrum[live])
+    project = eigvecs * scale
+    features = np.empty((r, out_dims), dtype=dtype)
+    peak = np.zeros(out_dims)
+    negative = np.zeros(out_dims, dtype=bool)
+    cols = np.arange(out_dims)
+    for start in range(0, r, block):
+        # the whole map, not its first out_dims columns, so that the kept
+        # columns have the same bits at every truncation
+        rows = (m[start:start + block].astype(np.float64) @ project)[:, :out_dims]
+        pick = np.argmax(np.abs(rows), axis=0)
+        vals = rows[pick, cols]
+        # strictly larger: the first index wins a tie, as in svd_factors
+        larger = np.abs(vals) > peak
+        peak[larger] = np.abs(vals[larger])
+        negative[larger] = vals[larger] < 0
+        features[start:start + block] = rows
+    if negative.any():
+        features *= np.where(negative, -1.0, 1.0).astype(dtype)
+    return features, spectrum[:min(r, c)]
 
 
 @dataclass
@@ -207,7 +295,6 @@ def fuse(a: LabeledMatrix, b: LabeledMatrix, k: int = DEFAULT_NEIGHBORS,
                             singular_values=np.zeros(0))
     if out_dims is None:
         out_dims = concat.shape[1]
-    features, spectrum = svd_discount(concat.astype(np.float64), out_dims)
-    return FusionResult(
-        matrix=LabeledMatrix(labels=labels, data=features.astype(np.float32)),
-        singular_values=spectrum)
+    features, spectrum = svd_discount(concat, out_dims)
+    return FusionResult(matrix=LabeledMatrix(labels=labels, data=features),
+                        singular_values=spectrum)

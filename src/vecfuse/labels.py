@@ -19,6 +19,11 @@ from .errors import EmptyAfterNormalization, InvalidLanguage, ParseError
 
 _LANGUAGE_RE = re.compile(r"[a-z]{2,3}$")
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
+# \s on str matches exactly the characters str.isspace accepts; on ASCII
+# text [A-Z] matches exactly what str.isupper accepts (no ASCII character
+# is titlecase).
+_SPACE_RE = re.compile(r"\s")
+_ASCII_UPPER_RE = re.compile(r"[A-Z]")
 _MAX_NORMALIZE_PASSES = 10
 
 
@@ -47,15 +52,16 @@ class StandardLabel:
 
     def __post_init__(self):
         validate_language(self.language)
-        if not self.text:
+        text = self.text
+        if not text:
             raise EmptyAfterNormalization("label text is empty")
-        for token in self.text.split("_"):
-            if not token:
-                raise ValueError(f"empty token in label text: {self.text!r}")
-        if any(ch.isspace() for ch in self.text):
-            raise ValueError(f"whitespace in label text: {self.text!r}")
-        if any(ch.isupper() or unicodedata.category(ch) == "Lt" for ch in self.text):
-            raise ValueError(f"uppercase in label text: {self.text!r}")
+        if text[0] == "_" or text[-1] == "_" or "__" in text:
+            raise ValueError(f"empty token in label text: {text!r}")
+        if _SPACE_RE.search(text):
+            raise ValueError(f"whitespace in label text: {text!r}")
+        if (_ASCII_UPPER_RE.search(text) if text.isascii()
+                else any(ch.isupper() or unicodedata.category(ch) == "Lt" for ch in text)):
+            raise ValueError(f"uppercase in label text: {text!r}")
 
     @property
     def uri(self) -> str:
@@ -80,6 +86,8 @@ class LemmaRuleSet:
 
     rules: tuple = ()
     exceptions: dict = field(default_factory=dict)
+    # every rule's suffix, for one endswith test before the rules are tried
+    suffixes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pos, suffix, replacement in self.rules:
@@ -87,6 +95,8 @@ class LemmaRuleSet:
                 raise ValueError(
                     f"rule {pos}:{suffix}->{replacement} cannot terminate"
                 )
+        object.__setattr__(self, "suffixes",
+                           tuple({suffix: None for _pos, suffix, _rep in self.rules}))
 
 
 # Morphy-style detachment rules; order matters (first acceptable match wins).
@@ -179,6 +189,10 @@ def tokenize(text: str) -> list:
     Tokens that are nothing but punctuation are dropped. Each surviving
     token is casefolded and NFC-normalized.
     """
+    if text.isascii():
+        # ASCII is already NFC, and casefold is lower on it
+        return [core.lower() for core in map(_strip_punctuation,
+                                             text.replace("_", " ").split()) if core]
     text = unicodedata.normalize("NFC", text).replace("_", " ")
     tokens = []
     for chunk in text.split():
@@ -201,6 +215,8 @@ def lemmatize(token: str, rules: LemmaRuleSet | None = None,
     hit = rules.exceptions.get(token)
     if hit is not None:
         return hit
+    if not token.endswith(rules.suffixes):
+        return token
     for _pos, suffix, replacement in rules.rules:
         if not token.endswith(suffix):
             continue

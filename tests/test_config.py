@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from vecfuse import cli
 from vecfuse.config import config_from_dict, load_config
 from vecfuse.errors import ConfigError
 
@@ -150,6 +151,39 @@ class TestJsonTypes:
         assert [s.id for s in config.enabled_embeddings()] == ["glove", "w2v"]
         assert config.fusion_out_dims == 600 and config.stopwords_path is None
         assert config.filter_min_count == {"en": 4, "other": 3}
+
+
+def misspelt_iterations(raw):
+    raw["retrofit"] = {"iteratons": 3}
+
+
+def misspelt_language(raw):
+    raw["embeddings"][0]["langauge"] = "fr"
+
+
+def misspelt_section(raw):
+    raw["fusoin"] = {"k": 2}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("misspell, setting", [
+        (misspelt_iterations, "retrofit.iteratons"),
+        (misspelt_language, "embeddings[0].langauge"),
+        (misspelt_section, "fusoin"),
+    ])
+    def test_unknown_key_is_config_error_naming_it(self, misspell, setting):
+        raw = minimal_config()
+        misspell(raw)
+        with pytest.raises(ConfigError, match="^unknown setting " + re.escape(setting) + "$"):
+            config_from_dict(raw)
+
+    def test_unknown_key_exits_1_from_cli(self, tmp_path, capsys):
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "x", "path": "g.txt", "drop_oovs": True}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "unknown setting evaluations[0].drop_oovs" in capsys.readouterr().err
 
 
 class TestLoadConfig:

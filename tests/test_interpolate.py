@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import bits_equal, make_matrix
 from vecfuse import interpolate, rowmerge
-from vecfuse.errors import EmptyOverlap
+from vecfuse.errors import ConvergenceFailure, EmptyOverlap
 from vecfuse.matrixio import LabeledMatrix
 from vecfuse.interpolate import (
     _infer_rows,
+    _nearest,
     _top_k,
     build_overlap,
     fuse,
@@ -217,6 +220,43 @@ class TestBlockInference:
             results.append(fuse(a, b, k=4, discount=False).matrix.data)
         assert all(bits_equal(results[0], r) for r in results[1:])
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_ties_across_column_tiles_go_to_lowest_index(self, k):
+        # two shared rows per tile; the query ties rows 1, 2, 4 and 5
+        have_unit = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0],
+                              [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        query = np.array([[1.0, 0.0]])
+        for cols in (1, 2, 3, 4, 6):
+            _neg, top = _nearest(query, have_unit, k, cols)
+            assert top[0].tolist() == [1, 2, 4, 5, 0][:k]
+
+    def test_tile_shape_keeps_neighbor_indices(self, rng, monkeypatch):
+        # exact unit rows (entries 0, +-1 or +-0.5) make every similarity
+        # exact whatever the order of the GEMM's sums, so many tie; random
+        # rows give distinct similarities
+        levels = np.array([[1, 0, 0, 0], [0, -1, 0, 0], [0.5, 0.5, -0.5, 0.5],
+                           [-0.5, 0.5, 0.5, 0.5], [0, 0, 0, 1]])
+        cases = [(levels[rng.randint(0, 5, size=70)],
+                  2.0 * levels[rng.randint(0, 5, size=30)]),
+                 (random_space(rng, 70, 4), rng.randn(30, 4))]
+        want_shared = rng.randn(70, 3).astype(np.float32)
+        nearest = interpolate._nearest
+        for budget, cols in [(1 << 19, 1024), (8 * 70, 1024), (8 * 70 * 3, 1024),
+                             (8 * 16, 4), (8 * 9, 3), (8 * 64, 16), (8 * 70 * 15, 8)]:
+            monkeypatch.setattr(interpolate, "_SIMS_BYTES", budget)
+            monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
+            for have_unit, queries in cases:
+                tops = []
+                monkeypatch.setattr(interpolate, "_nearest",
+                                    lambda *args: tops.append(nearest(*args)) or tops[-1])
+                got = np.empty((len(queries), 3))
+                _infer_rows(queries.astype(np.float32), have_unit, want_shared, 6, got)
+                top_rows = np.vstack([top for _neg, top in tops])
+                for i, vec in enumerate(queries.astype(np.float32)):
+                    top, row = oracle_infer(vec, have_unit, want_shared, 6)
+                    assert top_rows[i].tolist() == top.tolist()
+                    assert np.abs(got[i] - row).max() < 1e-6
+
 
 class TestSvdDiscount:
     def test_identity(self):
@@ -264,6 +304,86 @@ class TestSvdDiscount:
         f1, _ = svd_discount(m, 5)
         f2, _ = svd_discount(m.copy(), 5)
         assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize("shape, rank, dtype", [
+        ((200, 12), 12, np.float64),
+        ((500, 30), 30, np.float32),
+        ((200, 12), 5, np.float64),   # rank-deficient: a product of rank 5
+        ((300, 16), 8, np.float32),   # rank-deficient: duplicated columns
+        ((10, 20), 10, np.float64),   # fewer rows than columns
+    ])
+    def test_gram_features_match_svd_oracle(self, rng, shape, rank, dtype):
+        # measured over 200 seeds: feature error at most 3.3e-13 (float64)
+        # and 1.5e-8 (float32) of sqrt(sigma_max), spectrum error 2.6e-15
+        # of sigma_max; the bounds leave a factor of 30 or more
+        r, c = shape
+        for _ in range(5):
+            if rank == c or r < c:
+                m = rng.randn(r, c)
+            elif dtype is np.float64:
+                m = rng.randn(r, rank) @ rng.randn(rank, c)
+            else:
+                m = np.hstack([rng.randn(r, rank)] * (c // rank))
+            m = m.astype(dtype)
+            feats, s = svd_discount(m, min(r, c))
+            u, s_svd, _vt = svd_factors(m)
+            assert feats.dtype == dtype and feats.shape == (r, min(r, c))
+            bound = 1e-11 if dtype is np.float64 else 1e-6
+            want = u[:, :rank] * np.sqrt(s_svd[:rank])
+            assert np.abs(feats[:, :rank] - want).max() <= bound * np.sqrt(s_svd[0])
+            assert np.abs(s[:rank] - s_svd[:rank]).max() <= 1e-13 * s_svd[0]
+            # null directions: singular value 0 and feature column 0
+            assert not s[rank:].any() and not feats[:, rank:].any()
+            assert s_svd[rank:].max(initial=0.0) < 1e-9 * s_svd[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_graded_spectrum_accuracy_scales_with_squared_condition(self, rng, dtype):
+        # sigma_j geometric from 1 to 1e-6: column j of the features and
+        # sigma_j lose about eps * (sigma_max / sigma_j)^2 in relative
+        # accuracy, on top of the output dtype's rounding. Measured over
+        # 200 seeds: at most 1.7 (features) and 2.5 (spectrum) times that.
+        r, c = 200, 12
+        eps = np.finfo(np.float64).eps
+        for _ in range(5):
+            q_rows, _ = np.linalg.qr(rng.randn(r, c))
+            q_cols, _ = np.linalg.qr(rng.randn(c, c))
+            m = ((q_rows * np.geomspace(1.0, 1e-6, c)) @ q_cols.T).astype(dtype)
+            feats, s = svd_discount(m, c)
+            u, s_svd, _vt = svd_factors(m)
+            assert s_svd[-1] > 1e-7  # every direction is live
+            lost = eps * (s_svd[0] / s_svd) ** 2
+            feat_err = np.abs(feats - u * np.sqrt(s_svd)).max(axis=0) / np.sqrt(s_svd)
+            assert np.all(feat_err <= 20 * (lost + np.finfo(dtype).eps))
+            assert np.all(np.abs(s - s_svd) / s_svd <= 20 * (lost + eps))
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 10 ** 6])
+    def test_sign_tie_goes_to_first_row_across_blocks(self, monkeypatch, block_rows):
+        # |u| peaks at rows 1 and 2 of the first column, with opposite signs
+        m = np.array([[0.0, 0.5], [-2.0, 0.0], [2.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+        monkeypatch.setattr(interpolate, "_GRAM_BYTES", 8 * 2 * block_rows)
+        feats, _s = svd_discount(m, 2)
+        u, s, _vt = svd_factors(m)
+        assert feats[1, 0] > 0 and feats[2, 0] == -feats[1, 0]
+        assert np.abs(feats - u * np.sqrt(s)).max() < 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_convergence_failure(self, bad):
+        m = np.eye(5, 3)
+        m[0, 0] = bad
+        with pytest.raises(ConvergenceFailure):
+            svd_discount(m, 2)
+
+    def test_float32_peak_memory_is_output_plus_block_budget(self, rng):
+        m = rng.randn(20000, 40).astype(np.float32)
+        tracemalloc.start()
+        try:
+            feats, _s = svd_discount(m, 40)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert feats.dtype == np.float32
+        # the old path held a float64 copy of m, U and U·Σ^1/2: over 5x
+        assert peak < 2 * feats.nbytes + 4 * interpolate._GRAM_BYTES
 
 
 class TestFuse:
@@ -349,6 +469,17 @@ class TestFuse:
         for k in (0, -1):
             with pytest.raises(ValueError):
                 fuse(a, b, k=k)
+
+    def test_two_runs_byte_equal(self, rng, monkeypatch):
+        a = unit_rows([f"w{i}" for i in range(300)], 12, rng)
+        b = unit_rows([f"w{i}" for i in range(100, 420)], 10, rng)
+        for cols in (1024, 7):  # one column tile, then 2-D tiles
+            monkeypatch.setattr(interpolate, "_SIMS_BYTES", 8 * 7 * 5)
+            monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
+            first, second = (fuse(a, b, k=4, out_dims=15) for _ in range(2))
+            assert first.matrix.data.dtype == np.float32
+            assert first.matrix.data.tobytes() == second.matrix.data.tobytes()
+            assert first.singular_values.tobytes() == second.singular_values.tobytes()
 
     def test_disjoint_vocabularies_rejected(self, rng):
         a = unit_rows(["only_a"], 3, rng)

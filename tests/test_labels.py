@@ -1,4 +1,6 @@
 import random
+import sys
+import unicodedata
 
 import pytest
 
@@ -285,3 +287,103 @@ class TestStandardizerMemo:
             with pytest.raises(EmptyAfterNormalization):
                 std.standardize("!!!", "en")
         assert calls == [("!!!", "en"), ("!!!", "en")]
+
+
+# Reference versions of the label checks, tokenizer and lemmatizer as they
+# were before their ASCII fast paths: one code path for every string.
+def reference_label_check(language, text):
+    validate_language(language)
+    if not text:
+        raise EmptyAfterNormalization("label text is empty")
+    for token in text.split("_"):
+        if not token:
+            raise ValueError(f"empty token in label text: {text!r}")
+    if any(ch.isspace() for ch in text):
+        raise ValueError(f"whitespace in label text: {text!r}")
+    if any(ch.isupper() or unicodedata.category(ch) == "Lt" for ch in text):
+        raise ValueError(f"uppercase in label text: {text!r}")
+
+
+def reference_tokenize(text):
+    text = unicodedata.normalize("NFC", text).replace("_", " ")
+    tokens = []
+    for chunk in text.split():
+        core = labels._strip_punctuation(chunk)
+        if core:
+            tokens.append(unicodedata.normalize("NFC", core.casefold()))
+    return tokens
+
+
+def reference_lemmatize(token, rules, vocab=None):
+    hit = rules.exceptions.get(token)
+    if hit is not None:
+        return hit
+    for _pos, suffix, replacement in rules.rules:
+        if not token.endswith(suffix):
+            continue
+        candidate = token[: len(token) - len(suffix)] + replacement
+        if vocab is not None:
+            if candidate in vocab:
+                return candidate
+        elif len(candidate) >= 2:
+            return candidate
+    return token
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the differential compares any failure
+        return type(exc), str(exc)
+
+
+TRICKY = [
+    "ǅ", "ǆungla", "ß", "Straße", "İstanbul", "i\u0307", "\x1c", "a\x1cb", "a\x1fb",
+    "_", "_a", "a_", "a__b", "__", "a_b", "a b", "a\tb", "A", "aB", "New York",
+    " Mixed  CASE\n", "ÉCOLE", "\u00e9cole", "e\u0301cole", "\ufb01sh", "Σίσυφος",
+    "cats", "CATS", "dogs_and_cats", "…", "¡hola!", "it's", "'quoted'", "x",
+    "a\u00a0b", "a\u3000b", "Ⅻ", "ǈ", "naïve_Café", "bus", "ss", "s", "",
+    "running", "flies", "women", "women's", "ABC_def", "1999", "#", "r&d",
+]
+
+
+class TestAsciiFastPaths:
+    """The ASCII branches give the same labels, tokens and lemmas, and the
+    same exception types and messages, as the one-path references."""
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_label_check_matches_reference(self, text):
+        for language in ("en", "fr", "EN"):
+            got = outcome(lambda: StandardLabel(language, text).text)
+            want = outcome(lambda: reference_label_check(language, text) or text)
+            assert got == want
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_tokenize_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_lemmatize_matches_reference(self, text):
+        rules = default_rules()
+        for token in reference_tokenize(text) + [text]:
+            for vocab in (None, {"cat", "fly", "woman", "bu", "runn", "s"}):
+                assert lemmatize(token, rules, vocab) == \
+                    reference_lemmatize(token, rules, vocab)
+        bare = LemmaRuleSet()
+        assert lemmatize(text, bare) == reference_lemmatize(text, bare)
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_standardize_matches_reference(self, text, monkeypatch):
+        got = outcome(lambda: standardize(text, "en").uri)
+        monkeypatch.setattr(labels, "tokenize", reference_tokenize)
+        monkeypatch.setattr(labels, "lemmatize", reference_lemmatize)
+        monkeypatch.setattr(StandardLabel, "__post_init__",
+                            lambda self: reference_label_check(self.language, self.text))
+        want = outcome(lambda: standardize(text, "en", rules=default_rules()).uri)
+        assert got == want
+
+    def test_whitespace_regex_is_isspace_on_every_code_point(self):
+        # the label check relies on this for non-ASCII text too
+        differ = [cp for cp in range(sys.maxunicode + 1)
+                  if (labels._SPACE_RE.match(chr(cp)) is not None) != chr(cp).isspace()]
+        assert differ == []

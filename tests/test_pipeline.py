@@ -8,6 +8,7 @@ import pytest
 from conftest import bits_equal
 from vecfuse import cli, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
+from vecfuse.interpolate import svd_factors
 from vecfuse.labels import Standardizer
 from vecfuse.matrixio import read_native, read_text_embeddings
 from vecfuse.pipeline import run_pipeline, token_vocabulary
@@ -391,6 +392,31 @@ class TestCli:
                          "--report", str(workspace / "r.tsv")]) == 0
         assert (workspace / "r.tsv").exists()
         assert "toy_gold" in capsys.readouterr().out
+
+    def test_singular_values_file_matches_svd_of_concatenation(self, workspace):
+        """The --singular-values file holds sqrt of the Gram eigenvalues; the
+        raw concatenation, written by the same command with the discount off,
+        gives the SVD spectrum to compare against."""
+        paths = {name: str(workspace / name) for name in
+                 ("sv.txt", "fused.emb1", "fused.labels", "cat.emb1", "cat.labels")}
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        assert cli.main(["fuse", "--config", config, "--out-matrix", paths["fused.emb1"],
+                         "--out-labels", paths["fused.labels"],
+                         "--singular-values", paths["sv.txt"]]) == 0
+        spectrum = np.array([float(line) for line in
+                             (workspace / "sv.txt").read_text().split()])
+        config = self.write_config(workspace, self.raw_toy_dict(
+            workspace, fusion={"k": 2, "discount": False}))
+        assert cli.main(["fuse", "--config", config, "--out-matrix", paths["cat.emb1"],
+                         "--out-labels", paths["cat.labels"]]) == 0
+        concat = read_native(paths["cat.emb1"], paths["cat.labels"]).data
+        _u, s, _vt = svd_factors(concat)
+        assert len(spectrum) == len(s) == min(concat.shape)
+        # eigenvalues agree to rounding; a direction at or below the null
+        # threshold (eigenvalue <= lambda_max * c * eps) is written as 0
+        null = np.sqrt(concat.shape[1] * np.finfo(np.float64).eps) * s[0]
+        assert np.abs(spectrum - s).max() <= max(1e-12 * s[0], null)
+        assert np.all((spectrum > 0) | (s <= null))
 
     @pytest.mark.parametrize("overrides", [
         {},
