@@ -123,18 +123,22 @@ class MatrixLookup:
         self._index = matrix.label_index()
         self._zero = np.zeros(matrix.dims)
 
+    def row_index(self, word: str, language: str = "en"):
+        """The matrix row of a raw word, or None when out of vocabulary."""
+        if not self.standardize:
+            return self._index.get(word)
+        try:
+            label = self.standardizer.standardize(word, language)
+        except (EmptyAfterNormalization, ValueError):
+            return None
+        row = self._index.get(label.uri)
+        if row is None and self.digit_fallback:
+            row = self._index.get(replace(label, text=map_digit_runs(label.text)).uri)
+        return row
+
     def row_for(self, word: str, language: str = "en"):
         """(vector, found) for a raw word; zero vector when out of vocabulary."""
-        if not self.standardize:
-            row = self._index.get(word)
-        else:
-            try:
-                label = self.standardizer.standardize(word, language)
-            except (EmptyAfterNormalization, ValueError):
-                return self._zero, False
-            row = self._index.get(label.uri)
-            if row is None and self.digit_fallback:
-                row = self._index.get(replace(label, text=map_digit_runs(label.text)).uri)
+        row = self.row_index(word, language)
         if row is None:
             return self._zero, False
         return self.matrix.data[row].astype(np.float64), True
@@ -171,15 +175,12 @@ def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # mean of 1-based i+1..j+1
-        i = j + 1
+    # first and last 0-based sorted position of each run of equal values
+    first = np.flatnonzero(np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]]))
+    last = np.append(first[1:], len(values)) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((first + last + 2) / 2.0, last - first + 1)
     return ranks
 
 
@@ -251,22 +252,55 @@ def evaluate(matrix: LabeledMatrix, dataset, split: str = "all",
         raise ValueError(f"unknown split {split!r}")
     lookup = MatrixLookup(matrix, standardizer=standardizer,
                           digit_fallback=digit_fallback, standardize=standardize)
-    gold, predicted, oov_count = [], [], 0
-    for pair in pairs:
-        v1, found1 = lookup.row_for(pair.word1, pair.language)
-        v2, found2 = lookup.row_for(pair.word2, pair.language)
-        oov = not (found1 and found2)
-        oov_count += oov
-        if drop_oov and oov:
-            continue
-        gold.append(pair.score)
-        predicted.append(_cosine(v1, v2))
-    rho = spearman(gold, predicted)
+    # each distinct (word, language) is looked up once
+    slots = {}
+    ends = np.array([[slots.setdefault((p.word1, p.language), len(slots)),
+                      slots.setdefault((p.word2, p.language), len(slots))]
+                     for p in pairs], dtype=np.int64).reshape(len(pairs), 2)
+    rows = np.array([-1 if row is None else row
+                     for row in (lookup.row_index(*key) for key in slots)], dtype=np.int64)
+    oov = (rows[ends] < 0).any(axis=1)
+    gold = np.array([p.score for p in pairs], dtype=np.float64)
+    if drop_oov:
+        gold, ends = gold[~oov], ends[~oov]
+    rho = spearman(gold, _pair_cosines(matrix, rows[ends]))
     ci_low, ci_high = fisher_ci(rho, len(gold), level=level) \
         if abs(rho) < 1.0 and len(gold) >= 4 else (rho, rho)
     return EvalReport(dataset=dataset_id, split=split, n=len(gold), rho=rho,
                       ci_low=ci_low, ci_high=ci_high,
-                      oov_fraction=oov_count / len(pairs) if pairs else 0.0)
+                      oov_fraction=int(oov.sum()) / len(pairs) if pairs else 0.0)
+
+
+# pairs whose float64 rows are gathered at once
+_PAIR_BLOCK = 512
+
+
+def _pair_cosines(matrix: LabeledMatrix, ends) -> np.ndarray:
+    """`_cosine` of the rows `ends[i]` of `matrix` for every pair i, where
+    row -1 is the zero vector. Only the rows the pairs use are widened to
+    float64, each once."""
+    used, ends = np.unique(ends.ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    vecs = np.zeros((len(used), matrix.dims))
+    vecs[used >= 0] = matrix.data[used[used >= 0]]
+    norms = np.sqrt(np.vecdot(vecs, vecs))
+    n1, n2 = norms[ends[:, 0]], norms[ends[:, 1]]
+    dots = np.empty(len(ends))
+    same = np.empty(len(ends), dtype=bool)
+    for b0 in range(0, len(ends), _PAIR_BLOCK):
+        v1 = vecs[ends[b0:b0 + _PAIR_BLOCK, 0]]
+        v2 = vecs[ends[b0:b0 + _PAIR_BLOCK, 1]]
+        dots[b0:b0 + len(v1)] = np.vecdot(v1, v2)
+        same[b0:b0 + len(v1)] = (v1 == v2).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = dots / (n1 * n2)
+    # the rules of _cosine in reverse, each overriding the ones before:
+    # min(1.0, x) and max(-1.0, x) as Python evaluates them, NaN included
+    cos = np.where(cos < 1.0, cos, 1.0)
+    cos = np.where(cos > -1.0, cos, -1.0)
+    cos[same] = 1.0  # words sharing a row must tie exactly in the ranking
+    cos[(n1 <= 0.0) | (n2 <= 0.0)] = 0.0
+    return cos
 
 
 REPORT_COLUMNS = ("dataset", "split", "n", "rho", "ci_low", "ci_high", "oov_fraction")

@@ -221,9 +221,10 @@ def write_assertions(path, assertions) -> None:
     table = as_table(assertions)
     terms, sources = table.terms, table.sources
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for s, e, w, src in zip(table.start.tolist(), table.end.tolist(),
-                                table.weight.tolist(), table.source.tolist()):
-            f.write(f"{terms[s]}\t{terms[e]}\t{w!r}\t{sources[src]}\n")
+        f.write("".join([f"{terms[s]}\t{terms[e]}\t{w!r}\t{sources[src]}\n"
+                         for s, e, w, src in zip(table.start.tolist(), table.end.tolist(),
+                                                 table.weight.tolist(),
+                                                 table.source.tolist())]))
 
 
 def rescale_by_source(assertions) -> EdgeTable:

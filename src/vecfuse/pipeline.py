@@ -41,12 +41,14 @@ def _stage(name):
 
 
 class StageCache:
-    """Optional on-disk cache of intermediate artifacts."""
+    """Optional on-disk cache of intermediate artifacts, plus the token
+    vocabulary of the labels of the run's matrices, held in memory."""
 
     def __init__(self, directory=None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
+        self.label_tokens = LabelTokens()
 
     def _paths(self, name):
         return (os.path.join(self.directory, name + ".emb1"),
@@ -81,20 +83,6 @@ class StageCache:
                                     assertions)
 
 
-def build_standardizer(config: PipelineConfig, texts) -> Standardizer:
-    """The configured Standardizer. With `vocab_check` on, lemma candidates
-    are checked against the tokens of `texts`."""
-    stopwords = load_stopwords(config.stopwords_path) \
-        if config.stopwords_path else None
-    if config.exceptions_path:
-        rules = LemmaRuleSet(rules=DEFAULT_RULES,
-                             exceptions=load_exceptions(config.exceptions_path))
-    else:
-        rules = default_rules()
-    vocab = token_vocabulary(texts) if config.vocab_check else None
-    return Standardizer(rules=rules, stopwords=stopwords, vocab=vocab)
-
-
 def token_vocabulary(labels) -> set:
     """All single tokens occurring in a label list, for lemma validation."""
     vocab = set()
@@ -103,9 +91,40 @@ def token_vocabulary(labels) -> set:
     return vocab
 
 
-def _label_texts(matrix: LabeledMatrix):
-    """The text part of each standardized label of `matrix`."""
-    return (split_uri(lab)[1] for lab in matrix.labels)
+def build_standardizer(config: PipelineConfig, texts,
+                       vocabulary=token_vocabulary) -> Standardizer:
+    """The configured Standardizer. With `vocab_check` on, lemma candidates
+    are checked against `vocabulary(texts)`, by default the tokens of
+    `texts`."""
+    stopwords = load_stopwords(config.stopwords_path) \
+        if config.stopwords_path else None
+    if config.exceptions_path:
+        rules = LemmaRuleSet(rules=DEFAULT_RULES,
+                             exceptions=load_exceptions(config.exceptions_path))
+    else:
+        rules = default_rules()
+    vocab = vocabulary(texts) if config.vocab_check else None
+    return Standardizer(rules=rules, stopwords=stopwords, vocab=vocab)
+
+
+class LabelTokens:
+    """`token_vocabulary` of the texts of a standardized label list,
+    tokenizing each label once per run: the output matrix lists the fused
+    matrix's labels first, so a list that starts with the list seen last
+    has only the labels it adds tokenized."""
+
+    def __init__(self):
+        self.labels = []
+        self.vocab = frozenset()
+
+    def __call__(self, labels) -> frozenset:
+        seen = len(self.labels)
+        if labels[:seen] != self.labels:
+            seen, self.vocab = 0, frozenset()
+        self.vocab = self.vocab.union(
+            token_vocabulary(split_uri(lab)[1] for lab in labels[seen:]))
+        self.labels = list(labels)
+        return self.vocab
 
 
 @_stage("ingest")
@@ -191,7 +210,7 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
     cached = cache.load_assertions("graph_filtered")
     if cached is not None:
         return cached
-    standardizer = build_standardizer(config, _label_texts(matrix))
+    standardizer = build_standardizer(config, matrix.labels, cache.label_tokens)
     excluded = set(config.excluded_graph_sources)
     filtered, unfiltered = [], []
     for graph in config.enabled_graphs():
@@ -219,9 +238,10 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
     cached = cache.load_matrix("retrofitted")
     if cached is not None and checkpoint_dir is None:
         return cached
-    normalized = rowmerge.l2_normalize_rows(matrix)
-    # assemble_problem adds the embedding terms to the graph's vocabulary
-    problem = assemble_problem(normalized, kgraph.build_association(assertions),
+    # assemble_problem adds the embedding terms to the graph's vocabulary;
+    # it copies the normalized rows, which are not held past it
+    problem = assemble_problem(rowmerge.l2_normalize_rows(matrix),
+                               kgraph.build_association(assertions),
                                self_loops=config.retrofit_self_loops)
     result = retrofit(problem, iterations=config.retrofit_iterations,
                       checkpoint_dir=checkpoint_dir)
@@ -230,11 +250,14 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
 
 
 @_stage("evaluate")
-def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix) -> list:
-    """One EvalReport per configured dataset and split."""
+def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
+                    label_tokens=None) -> list:
+    """One EvalReport per configured dataset and split. `label_tokens`,
+    a `LabelTokens`, may hold the tokens of a prefix of the labels."""
     digit_fallback = any(s.format.startswith("word2vec")
                          for s in config.enabled_embeddings())
-    standardizer = build_standardizer(config, _label_texts(matrix)) \
+    standardizer = build_standardizer(config, matrix.labels,
+                                      label_tokens or LabelTokens()) \
         if config.standardize_enabled else None
     reports = []
     for ds in config.evaluations:
@@ -289,7 +312,8 @@ def ensemble_matrix(config: PipelineConfig, cache: StageCache,
 def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
     """Run every configured stage; returns the output artifact paths,
     the final matrix and the evaluation reports."""
-    matrix = ensemble_matrix(config, StageCache(cache_dir))
+    cache = StageCache(cache_dir)
+    matrix = ensemble_matrix(config, cache)
 
     os.makedirs(config.output_dir, exist_ok=True)
     matrix_path = os.path.join(config.output_dir, config.output_matrix)
@@ -299,7 +323,7 @@ def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
     reports = []
     report_path = None
     if config.evaluations:
-        reports = evaluate_matrix(config, matrix)
+        reports = evaluate_matrix(config, matrix, cache.label_tokens)
         report_path = os.path.join(config.output_dir, config.output_report)
         evaluation.write_report(reports, report_path)
         if verbose:

@@ -4,18 +4,24 @@ Each step updates every row simultaneously: blend the graph-propagated
 state S·W with the anchored original rows, halve anchored rows, then
 L2-normalize nonzero rows. Out-of-vocabulary terms (zero original rows)
 take values purely from their neighbors, stabilized by the unit
-self-loops on the diagonal of S. The step runs in row blocks of at most
-`_PROD_BYTES` of float64 products, so its memory grows with the
-vocabulary, not with the number of edges.
+self-loops on the diagonal of S.
+
+The step sweeps the rows in order of descending entry count, anchored
+rows first, in blocks of `_PROD_BYTES // (8 * dims)` rows. Within a
+block, the rows with more than k entries form a prefix, so entry k of
+all of them is gathered and multiplied in one call and added to the
+block's float64 sums. That is the same left-to-right sum per row as a
+segmented reduction, in as many calls per block as its longest row has
+entries. Memory grows with the vocabulary, not with the number of edges;
+the gather plan holds 16 bytes per entry and is built once per problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
-
-import os
 
 from .errors import DimensionMismatch
 from .kgraph import AssociationMatrix
@@ -24,8 +30,29 @@ from .rowmerge import normalize_rows_inplace
 
 DEFAULT_ITERATIONS = 10
 
-# float64 products S[i, j] * W[j] computed at once by one row block of a step
+# float64 bytes of one row block's sums, and of the products S[i, j] * W[j]
+# computed at once in it
 _PROD_BYTES = 256 * 1024
+
+
+@dataclass
+class _Block:
+    """Rows swept together: `rows` in descending entry count, all anchored
+    or none; `widths[k]` rows have more than k entries."""
+
+    rows: np.ndarray
+    anchored: bool
+    widths: list
+
+
+@dataclass
+class _SweepPlan:
+    """Row blocks plus every entry's column and weight in sweep order:
+    block by block, then entry k of each row in the block's prefix."""
+
+    blocks: list
+    indices: np.ndarray
+    data: np.ndarray
 
 
 @dataclass
@@ -44,6 +71,9 @@ class RetrofitProblem:
     data: np.ndarray
     w0: np.ndarray
     anchored: np.ndarray
+    # block rows -> _SweepPlan; the arrays above are not changed after
+    # the first step
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -52,6 +82,35 @@ class RetrofitProblem:
     @property
     def dims(self) -> int:
         return self.w0.shape[1]
+
+    def sweep_plan(self, block_rows: int) -> _SweepPlan:
+        """The gather plan of a step in blocks of `block_rows` rows."""
+        plan = self._plans.get(block_rows)
+        if plan is None:
+            plan = self._plans[block_rows] = _build_plan(self, block_rows)
+        return plan
+
+
+def _build_plan(problem: RetrofitProblem, block_rows: int) -> _SweepPlan:
+    counts = np.diff(problem.indptr)
+    # anchored rows first, each group by descending count; stable, so ties
+    # keep row order
+    order = np.lexsort((-counts, ~problem.anchored))
+    n_anchored = int(problem.anchored.sum())
+    blocks, positions = [], []
+    for anchored, g0, g1 in ((True, 0, n_anchored), (False, n_anchored, problem.size)):
+        for b0 in range(g0, g1, block_rows):
+            rows = order[b0:min(b0 + block_rows, g1)]
+            c = counts[rows]
+            # rows with more than k entries, for k = 0 .. longest row - 1
+            widths = np.searchsorted(-c, -np.arange(c[0]), side="left").tolist()
+            starts = problem.indptr[rows]
+            positions.extend(starts[:n] + k for k, n in enumerate(widths))
+            blocks.append(_Block(rows=rows, anchored=anchored, widths=widths))
+    entries = np.concatenate(positions) if positions else np.zeros(0, np.int64)
+    del positions
+    return _SweepPlan(blocks=blocks, indices=problem.indices[entries],
+                      data=problem.data[entries])
 
 
 def assemble_problem(embeddings: LabeledMatrix, assoc: AssociationMatrix,
@@ -104,38 +163,38 @@ def retrofit_step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
 
     Computes S·W + A·W0, halves anchored rows, and L2-normalizes nonzero
     rows. Products accumulate in float64 in each row's fixed entry order;
-    the result is cast back to float32 storage. Rows are processed in
-    blocks of at most `_PROD_BYTES` of products (at least one row each);
-    since every row is reduced on its own, the block size never changes
-    a bit of the output.
+    the result is cast back to float32 storage. Rows are swept in blocks
+    of `_PROD_BYTES // (8 * dims)` rows (at least one); since every row is
+    summed on its own, the block size never changes a bit of the output.
     """
     if w.shape != (problem.size, problem.dims):
         raise DimensionMismatch(
             f"state is {w.shape}, problem needs {(problem.size, problem.dims)}")
-    indptr, indices, data = problem.indptr, problem.indices, problem.data
+    block_rows = max(1, _PROD_BYTES // (8 * max(1, problem.dims)))
+    plan = problem.sweep_plan(block_rows)
     out = np.empty((problem.size, problem.dims), dtype=np.float32)
-    budget = max(1, _PROD_BYTES // (8 * max(1, problem.dims)))
-    r0 = 0
-    while r0 < problem.size:
-        # the most rows whose entries fit the budget: at least one row, and
-        # at most `budget` rows so that runs of empty rows stay bounded too
-        r1 = int(np.searchsorted(indptr, indptr[r0] + budget, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + budget)
-        lo, hi = indptr[r0], indptr[r1]
-        block = np.zeros((r1 - r0, problem.dims))
-        # float32 -> float64 is exact, so widening w and w0 block by block
-        # gives the bits of widening them whole
-        if hi > lo:
-            prod = data[lo:hi, None] * w[indices[lo:hi]]
-            starts = indptr[r0:r1]
-            nonempty = starts < indptr[r0 + 1:r1 + 1]
-            block[nonempty] = np.add.reduceat(prod, starts[nonempty] - lo, axis=0)
-        anchored = problem.anchored[r0:r1]
-        block[anchored] += problem.w0[r0:r1][anchored]
-        block[anchored] *= 0.5
-        normalize_rows_inplace(block)
-        out[r0:r1] = block
-        r0 = r1
+    sums = np.empty((min(block_rows, problem.size), problem.dims))
+    prods = np.empty_like(sums)
+    pos = 0
+    for block in plan.blocks:
+        acc = sums[:len(block.rows)]
+        for k, n in enumerate(block.widths):
+            # widen the gathered rows (exact), then multiply in float64
+            prod = prods[:n]
+            prod[...] = w[plan.indices[pos:pos + n]]
+            if k:
+                prod *= plan.data[pos:pos + n, None]
+                acc[:n] += prod
+            else:
+                # assigned, not added to zero: a sum of -0.0 stays -0.0
+                np.multiply(prod, plan.data[pos:pos + n, None], out=acc[:n])
+            pos += n
+        acc[block.widths[0] if block.widths else 0:] = 0.0
+        if block.anchored:
+            acc += problem.w0[block.rows]
+            acc *= 0.5
+        normalize_rows_inplace(acc)
+        out[block.rows] = acc
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from vecfuse.errors import (
     ParseError,
 )
 from vecfuse.evaluation import (
+    EvalReport,
     GoldPair,
     MatrixLookup,
+    _cosine,
+    _pair_cosines,
     average_ranks,
     dev_test_split,
     evaluate,
@@ -25,6 +29,7 @@ from vecfuse.evaluation import (
     spearman,
     write_report,
 )
+from vecfuse.labels import Standardizer
 
 
 def brute_force_spearman(gold, predicted):
@@ -307,3 +312,137 @@ class TestReports:
         table = format_report_table([report])
         assert "toy" in table and "rho" in table
         assert len(report_rows([report])) == 1
+
+
+# The per-pair evaluation and the tie loop that the batched ones replaced,
+# kept as bitwise references.
+
+def reference_evaluate(matrix, dataset, split="all", num_chunks=3, test_chunk=3,
+                       standardizer=None, drop_oov=False, digit_fallback=False,
+                       standardize=True):
+    if split == "all":
+        pairs = list(dataset)
+    elif split == "test":
+        pairs = round_robin_split(dataset, num_chunks, test_chunk)
+    else:
+        pairs, _ = dev_test_split(dataset, num_chunks, test_chunk)
+    lookup = MatrixLookup(matrix, standardizer=standardizer,
+                          digit_fallback=digit_fallback, standardize=standardize)
+    gold, predicted, oov_count = [], [], 0
+    for pair in pairs:
+        v1, found1 = lookup.row_for(pair.word1, pair.language)
+        v2, found2 = lookup.row_for(pair.word2, pair.language)
+        oov = not (found1 and found2)
+        oov_count += oov
+        if drop_oov and oov:
+            continue
+        gold.append(pair.score)
+        predicted.append(_cosine(v1, v2))
+    rho = spearman(gold, predicted)
+    ci_low, ci_high = fisher_ci(rho, len(gold)) \
+        if abs(rho) < 1.0 and len(gold) >= 4 else (rho, rho)
+    return EvalReport(dataset="dataset", split=split, n=len(gold), rho=rho,
+                      ci_low=ci_low, ci_high=ci_high,
+                      oov_fraction=oov_count / len(pairs) if pairs else 0.0)
+
+
+def reference_average_ranks(values):
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def awkward_matrix(rng, rows=60, dims=12):
+    """Rows with a zero row, a -0.0 row, duplicated rows, near-parallel
+    rows and a digit-collapsed label."""
+    data = rng.standard_normal((rows, dims)).astype(np.float32)
+    data[3] = 0.0
+    data[4] = -0.0
+    data[7] = data[8]            # two labels sharing one vector
+    data[9] = -data[10]          # exactly opposite
+    data[11] = data[12] * np.float32(3.0)
+    labels = [f"/c/en/w{i}" for i in range(rows - 1)] + ["/c/en/area_#"]
+    return make_matrix(labels, data)
+
+
+def awkward_pairs(rng, n=300):
+    words = [f"w{i}" for i in range(60)] + ["W7", "w8s", "zyzzyva", "area 51", "the", "--"]
+    pairs = [GoldPair(words[i], words[j], float(rng.integers(0, 6)))
+             for i, j in rng.integers(0, len(words), (n, 2))]
+    pairs += [GoldPair("w7", "w8", 5.0), GoldPair("w3", "w4", 1.0),
+              GoldPair("w3", "w3", 2.0), GoldPair("w9", "w10", 0.5)]
+    return pairs
+
+
+class TestBatchedEvaluateMatchesPerPair:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("drop_oov", [False, True])
+    @pytest.mark.parametrize("digit_fallback", [False, True])
+    @pytest.mark.parametrize("split", ["all", "dev", "test"])
+    def test_reports_equal(self, seed, drop_oov, digit_fallback, split):
+        rng = np.random.default_rng(seed)
+        matrix, pairs = awkward_matrix(rng), awkward_pairs(rng)
+        kwargs = dict(split=split, drop_oov=drop_oov, digit_fallback=digit_fallback,
+                      standardizer=Standardizer())
+        assert evaluate(matrix, pairs, **kwargs) == reference_evaluate(matrix, pairs, **kwargs)
+
+    @pytest.mark.parametrize("drop_oov", [False, True])
+    def test_reports_equal_without_standardizing(self, drop_oov):
+        rng = np.random.default_rng(7)
+        matrix = make_matrix(["Cat", "cat", "dog", "Dog", "fish"],
+                             rng.standard_normal((5, 4)).astype(np.float32))
+        words = ["Cat", "cat", "dog", "Dog", "fish", "FISH", "bird"]
+        pairs = [GoldPair(words[i], words[j], float(k))
+                 for k, (i, j) in enumerate(rng.integers(0, len(words), (40, 2)))]
+        assert evaluate(matrix, pairs, standardize=False, drop_oov=drop_oov) == \
+            reference_evaluate(matrix, pairs, standardize=False, drop_oov=drop_oov)
+
+    def test_pair_cosines_bitwise(self):
+        rng = np.random.default_rng(11)
+        matrix = awkward_matrix(rng, rows=400, dims=100)
+        ends = rng.integers(-1, len(matrix), (4000, 2))
+        ends[:50, 1] = ends[:50, 0]
+        zero = np.zeros(matrix.dims)
+
+        def vec(row):
+            return zero if row < 0 else matrix.data[row].astype(np.float64)
+        want = np.array([_cosine(vec(a), vec(b)) for a, b in ends.tolist()])
+        assert _pair_cosines(matrix, ends).tobytes() == want.tobytes()
+
+    def test_average_ranks_bitwise(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 17, 200):
+            values = rng.integers(0, 6, n).astype(np.float64)
+            values[values == 2] = -0.0
+            values[values == 3] = 0.0
+            values[values == 4] = np.nan
+            for v in (values, rng.standard_normal(n)):
+                assert average_ranks(v).tobytes() == reference_average_ranks(v).tobytes()
+
+    def test_never_widens_the_whole_matrix(self):
+        rng = np.random.default_rng(5)
+        rows, dims = 20000, 100
+        matrix = make_matrix([f"/c/en/w{i}" for i in range(rows)],
+                             rng.standard_normal((rows, dims)).astype(np.float32))
+        pairs = [GoldPair(f"w{i}", f"w{j}", float(k))
+                 for k, (i, j) in enumerate(rng.integers(0, rows, (2000, 2)))]
+        standardizer = Standardizer()
+        evaluate(matrix, pairs, standardizer=standardizer)  # memoise the labels
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evaluate(matrix, pairs, standardizer=standardizer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the whole matrix alone is 8 * rows * dims = 16 MB
+        assert peak < 8 * rows * dims // 2

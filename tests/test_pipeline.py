@@ -9,9 +9,9 @@ from conftest import bits_equal
 from vecfuse import cli, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.interpolate import svd_factors
-from vecfuse.labels import Standardizer
+from vecfuse.labels import Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
-from vecfuse.pipeline import run_pipeline, token_vocabulary
+from vecfuse.pipeline import LabelTokens, run_pipeline, token_vocabulary
 from vecfuse.rowmerge import build_merge_plan, l1_normalize_columns, merge_standardized
 
 ALPHA_TEXT = """\
@@ -320,6 +320,103 @@ class TestSlashInLabelText:
         edges = pipeline.load_graphs(config, matrix, cache)
         assert [(a.start, a.end) for a in edges] == [
             ("/c/en/ac/dc", "/c/en/cat"), ("/c/en/ac/dc", "/c/en/dog")]
+
+
+def text_vocabulary(labels):
+    """token_vocabulary of the texts of standardized labels, from scratch."""
+    return token_vocabulary(split_uri(label)[1] for label in labels)
+
+
+class TestLabelsTokenizedOnce:
+    """The graph and evaluate stages of one run share a token vocabulary:
+    each output label is tokenized once, the evaluate stage checks lemmas
+    against the tokens of exactly the output labels, and the output bytes
+    are those of tokenizing from scratch in every stage."""
+
+    RAW_LABELS = 8 + 6  # lines of alpha.txt and beta.txt, tokenized by merge
+
+    def run(self, monkeypatch, config, cache_dir=None, from_scratch=False):
+        texts, vocabs = [], []
+        tokenize = pipeline.tokenize
+
+        def counting(text):
+            texts.append(text)
+            return tokenize(text)
+
+        class Recording(Standardizer):
+            def __init__(self, *args, vocab=None, **kwargs):
+                vocabs.append(vocab)
+                super().__init__(*args, vocab=vocab, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "tokenize", counting)
+            m.setattr(pipeline, "Standardizer", Recording)
+            if from_scratch:
+                m.setattr(LabelTokens, "__call__",
+                          lambda self, labels: frozenset(text_vocabulary(labels)))
+            result = run_pipeline(config, cache_dir=cache_dir, verbose=False)
+        return result, len(texts), vocabs
+
+    def output_bytes(self, result):
+        return [Path(result[key]).read_bytes()
+                for key in ("matrix_path", "labels_path", "report_path")]
+
+    @pytest.mark.parametrize("graphs", [None, []], ids=["graph", "no_graph"])
+    def test_each_output_label_tokenized_once(self, workspace, monkeypatch, graphs):
+        overrides = {} if graphs is None else {"graphs": graphs}
+        want, _, _ = self.run(monkeypatch, toy_config(workspace, out="scratch", **overrides),
+                              from_scratch=True)
+        got, calls, vocabs = self.run(monkeypatch,
+                                      toy_config(workspace, out="once", **overrides))
+        labels = got["matrix"].labels
+        assert calls == self.RAW_LABELS + len(labels)
+        assert vocabs[-1] == text_vocabulary(labels)
+        assert self.output_bytes(got) == self.output_bytes(want)
+
+    def test_warm_cache_tokenizes_output_labels_once(self, workspace, monkeypatch):
+        cache_dir = str(workspace / "cache")
+        want, _, _ = self.run(monkeypatch, toy_config(workspace, out="warm"),
+                              cache_dir=cache_dir)
+        # every stage, the graph stage included, is read from the cache
+        got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="cached"),
+                                      cache_dir=cache_dir)
+        labels = got["matrix"].labels
+        assert calls == len(labels)
+        assert vocabs[-1] == text_vocabulary(labels)
+        assert self.output_bytes(got) == self.output_bytes(want)
+
+    def test_evaluate_subcommand_matches_pipeline_report(self, workspace, monkeypatch):
+        result, _, _ = self.run(monkeypatch, toy_config(workspace))
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps({
+            "schema_version": 1,
+            "embeddings": [{"id": "alpha", "path": str(workspace / "alpha.txt"),
+                            "format": "glove_text"},
+                           {"id": "beta", "path": str(workspace / "beta.txt"),
+                            "format": "word2vec_text"}],
+            "evaluations": [{"id": "toy_gold", "path": str(workspace / "gold.txt"),
+                             "splits": ["all", "test"]}],
+            "output": {"dir": str(workspace / "unused")}}), encoding="utf-8")
+        texts = []
+        tokenize = pipeline.tokenize
+        monkeypatch.setattr(pipeline, "tokenize",
+                            lambda text: texts.append(text) or tokenize(text))
+        assert cli.main(["evaluate", "--config", str(config_path),
+                         "--matrix", result["matrix_path"],
+                         "--labels", result["labels_path"],
+                         "--report", str(workspace / "r.tsv")]) == 0
+        assert len(texts) == len(result["matrix"].labels)
+        assert (workspace / "r.tsv").read_bytes() == Path(result["report_path"]).read_bytes()
+
+    def test_label_tokens_extend_or_restart(self):
+        tokens = LabelTokens()
+        runs = [["/c/en/cat", "/c/en/big_dog"],
+                ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
+                ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
+                ["/c/en/dog", "/c/en/cat"],
+                []]
+        for labels in runs:
+            assert tokens(labels) == text_vocabulary(labels)
 
 
 class TestCli:

@@ -389,15 +389,23 @@ BLOCK_ENTRIES = [1, 7, 10 ** 9]
 
 
 class TestBlockedStepMatchesWholeMatrix:
-    def check(self, problem, w, monkeypatch):
+    def check(self, problem, w, monkeypatch, budgets=BLOCK_ENTRIES):
         want = reference_step(problem, w)
         before = w.copy()
-        for entries in BLOCK_ENTRIES:
+        for entries in budgets:
             monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * problem.dims * entries)
             got = retrofit_step(problem, w)
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes(), entries
             assert got is not w and w.tobytes() == before.tobytes()
+            # the step swept blocks of the patched budget, from a plan built
+            # for that budget
+            assert problem.sweep_plan(entries) is problem._plans[entries]
+            blocks = problem._plans[entries].blocks
+            assert max(len(b.rows) for b in blocks) == min(entries, max(
+                int(problem.anchored.sum()), int((~problem.anchored).sum())))
+            assert sorted(np.concatenate([b.rows for b in blocks])) == \
+                list(range(problem.size))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("self_loops", [True, False])
@@ -423,6 +431,67 @@ class TestBlockedStepMatchesWholeMatrix:
         problem = assemble_problem(emb, build_association(edges))
         problem = dataclasses.replace(problem, anchored=np.zeros(problem.size, dtype=bool))
         self.check(problem, random_state(problem, 3), monkeypatch)
+
+
+    def test_negative_zero_sums_keep_their_sign(self, monkeypatch):
+        # row 0 (graph-only) sums products that are all -0.0; row 1 sums
+        # -0.0 and +0.0, which gives +0.0; rows 2 and 3 hold the state
+        indptr = np.array([0, 2, 4, 5, 6])
+        problem = RetrofitProblem(
+            vocab=list("abcd"), indptr=indptr, indices=np.array([2, 3, 2, 3, 2, 3]),
+            data=np.array([0.5, 2.0, 1.0, -1.0, 1.0, 1.0]),
+            w0=np.zeros((4, 3), dtype=np.float32), anchored=np.zeros(4, dtype=bool))
+        w = np.array([[1, 1, 1], [1, 1, 1], [-0.0, -0.0, 5], [-0.0, -0.0, -5]],
+                     dtype=np.float32)
+        self.check(problem, w, monkeypatch, budgets=[1, 2, 3, 10 ** 9])
+        out = retrofit_step(problem, w)
+        assert np.signbit(out[0, :2]).all() and not np.signbit(out[1, :2]).any()
+
+    def test_hub_longer_than_a_block(self, monkeypatch):
+        size, dims = 40, 5
+        rng = np.random.default_rng(4)
+        counts = np.ones(size, dtype=np.int64)
+        counts[17] = size  # one row joined to every row
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = np.concatenate([np.arange(size) if c == size else [i]
+                                  for i, c in enumerate(counts)])
+        problem = RetrofitProblem(
+            vocab=list(range(size)), indptr=indptr, indices=indices,
+            data=rng.uniform(0.1, 1.0, len(indices)),
+            w0=rng.standard_normal((size, dims)).astype(np.float32),
+            anchored=rng.random(size) < 0.5)
+        self.check(problem, random_state(problem, 4), monkeypatch,
+                   budgets=[1, 2, 7, size - 1, 10 ** 9])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_empty_rows_without_self_loops(self, seed, monkeypatch):
+        edges, emb = random_graph(seed)
+        problem = assemble_problem(emb, build_association(edges, extra_vocab=emb.labels),
+                                   self_loops=False)
+        empty = np.flatnonzero(np.diff(problem.indptr) == 0)
+        assert len(empty) >= 2
+        # empty rows of both kinds: anchored ones keep their seed's
+        # direction, unanchored ones stay zero
+        anchored = problem.anchored.copy()
+        anchored[empty[::2]] = False
+        problem = dataclasses.replace(problem, anchored=anchored)
+        self.check(problem, random_state(problem, seed), monkeypatch,
+                   budgets=[1, 3, 7, 10 ** 9])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_anchored_and_unanchored_across_block_edges(self, seed, monkeypatch):
+        # anchored and unanchored rows interleaved, with equal and unequal
+        # entry counts, against every block size from one row to all rows
+        problem = dense_graph_problem(30, 4, degree=3, seed=seed)
+        counts = np.random.default_rng(seed).integers(0, 6, problem.size)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        problem = dataclasses.replace(
+            problem, indptr=indptr,
+            indices=np.random.default_rng(seed).integers(0, problem.size, indptr[-1]),
+            data=np.random.default_rng(seed).uniform(0.1, 1.0, indptr[-1]),
+            anchored=np.arange(problem.size) % 3 != 0)
+        self.check(problem, random_state(problem, seed), monkeypatch,
+                   budgets=list(range(1, problem.size + 2)))
 
 
 def dense_graph_problem(size, dims, degree, seed):
