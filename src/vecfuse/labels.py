@@ -43,7 +43,19 @@ def split_uri(uri: str) -> tuple:
     return parts[2], parts[3]
 
 
-@dataclass(frozen=True)
+def _check_label_text(text: str) -> None:
+    if not text:
+        raise EmptyAfterNormalization("label text is empty")
+    if text[0] == "_" or text[-1] == "_" or "__" in text:
+        raise ValueError(f"empty token in label text: {text!r}")
+    if _SPACE_RE.search(text):
+        raise ValueError(f"whitespace in label text: {text!r}")
+    if (_ASCII_UPPER_RE.search(text) if text.isascii()
+            else any(ch.isupper() or unicodedata.category(ch) == "Lt" for ch in text)):
+        raise ValueError(f"uppercase in label text: {text!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class StandardLabel:
     """A language-tagged, normalized term identifier."""
 
@@ -52,16 +64,7 @@ class StandardLabel:
 
     def __post_init__(self):
         validate_language(self.language)
-        text = self.text
-        if not text:
-            raise EmptyAfterNormalization("label text is empty")
-        if text[0] == "_" or text[-1] == "_" or "__" in text:
-            raise ValueError(f"empty token in label text: {text!r}")
-        if _SPACE_RE.search(text):
-            raise ValueError(f"whitespace in label text: {text!r}")
-        if (_ASCII_UPPER_RE.search(text) if text.isascii()
-                else any(ch.isupper() or unicodedata.category(ch) == "Lt" for ch in text)):
-            raise ValueError(f"uppercase in label text: {text!r}")
+        _check_label_text(self.text)
 
     @property
     def uri(self) -> str:
@@ -73,6 +76,16 @@ class StandardLabel:
 
     def __str__(self) -> str:
         return self.uri
+
+
+def _label_of_checked_language(language: str, text: str) -> StandardLabel:
+    """`StandardLabel(language, text)` for a language already validated:
+    the text is checked, the language not again."""
+    _check_label_text(text)
+    label = object.__new__(StandardLabel)
+    object.__setattr__(label, "language", language)
+    object.__setattr__(label, "text", text)
+    return label
 
 
 @dataclass(frozen=True)
@@ -266,7 +279,9 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
                 changed = True
         if not changed:
             break
-    return StandardLabel(language=language, text="_".join(tokens))
+    joined = "_".join(tokens)
+    # most raw words are their own label text: keep one copy of the string
+    return _label_of_checked_language(language, text if joined == text else joined)
 
 
 def map_digit_runs(text: str) -> str:
@@ -274,12 +289,33 @@ def map_digit_runs(text: str) -> str:
     return _DIGIT_RUN_RE.sub("#", text)
 
 
-class Standardizer:
-    """Bundles a rule set, stopword list and optional validity vocabulary.
+class _Candidates:
+    """The membership test `lemmatize` applies to a rule's candidate: in
+    `vocab`, or with no vocab at least 2 characters long, as `lemmatize`
+    decides without one. `reached` records that a test ran."""
 
-    The rules, stopwords and vocabulary are fixed for the life of an
-    instance, so each (text, language) result is memoised per instance.
-    Errors are not memoised: a bad input raises on every call.
+    __slots__ = ("vocab", "reached")
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+        self.reached = False
+
+    def __contains__(self, candidate) -> bool:
+        self.reached = True
+        return len(candidate) >= 2 if self.vocab is None else candidate in self.vocab
+
+
+class Standardizer:
+    """Bundles a rule set, stopword list and optional validity vocabulary,
+    and memoises each (text, language) result. Errors are not memoised: a
+    bad input raises on every call.
+
+    A label whose computation never reached lemmatize's vocabulary check
+    (a token ending in a rule suffix, with no exception entry) depends on
+    the rules and stopwords alone. Such results go into a memo shared with
+    every Standardizer made by `with_vocab`, so a pipeline run computes each
+    of them once across its stages; a result that reached the check stays
+    in this instance's own memo, since another vocabulary may change it.
     """
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
@@ -287,15 +323,31 @@ class Standardizer:
         self.rules = rules if rules is not None else default_rules()
         self.stopwords = stopwords if stopwords is not None else default_stopwords()
         self.vocab = vocab
+        self._candidates = _Candidates(vocab)
         self._memo = {}
+        self._shared = {}  # language -> text -> label
+
+    def with_vocab(self, vocab) -> "Standardizer":
+        """A Standardizer with these rules and stopwords, `vocab`, and this
+        one's shared memo."""
+        other = type(self)(self.rules, self.stopwords, vocab=vocab)
+        other._shared = self._shared
+        return other
 
     def standardize(self, text: str, language: str) -> StandardLabel:
-        key = (text, language)
-        label = self._memo.get(key)
+        shared = self._shared.get(language)
+        label = shared.get(text) if shared is not None else None
         if label is None:
+            label = self._memo.get((text, language))
+        if label is None:
+            candidates = self._candidates
+            candidates.reached = False
             label = standardize(text, language, rules=self.rules,
-                                stopwords=self.stopwords, vocab=self.vocab)
-            self._memo[key] = label
+                                stopwords=self.stopwords, vocab=candidates)
+            if candidates.reached:
+                self._memo[text, language] = label
+            else:
+                self._shared.setdefault(language, {})[text] = label
         return label
 
     def uri(self, text: str, language: str) -> str:

@@ -27,6 +27,11 @@ NATIVE_MAGIC = b"EMB1"
 # float32 bytes per block of parsed text rows; the blocks are concatenated
 # once at the end of the file
 _TEXT_BLOCK_BYTES = 1 << 20
+# text lines whose value fields are converted by one numpy call; their
+# field strings are held until then, so a batch is kept small
+_TEXT_BATCH_LINES = 256
+# bytes read at a time while scanning word2vec binary tokens
+_BINARY_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -76,16 +81,27 @@ class LabeledMatrix:
                              data=self.data[indices], source_rank=ranks)
 
 
-def _parse_floats(fields, dims, path, lineno):
+def _check_field_count(fields, dims, path, lineno):
     if not fields:
         raise ParseError("vector line has no values", path=path, line=lineno)
     if len(fields) != dims:
         raise DimensionMismatch(
             f"{path}:{lineno}: expected {dims} values, got {len(fields)}")
+
+
+def _parse_batch(fields, linenos, path) -> np.ndarray:
+    """Float64 values of a batch of equally long field lists, converted by
+    one numpy call (the grammar of `float`). If any field fails, the lines
+    are parsed one by one, so the error names the first bad line."""
     try:
-        return [float(v) for v in fields]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno)
+        return np.array(fields, dtype=np.float64)
+    except ValueError:
+        for line_fields, lineno in zip(fields, linenos):
+            try:
+                [float(v) for v in line_fields]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno)
+        raise  # numpy rejected a field that float accepts: not seen, kept loud
 
 
 def _first_nonfinite_row(data: np.ndarray):
@@ -106,11 +122,14 @@ def read_text_embeddings(path, header: bool = False,
     dimension, and a nan or inf anywhere are each a `ParseError` naming
     its line.
 
-    Each field is parsed as a double and rounded once to float32, in
-    blocks of `_TEXT_BLOCK_BYTES` that are concatenated at the end.
+    Each field is parsed as a double, `_TEXT_BATCH_LINES` lines per numpy
+    call, and rounded once to float32, in blocks of `_TEXT_BLOCK_BYTES`
+    that are concatenated at the end. Every error is raised at the line
+    it would be raised at if each line were parsed as it is read.
     """
     if on_duplicate not in ("error", "first"):
         raise ValueError(f"on_duplicate must be 'error' or 'first': {on_duplicate}")
+    path_str = str(path)
     labels = []
     seen = set()
     blocks = []
@@ -118,6 +137,33 @@ def read_text_embeddings(path, header: bool = False,
     linenos = []
     dims = None
     vector_lines = 0
+    # the unparsed value fields of the batch, the line of each, and which
+    # of them are kept (a skipped duplicate is parsed but not stored)
+    batch, batch_linenos, batch_kept = [], [], []
+
+    def flush():
+        nonlocal block, filled
+        if not batch:
+            return
+        values = _parse_batch(batch, batch_linenos, path_str)
+        if len(batch_kept) != len(batch):
+            values = values[batch_kept]
+        batch.clear()
+        batch_linenos.clear()
+        batch_kept.clear()
+        start = 0
+        while start < len(values):
+            if block is None or filled == len(block):
+                # sized only once a line has proved `dims`
+                block = np.empty((max(1, _TEXT_BLOCK_BYTES // (4 * dims)), dims),
+                                 dtype=np.float32)
+                blocks.append(block)
+                filled = 0
+            n = min(len(values) - start, len(block) - filled)
+            block[filled:filled + n] = values[start:start + n]
+            filled += n
+            start += n
+
     with open(path, encoding="utf-8") as f, np.errstate(over="ignore"):
         # values past float32 range become inf and fail the finite check
         lineno = 0
@@ -126,43 +172,46 @@ def read_text_embeddings(path, header: bool = False,
             lineno += 1
             parts = head.split()
             if len(parts) != 2:
-                raise ParseError(f"bad header {head!r}", path=str(path), line=lineno)
+                raise ParseError(f"bad header {head!r}", path=path_str, line=lineno)
             try:
                 declared_rows, dims = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"bad header {head!r}", path=str(path), line=lineno)
+                raise ParseError(f"bad header {head!r}", path=path_str, line=lineno)
             if dims < 1:
                 raise ParseError(f"header declares {dims} dimensions",
-                                 path=str(path), line=lineno)
+                                 path=path_str, line=lineno)
         for line in f:
             lineno += 1
             line = line.rstrip("\n")
             if not line:
                 continue
             token, _, rest = line.partition(" ")
-            fields = [v for v in rest.split(" ") if v]
+            fields = rest.split(" ")
+            if "" in fields:
+                fields = [v for v in fields if v]
             if dims is None:
                 dims = len(fields)
-            values = _parse_floats(fields, dims, str(path), lineno)
+            if len(fields) != dims or not fields:
+                flush()
+                _check_field_count(fields, dims, path_str, lineno)
             vector_lines += 1
+            batch.append(fields)
+            batch_linenos.append(lineno)
             if token in seen:
-                if on_duplicate == "first":
-                    continue
-                raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
-            seen.add(token)
-            labels.append(token)
-            linenos.append(lineno)
-            if block is None or filled == len(block):
-                # sized only once a line has proved `dims`
-                block = np.empty((max(1, _TEXT_BLOCK_BYTES // (4 * dims)), dims),
-                                 dtype=np.float32)
-                blocks.append(block)
-                filled = 0
-            block[filled] = values
-            filled += 1
+                if on_duplicate == "error":
+                    flush()
+                    raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
+            else:
+                batch_kept.append(len(batch) - 1)
+                seen.add(token)
+                labels.append(token)
+                linenos.append(lineno)
+            if len(batch) >= _TEXT_BATCH_LINES:
+                flush()
+        flush()
     if header and vector_lines != declared_rows:
         raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
-                         path=str(path), line=1)
+                         path=path_str, line=1)
     if blocks:
         blocks[-1] = block[:filled]
         data = np.concatenate(blocks)
@@ -172,7 +221,7 @@ def read_text_embeddings(path, header: bool = False,
     bad = _first_nonfinite_row(data)
     if bad is not None:
         raise ParseError("non-finite value (nan, inf or past float32 range)",
-                         path=str(path), line=linenos[bad])
+                         path=path_str, line=linenos[bad])
     ranks = np.arange(1, len(labels) + 1, dtype=np.int64)
     return LabeledMatrix(labels=labels, data=data, source_rank=ranks)
 
@@ -181,7 +230,8 @@ def read_word2vec_binary(path) -> LabeledMatrix:
     """Read the word2vec binary format (Google News distribution style).
 
     The header's counts are checked against the file size before anything
-    is allocated; a nan or inf is a `ParseError` naming its vector.
+    is allocated; a nan or inf is a `ParseError` naming its vector. Tokens
+    are scanned in chunks of `_BINARY_CHUNK_BYTES`, never the whole file.
     """
     with open(path, "rb") as f:
         header = f.readline()
@@ -202,26 +252,37 @@ def read_word2vec_binary(path) -> LabeledMatrix:
             raise TruncatedFile(f"{path}: header declares {rows} vectors of {dims} "
                                 f"floats, but only {remaining} bytes follow")
         labels = []
-        data = np.empty((rows, dims), dtype=np.float32)
+        data = np.empty((rows, dims), dtype="<f4")
+        out = memoryview(data.reshape(-1).view(np.uint8))
+        # records are scanned in `buf`, read `_BINARY_CHUNK_BYTES` at a time
+        buf, pos = b"", 0
         for i in range(rows):
-            token_bytes = bytearray()
-            while True:
-                ch = f.read(1)
-                if not ch:
-                    raise TruncatedFile(f"{path}: ended inside token {i + 1}")
-                if ch == b"\n" and not token_bytes:
-                    continue  # tolerated separator before the token
-                if ch == b" ":
-                    break
-                token_bytes.extend(ch)
-            payload = f.read(vec_bytes)
-            if len(payload) != vec_bytes:
-                raise TruncatedFile(f"{path}: ended inside vector {i + 1}")
+            end = buf.find(b" ", pos)
+            if end >= 0:
+                token_bytes = buf[pos:end]
+            else:  # the token runs past the buffer: read on to its end
+                pieces = [buf[pos:]]
+                while end < 0:
+                    buf = f.read(_BINARY_CHUNK_BYTES)
+                    if not buf:
+                        raise TruncatedFile(f"{path}: ended inside token {i + 1}")
+                    end = buf.find(b" ")
+                    pieces.append(buf if end < 0 else buf[:end])
+                token_bytes = b"".join(pieces)
+            # newlines before a token are tolerated separators
+            token_bytes = token_bytes.lstrip(b"\n")
+            start = end + 1
+            if start + vec_bytes > len(buf):
+                buf = buf[start:] + f.read(max(_BINARY_CHUNK_BYTES, vec_bytes))
+                start = 0
+                if vec_bytes > len(buf):
+                    raise TruncatedFile(f"{path}: ended inside vector {i + 1}")
+            pos = start + vec_bytes
+            out[i * vec_bytes:(i + 1) * vec_bytes] = buf[start:pos]
             try:
                 labels.append(token_bytes.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ParseError(f"token {i + 1} is not UTF-8: {exc}", path=str(path))
-            data[i] = np.frombuffer(payload, dtype="<f4")
     bad = _first_nonfinite_row(data)
     if bad is not None:
         raise ParseError(f"vector {bad + 1} has a non-finite value", path=str(path))

@@ -7,6 +7,11 @@ This module is the only one that knows that order: `ensemble_matrix`
 builds the output matrix for both `run_pipeline` and the CLI.
 Each stage's output can be cached to disk and a cached stage is skipped
 on the next run; cached and straight-through runs produce identical bits.
+
+A run reads the configured stopword and exception files once and keeps
+one label memo for all its stages (on `StageCache`): merge, graph and
+evaluate standardize a label that no lemma vocabulary decides once per
+run, and build their lemma vocabularies only when a label needs one.
 """
 
 from __future__ import annotations
@@ -41,14 +46,26 @@ def _stage(name):
 
 
 class StageCache:
-    """Optional on-disk cache of intermediate artifacts, plus the token
-    vocabulary of the labels of the run's matrices, held in memory."""
+    """Optional on-disk cache of intermediate artifacts, plus what the
+    stages of a run share in memory: the configured label rules with their
+    memo, and the token vocabulary of the labels of the run's matrices."""
 
     def __init__(self, directory=None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
         self.label_tokens = LabelTokens()
+        self._label_rules = {}
+
+    def label_rules(self, config: PipelineConfig) -> Standardizer:
+        """The Standardizer of the configured rule files, read on first use;
+        each stage's standardizer is made from it and shares its memo.
+        Other rule files get a Standardizer, and a memo, of their own."""
+        files = (config.stopwords_path, config.exceptions_path)
+        rules = self._label_rules.get(files)
+        if rules is None:
+            rules = self._label_rules[files] = rule_standardizer(config)
+        return rules
 
     def _paths(self, name):
         return (os.path.join(self.directory, name + ".emb1"),
@@ -91,11 +108,9 @@ def token_vocabulary(labels) -> set:
     return vocab
 
 
-def build_standardizer(config: PipelineConfig, texts,
-                       vocabulary=token_vocabulary) -> Standardizer:
-    """The configured Standardizer. With `vocab_check` on, lemma candidates
-    are checked against `vocabulary(texts)`, by default the tokens of
-    `texts`."""
+def rule_standardizer(config: PipelineConfig) -> Standardizer:
+    """A Standardizer with the configured stopwords and lemma exceptions,
+    read from their files, and no vocabulary."""
     stopwords = load_stopwords(config.stopwords_path) \
         if config.stopwords_path else None
     if config.exceptions_path:
@@ -103,27 +118,71 @@ def build_standardizer(config: PipelineConfig, texts,
                              exceptions=load_exceptions(config.exceptions_path))
     else:
         rules = default_rules()
-    vocab = vocabulary(texts) if config.vocab_check else None
-    return Standardizer(rules=rules, stopwords=stopwords, vocab=vocab)
+    return Standardizer(rules=rules, stopwords=stopwords)
+
+
+class LazyVocabulary:
+    """The lemma vocabulary `vocabulary(texts)`, built on its first
+    membership test."""
+
+    def __init__(self, vocabulary, texts):
+        self.vocabulary = vocabulary
+        self.texts = texts
+        self.words = None
+
+    def __contains__(self, word) -> bool:
+        if self.words is None:
+            self.words = self.vocabulary(self.texts)
+            self.texts = None
+        return word in self.words
+
+
+def build_standardizer(config: PipelineConfig, texts, vocabulary=token_vocabulary,
+                       cache: StageCache | None = None) -> Standardizer:
+    """The configured Standardizer, sharing the rules and memo of `cache`'s
+    run (read from the config's files when there is no cache). With
+    `vocab_check` on, lemma candidates are checked against
+    `vocabulary(texts)`, by default the tokens of `texts`, which is built
+    when a candidate is first checked."""
+    rules = cache.label_rules(config) if cache is not None else rule_standardizer(config)
+    return rules.with_vocab(LazyVocabulary(vocabulary, texts)
+                            if config.vocab_check else None)
+
+
+def output_standardizer(config: PipelineConfig, labels, cache: StageCache) -> Standardizer:
+    """`build_standardizer` for the graph and evaluate stages, whose lemma
+    vocabulary is that of the standardized `labels`: with `vocab_check` on,
+    they are checked as URIs here and tokenized by `cache.label_tokens`."""
+    if config.vocab_check:
+        cache.label_tokens.check(labels)
+    return build_standardizer(config, labels, cache.label_tokens, cache)
 
 
 class LabelTokens:
     """`token_vocabulary` of the texts of a standardized label list,
     tokenizing each label once per run: the output matrix lists the fused
     matrix's labels first, so a list that starts with the list seen last
-    has only the labels it adds tokenized."""
+    has only the labels it adds tokenized. `check` splits a list's labels
+    as URIs, which raises on a label that is not one, and defers their
+    tokens to the next call."""
 
     def __init__(self):
         self.labels = []
+        self.pending = []  # texts of `labels` whose tokens are not in `vocab` yet
         self.vocab = frozenset()
 
-    def __call__(self, labels) -> frozenset:
+    def check(self, labels) -> None:
         seen = len(self.labels)
         if labels[:seen] != self.labels:
-            seen, self.vocab = 0, frozenset()
-        self.vocab = self.vocab.union(
-            token_vocabulary(split_uri(lab)[1] for lab in labels[seen:]))
+            seen, self.pending, self.vocab = 0, [], frozenset()
+        self.pending += [split_uri(lab)[1] for lab in labels[seen:]]
         self.labels = list(labels)
+
+    def __call__(self, labels) -> frozenset:
+        self.check(labels)
+        if self.pending:
+            self.vocab = self.vocab.union(token_vocabulary(self.pending))
+            self.pending = []
         return self.vocab
 
 
@@ -157,7 +216,7 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
         return cached
     matrix = ingest_source(source, cache)
     if config.standardize_enabled:
-        standardizer = build_standardizer(config, matrix.labels)
+        standardizer = build_standardizer(config, matrix.labels, cache=cache)
         plan, kept = rowmerge.build_merge_plan(matrix, standardizer,
                                                language=source.language)
         if len(kept) != len(matrix):
@@ -210,7 +269,7 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
     cached = cache.load_assertions("graph_filtered")
     if cached is not None:
         return cached
-    standardizer = build_standardizer(config, matrix.labels, cache.label_tokens)
+    standardizer = output_standardizer(config, matrix.labels, cache)
     excluded = set(config.excluded_graph_sources)
     filtered, unfiltered = [], []
     for graph in config.enabled_graphs():
@@ -251,13 +310,13 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
 
 @_stage("evaluate")
 def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
-                    label_tokens=None) -> list:
-    """One EvalReport per configured dataset and split. `label_tokens`,
-    a `LabelTokens`, may hold the tokens of a prefix of the labels."""
+                    cache: StageCache | None = None) -> list:
+    """One EvalReport per configured dataset and split. `cache` holds the
+    run's label rules and memo, and may hold the tokens of a prefix of the
+    labels."""
     digit_fallback = any(s.format.startswith("word2vec")
                          for s in config.enabled_embeddings())
-    standardizer = build_standardizer(config, matrix.labels,
-                                      label_tokens or LabelTokens()) \
+    standardizer = output_standardizer(config, matrix.labels, cache or StageCache()) \
         if config.standardize_enabled else None
     reports = []
     for ds in config.evaluations:
@@ -323,7 +382,7 @@ def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
     reports = []
     report_path = None
     if config.evaluations:
-        reports = evaluate_matrix(config, matrix, cache.label_tokens)
+        reports = evaluate_matrix(config, matrix, cache)
         report_path = os.path.join(config.output_dir, config.output_report)
         evaluation.write_report(reports, report_path)
         if verbose:

@@ -87,17 +87,16 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
             f"plan covers {len(covered)} row references for a {n_rows}-row matrix")
 
     ordered = sorted(plan.groups.items(), key=lambda kv: (kv[1][0][1], kv[0]))
-    out = np.empty((len(ordered), matrix.dims), dtype=np.float32)
-    labels = []
-    ranks = np.empty(len(ordered), dtype=np.int64)
-    for gi, (label, members) in enumerate(ordered):
-        labels.append(label)
-        ranks[gi] = members[0][1]
-        idxs = [m[0] for m in members]
-        if strategy == "first" or len(members) == 1:
-            out[gi] = matrix.data[idxs[0]]
+    labels = [label for label, _members in ordered]
+    ranks = np.array([members[0][1] for _label, members in ordered], dtype=np.int64)
+    # every group's lowest-rank row in one gather: the whole of a one-row
+    # group, and of every group under "first"
+    out = matrix.data[np.array([members[0][0] for _label, members in ordered],
+                               dtype=np.int64)]
+    for gi, (_label, members) in enumerate(ordered):
+        if len(members) == 1 or strategy == "first":
             continue
-        rows = matrix.data[idxs].astype(np.float64)
+        rows = matrix.data[[m[0] for m in members]].astype(np.float64)
         if strategy == "zipf":
             weights = np.array([zipf_weight(r) for _i, r in members])
             merged = (weights[:, None] * rows).sum(axis=0) / weights.sum()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import unicodedata
@@ -287,6 +288,33 @@ class TestStandardizerMemo:
             with pytest.raises(EmptyAfterNormalization):
                 std.standardize("!!!", "en")
         assert calls == [("!!!", "en"), ("!!!", "en")]
+        shared = std.with_vocab(set())
+        for _ in range(2):
+            with pytest.raises(InvalidLanguage):
+                shared.standardize("dog", "EN")
+        assert len(calls) == 4
+
+    def test_results_no_vocabulary_decides_are_shared(self, calls):
+        rules = Standardizer()
+        for vocab in ({"cat"}, set(), None):
+            std = rules.with_vocab(vocab)
+            assert std.uri("Big Dogs", "fr") == "/c/fr/big_dogs"
+            assert std.uri("dog", "en") == "/c/en/dog"
+            assert std.uri("went", "en") == "/c/en/go"  # an exception entry
+        assert calls == [("Big Dogs", "fr"), ("dog", "en"), ("went", "en")]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_vocabulary_boundary(self, calls, order):
+        """`cats` reaches the vocabulary check, so each vocabulary decides
+        its own result, in whichever order the standardizers run."""
+        rules = Standardizer()
+        cases = [({"cat"}, "/c/en/cat"), (set(), "/c/en/cats"), (None, "/c/en/cat")]
+        stds = [rules.with_vocab(vocab) for vocab, _want in cases]
+        for _ in range(2):
+            for i in order:
+                assert stds[i].uri("cats", "en") == cases[i][1]
+                assert stds[i].uri("Cats!", "en") == cases[i][1]
+        assert len(calls) == 6  # two texts per standardizer, each once
 
 
 # Reference versions of the label checks, tokenizer and lemmatizer as they

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import struct
 import tracemalloc
 
@@ -230,6 +231,84 @@ class TestWord2vecBinary:
         assert str(path) in str(err.value)
 
 
+# Token and vector scans at chunk sizes that put every boundary inside a
+# token, on its separator, or inside a vector.
+CHUNKS = [1, 2, 3, 5, 8, 13, 1 << 16]
+
+
+class TestWord2vecBinaryChunks:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_records_straddling_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        tokens = ["a", "longer_token", "naïve", "x" * 40, "tab\there", "ünïcödé"]
+        values = awkward_values(chunk, len(tokens), 3).astype(np.float32)
+        path = tmp_path / "v.bin"
+        blob = w2v_binary_bytes(list(zip(tokens, values.tolist())), 3)
+        path.write_bytes(blob)
+        m = read_word2vec_binary(path)
+        assert m.labels == tokens
+        assert m.data.tobytes() == values.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_newlines_before_a_token_are_separators(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "v.bin"
+        one, two = struct.pack("<f", 1.0), struct.pack("<f", 2.0)
+        # a newline after a token's first byte is part of the token
+        path.write_bytes(b"3 1\n\n\ncat " + one + b"\n\n\ndog " + two + b"a\nb " + one)
+        m = read_word2vec_binary(path)
+        assert m.labels == ["cat", "dog", "a\nb"]
+        assert m.data.tolist() == [[1.0], [2.0], [1.0]]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_truncated_last_vector(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "v.bin"
+        # enough bytes for the header's size check, not for the last vector
+        path.write_bytes(b"2 2\ncat " + struct.pack("<2f", 1.0, 2.0)
+                         + b"\nlongerdog " + struct.pack("<f", 3.0))
+        with pytest.raises(TruncatedFile, match="ended inside vector 2"):
+            read_word2vec_binary(path)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_file_ends_inside_a_token(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"2 1\ncat " + struct.pack("<f", 1.0) + b"no_space_follows")
+        with pytest.raises(TruncatedFile, match="ended inside token 2"):
+            read_word2vec_binary(path)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_token_not_utf8(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"2 1\ncat " + struct.pack("<f", 1.0) + b"\xff\xfe "
+                         + struct.pack("<f", 2.0))
+        with pytest.raises(ParseError, match="token 2 is not UTF-8") as err:
+            read_word2vec_binary(path)
+        assert str(path) in str(err.value)
+
+    def test_peak_memory_is_the_payload_and_a_chunk(self, tmp_path, rng):
+        rows, dims = 20000, 100
+        values = rng.randn(rows, dims).astype(np.float32)
+        path = tmp_path / "big.bin"
+        with open(path, "wb") as f:
+            f.write(f"{rows} {dims}\n".encode("ascii"))
+            for i in range(rows):
+                f.write(f"w{i} ".encode("ascii") + values[i].astype("<f4").tobytes() + b"\n")
+        tracemalloc.start()
+        try:
+            m = read_word2vec_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.data.tobytes() == values.tobytes()
+        # the payload, the labels, their duplicate check and the finite
+        # check's booleans (1.5x here), plus the buffer; reading the whole
+        # file as well would be 2.5x
+        assert peak < 1.6 * m.data.nbytes + 4 * matrixio._BINARY_CHUNK_BYTES
+
+
 class TestNativeFormat:
     def test_round_trip(self, tmp_path):
         m = make_matrix(["/c/en/a", "/c/en/b", "/c/fr/c"],
@@ -331,11 +410,13 @@ class TestNativeFormat:
 
 
 # The list-of-lists text reader that the float32-block reader replaced,
-# kept as a bitwise reference.
+# kept as a bitwise reference. It parses each line as it is read, and
+# raises each error at the line the readers have always named.
 
 def reference_read_text(path, header=False, on_duplicate="error"):
     labels, seen, rows, linenos = [], set(), [], []
     dims = None
+    vector_lines = 0
     with open(path, encoding="utf-8") as f:
         lineno = 0
         if header:
@@ -350,15 +431,27 @@ def reference_read_text(path, header=False, on_duplicate="error"):
             fields = [v for v in rest.split(" ") if v]
             if dims is None:
                 dims = len(fields)
-            assert len(fields) == dims
-            values = [float(v) for v in fields]
+            if not fields:
+                raise ParseError("vector line has no values", path=str(path), line=lineno)
+            if len(fields) != dims:
+                raise DimensionMismatch(
+                    f"{path}:{lineno}: expected {dims} values, got {len(fields)}")
+            try:
+                values = [float(v) for v in fields]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", path=str(path), line=lineno)
+            vector_lines += 1
             if token in seen:
-                assert on_duplicate == "first"
+                if on_duplicate == "error":
+                    raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
                 continue
             seen.add(token)
             labels.append(token)
             rows.append(values)
             linenos.append(lineno)
+    if header and vector_lines != declared_rows:
+        raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
+                         path=str(path), line=1)
     with np.errstate(over="ignore"):
         data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
     finite = np.isfinite(data).all(axis=1)
@@ -379,13 +472,18 @@ def write_vectors(path, labels, values, head=None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@pytest.mark.filterwarnings("error")
 class TestBlockReaderMatchesListReader:
     def check(self, path, monkeypatch, **kwargs):
         labels, data, bad = reference_read_text(path, **kwargs)
         dims = data.shape[1]
-        # one row per block, three rows per block, the default block
-        for block in (4 * dims, 12 * dims, matrixio._TEXT_BLOCK_BYTES):
+        # one row per block, three rows per block, the default block; one,
+        # two and three lines per conversion batch, the default batch
+        for block, batch in itertools.product(
+                (4 * dims, 12 * dims, matrixio._TEXT_BLOCK_BYTES),
+                (1, 2, 3, matrixio._TEXT_BATCH_LINES)):
             monkeypatch.setattr(matrixio, "_TEXT_BLOCK_BYTES", block)
+            monkeypatch.setattr(matrixio, "_TEXT_BATCH_LINES", batch)
             if bad is not None:
                 with pytest.raises(ParseError) as err:
                     read_text_embeddings(path, **kwargs)
@@ -428,6 +526,117 @@ class TestBlockReaderMatchesListReader:
         values[6, 1] = 1e39
         write_vectors(path, [f"w{i}" for i in range(9)], values)
         self.check(path, monkeypatch)
+
+    def test_float_grammar(self, tmp_path, monkeypatch):
+        # underscores between digits, signs, padding and non-ASCII digits
+        # parse as `float` parses them
+        path = tmp_path / "v.txt"
+        path.write_text("a 1_0 +1.5 -2\nb .5 5. 1e-50\nc \u0661\u0662 \t1 1e1_0\n",
+                        encoding="utf-8")
+        self.check(path, monkeypatch)
+        assert read_text_embeddings(path).data[0].tolist() == [10.0, 1.5, -2.0]
+
+
+def outcome(read, path, **kwargs):
+    """What a reader returns, or the type, message and line of its error."""
+    try:
+        m = read(path, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(m, tuple):  # reference_read_text
+        labels, data, bad = m
+        if bad is not None:
+            return ParseError, bad
+        return labels, data.tobytes()
+    return m.labels, m.data.tobytes()
+
+
+def numbered_lines(rows, dims, seed=0):
+    values = np.random.default_rng(seed).standard_normal((rows, dims)).astype(np.float32)
+    return [f"w{i} " + " ".join(repr(float(v)) for v in row) for i, row in enumerate(values)]
+
+
+class TestBatchErrorsNameTheirLine:
+    """Whatever the batch size, each error is the one a reader that parses
+    every line as it reads it raises, at the same line."""
+
+    @pytest.fixture(params=[1, 2, 3, 4, 256])
+    def batch(self, request, monkeypatch):
+        monkeypatch.setattr(matrixio, "_TEXT_BATCH_LINES", request.param)
+        return request.param
+
+    def check(self, tmp_path, lines, **kwargs):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = outcome(read_text_embeddings, path, **kwargs)
+        want = outcome(reference_read_text, path, **kwargs)
+        if want[0] is ParseError and len(want) == 2:  # a non-finite row
+            assert got[0] is ParseError and got[2] == want[1]
+        else:
+            assert got == want
+        return got
+
+    def edited(self, edits, rows=12):
+        lines = numbered_lines(rows, 3)
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        return lines
+
+    def test_bad_field_in_the_middle_of_a_batch(self, tmp_path, batch):
+        got = self.check(tmp_path, self.edited({6: "w5 0.1 oops 0.3"}))
+        assert got[0] is ParseError and got[2] == 6
+
+    def test_nan_in_the_first_line_of_a_batch(self, tmp_path, batch):
+        got = self.check(tmp_path, self.edited({5: "w4 nan 0.2 0.3"}))
+        assert got[0] is ParseError and got[2] == 5
+
+    def test_tab_inside_a_field_is_one_bad_field(self, tmp_path, batch):
+        got = self.check(tmp_path, self.edited({7: "w6 0.1 1\t2 0.3"}))
+        assert got[0] is ParseError and got[2] == 7
+
+    def test_past_float32_range(self, tmp_path, batch):
+        got = self.check(tmp_path, self.edited({3: "w2 1e39 0.2 0.3"}))
+        assert got[0] is ParseError and got[2] == 3
+
+    @pytest.mark.parametrize("edits", [
+        {6: "w5 0.1 0.2", 7: "w6 0.1 oops 0.3"},      # short line, then a bad field
+        {6: "w5 0.1 oops 0.3", 7: "w6 0.1 0.2"},      # bad field, then a short line
+        {6: "w5 0.1 oops 0.3", 7: "w6"},              # bad field, then no values
+        {4: "w3 0.1 oops 0.3", 6: "w0 1 2 3"},        # bad field, then a duplicate
+        {6: "w0 1 oops 3"},                           # a duplicate with a bad field
+        {6: "w0 1 2 3", 9: "w8 0.1 oops 0.3"},        # a duplicate, then a bad field
+        {2: "w1 nan 0 0", 9: "w8 0.1 oops 0.3"},      # non-finite, then a bad field
+        {2: "w1 nan 0 0", 9: "w8 0.1 0.2"},           # non-finite, then a short line
+    ])
+    @pytest.mark.parametrize("on_duplicate", ["error", "first"])
+    def test_first_error_in_line_order(self, tmp_path, batch, edits, on_duplicate):
+        self.check(tmp_path, self.edited(edits), on_duplicate=on_duplicate)
+
+    def test_skipped_duplicates_keep_their_parse_check_only(self, tmp_path, batch):
+        # a skipped duplicate's fields are parsed, but its values are not kept
+        lines = self.edited({6: "w0 nan inf 1e39"})
+        assert self.check(tmp_path, lines, on_duplicate="first")[0][:2] == ["w0", "w1"]
+        lines = self.edited({6: "w0 1 x 3"})
+        got = self.check(tmp_path, lines, on_duplicate="first")
+        assert got[0] is ParseError and got[2] == 6
+
+    def test_skipped_duplicates_count_toward_the_batch(self, tmp_path, batch, monkeypatch):
+        sizes = []
+        parse = matrixio._parse_batch
+
+        def recording(fields, linenos, path):
+            sizes.append(len(fields))
+            return parse(fields, linenos, path)
+
+        monkeypatch.setattr(matrixio, "_parse_batch", recording)
+        lines = numbered_lines(1, 3) * 20
+        assert self.check(tmp_path, lines, on_duplicate="first")[0] == ["w0"]
+        assert sum(sizes) == 20 and max(sizes) <= batch
+
+    def test_header_count_checked_after_every_line(self, tmp_path, batch):
+        self.check(tmp_path, ["13 3"] + self.edited({}), header=True)
+        got = self.check(tmp_path, ["13 3"] + self.edited({8: "w7 1 x 3"}), header=True)
+        assert got[0] is ParseError and got[2] == 9
 
 
 def test_reader_peak_memory_is_a_small_multiple_of_the_payload(tmp_path, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal
-from vecfuse import cli, matrixio, pipeline, rowmerge
+from vecfuse import cli, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.interpolate import svd_factors
 from vecfuse.labels import Standardizer, split_uri
@@ -327,13 +327,46 @@ def text_vocabulary(labels):
     return token_vocabulary(split_uri(label)[1] for label in labels)
 
 
+# Inflected words: merge folds `walked` into the `walk` row, the beta
+# source (which has no `run`) keeps `runs` as its own row, and the graph
+# and evaluate stages, whose vocabularies hold `run`, fold `runs` into it.
+SUFFIXED = {"alpha.txt": "walk 0.1 0.2 0.3\nwalked 0.2 0.1 0.4\n",
+            "beta.txt": "runs 0.3 0.6\n",
+            "edges.tsv": "/c/en/runs\t/c/en/fish\t1.0\tomcs\n"
+                         "/c/en/cats\t/c/en/dog\t1.0\tomcs\n"
+                         "/c/en/walked\t/c/en/run\t1.0\tomcs\n",
+            "gold.txt": "cats fish 3.5\nwalked run 2.5\nruns dog 1.5\n"}
+
+
+def add_suffixed_words(workspace):
+    for name, extra in SUFFIXED.items():
+        text = (workspace / name).read_text(encoding="utf-8") + extra
+        if name == "beta.txt":
+            text = text.replace("6 2\n", "7 2\n", 1)
+        (workspace / name).write_text(text, encoding="utf-8")
+
+
+def per_stage_labels(m):
+    """As before labels were standardized once per run: each stage reads
+    the rule files, starts its own memo and builds its lemma vocabulary up
+    front, tokenizing every label from scratch."""
+    m.setattr(pipeline.StageCache, "label_rules",
+              lambda self, config: pipeline.rule_standardizer(config))
+    m.setattr(pipeline, "LazyVocabulary",
+              lambda vocabulary, texts: frozenset(vocabulary(texts)))
+    m.setattr(LabelTokens, "__call__",
+              lambda self, labels: frozenset(text_vocabulary(labels)))
+
+
 class TestLabelsTokenizedOnce:
-    """The graph and evaluate stages of one run share a token vocabulary:
-    each output label is tokenized once, the evaluate stage checks lemmas
-    against the tokens of exactly the output labels, and the output bytes
-    are those of tokenizing from scratch in every stage."""
+    """The graph and evaluate stages of one run share a token vocabulary,
+    built only when a label reaches a lemma rule: each label is tokenized
+    at most once, a vocabulary, when built, holds the tokens of exactly
+    the labels of its stage, and the output bytes are those of tokenizing
+    from scratch in every stage."""
 
     RAW_LABELS = 8 + 6  # lines of alpha.txt and beta.txt, tokenized by merge
+    RAW_SUFFIXED = RAW_LABELS + 3
 
     def run(self, monkeypatch, config, cache_dir=None, from_scratch=False):
         texts, vocabs = [], []
@@ -345,15 +378,15 @@ class TestLabelsTokenizedOnce:
 
         class Recording(Standardizer):
             def __init__(self, *args, vocab=None, **kwargs):
-                vocabs.append(vocab)
+                if vocab is not None:
+                    vocabs.append(vocab)
                 super().__init__(*args, vocab=vocab, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(pipeline, "tokenize", counting)
             m.setattr(pipeline, "Standardizer", Recording)
             if from_scratch:
-                m.setattr(LabelTokens, "__call__",
-                          lambda self, labels: frozenset(text_vocabulary(labels)))
+                per_stage_labels(m)
             result = run_pipeline(config, cache_dir=cache_dir, verbose=False)
         return result, len(texts), vocabs
 
@@ -361,19 +394,40 @@ class TestLabelsTokenizedOnce:
         return [Path(result[key]).read_bytes()
                 for key in ("matrix_path", "labels_path", "report_path")]
 
-    @pytest.mark.parametrize("graphs", [None, []], ids=["graph", "no_graph"])
-    def test_each_output_label_tokenized_once(self, workspace, monkeypatch, graphs):
+    @pytest.mark.parametrize("graphs, suffixed", [
+        (None, False), ([], False), (None, True), ([], True)],
+        ids=["graph", "no_graph", "graph_suffixed", "no_graph_suffixed"])
+    def test_each_output_label_tokenized_once(self, workspace, monkeypatch, graphs,
+                                              suffixed):
+        if suffixed:
+            add_suffixed_words(workspace)
         overrides = {} if graphs is None else {"graphs": graphs}
         want, _, _ = self.run(monkeypatch, toy_config(workspace, out="scratch", **overrides),
                               from_scratch=True)
         got, calls, vocabs = self.run(monkeypatch,
                                       toy_config(workspace, out="once", **overrides))
         labels = got["matrix"].labels
-        assert calls == self.RAW_LABELS + len(labels)
-        assert vocabs[-1] == text_vocabulary(labels)
+        built = [v.words for v in vocabs if v.words is not None]
+        if suffixed:
+            # every stage's vocabulary is needed, and each label tokenized once
+            assert len(built) == len(vocabs) == 3 + (graphs is None)
+            assert calls == self.RAW_SUFFIXED + len(labels)
+        else:
+            # no word reaches a lemma rule (`running` has an exception entry)
+            assert built == [] and calls == 0
+        if vocabs[-1].words is not None:
+            assert vocabs[-1].words == text_vocabulary(labels)
         assert self.output_bytes(got) == self.output_bytes(want)
 
     def test_warm_cache_tokenizes_output_labels_once(self, workspace, monkeypatch):
+        self.check_warm_cache(workspace, monkeypatch, suffixed=False)
+
+    def test_warm_cache_tokenizes_suffixed_output_labels_once(self, workspace, monkeypatch):
+        self.check_warm_cache(workspace, monkeypatch, suffixed=True)
+
+    def check_warm_cache(self, workspace, monkeypatch, suffixed):
+        if suffixed:
+            add_suffixed_words(workspace)
         cache_dir = str(workspace / "cache")
         want, _, _ = self.run(monkeypatch, toy_config(workspace, out="warm"),
                               cache_dir=cache_dir)
@@ -381,11 +435,24 @@ class TestLabelsTokenizedOnce:
         got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="cached"),
                                       cache_dir=cache_dir)
         labels = got["matrix"].labels
-        assert calls == len(labels)
-        assert vocabs[-1] == text_vocabulary(labels)
+        assert len(vocabs) == 1
+        if suffixed:
+            assert calls == len(labels)
+            assert vocabs[0].words == text_vocabulary(labels)
+        else:
+            assert calls == 0 and vocabs[0].words is None
         assert self.output_bytes(got) == self.output_bytes(want)
 
     def test_evaluate_subcommand_matches_pipeline_report(self, workspace, monkeypatch):
+        self.check_evaluate_subcommand(workspace, monkeypatch, suffixed=False)
+
+    def test_evaluate_subcommand_matches_pipeline_report_suffixed(self, workspace,
+                                                                  monkeypatch):
+        self.check_evaluate_subcommand(workspace, monkeypatch, suffixed=True)
+
+    def check_evaluate_subcommand(self, workspace, monkeypatch, suffixed):
+        if suffixed:
+            add_suffixed_words(workspace)
         result, _, _ = self.run(monkeypatch, toy_config(workspace))
         config_path = workspace / "config.json"
         config_path.write_text(json.dumps({
@@ -405,8 +472,27 @@ class TestLabelsTokenizedOnce:
                          "--matrix", result["matrix_path"],
                          "--labels", result["labels_path"],
                          "--report", str(workspace / "r.tsv")]) == 0
-        assert len(texts) == len(result["matrix"].labels)
+        assert len(texts) == (len(result["matrix"].labels) if suffixed else 0)
         assert (workspace / "r.tsv").read_bytes() == Path(result["report_path"]).read_bytes()
+
+    def test_evaluate_subcommand_rejects_labels_that_are_not_uris(self, workspace, capsys):
+        """The labels are checked when the lemma vocabulary is set up, not
+        when a gold word first needs it (no gold word here does)."""
+        matrixio.write_native(
+            matrixio.LabeledMatrix(["cat", "dog", "fish", "stone"],
+                                   np.eye(4, dtype=np.float32)),
+            str(workspace / "m.emb1"), str(workspace / "m.labels"))
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps({
+            "schema_version": 1,
+            "embeddings": [{"id": "alpha", "path": str(workspace / "alpha.txt"),
+                            "format": "glove_text"}],
+            "evaluations": [{"id": "toy_gold", "path": str(workspace / "gold.txt")}],
+            "output": {"dir": str(workspace / "unused")}}), encoding="utf-8")
+        assert cli.main(["evaluate", "--config", str(config_path),
+                         "--matrix", str(workspace / "m.emb1"),
+                         "--labels", str(workspace / "m.labels")]) == 2
+        assert "not a /c/<language>/<text> uri: 'cat'" in capsys.readouterr().err
 
     def test_label_tokens_extend_or_restart(self):
         tokens = LabelTokens()
@@ -417,6 +503,70 @@ class TestLabelsTokenizedOnce:
                 []]
         for labels in runs:
             assert tokens(labels) == text_vocabulary(labels)
+
+
+class TestRunWideLabelMemo:
+    """One run reads its rule files once and shares one label memo across
+    merge, graph and evaluate; its output bytes are those of reading the
+    files, keeping a memo and building a vocabulary per stage."""
+
+    def run_both(self, monkeypatch, config_of):
+        with monkeypatch.context() as m:
+            per_stage_labels(m)
+            want = run_pipeline(config_of("per_stage"), verbose=False)
+        got = run_pipeline(config_of("run_wide"), verbose=False)
+        for key in ("matrix_path", "labels_path", "report_path"):
+            assert Path(got[key]).read_bytes() == Path(want[key]).read_bytes()
+        return got
+
+    def test_vocabulary_boundary_in_a_run(self, workspace, monkeypatch):
+        add_suffixed_words(workspace)
+        config = toy_config(workspace)
+        assert config.vocab_check
+        got = self.run_both(monkeypatch, lambda out: toy_config(workspace, out=out))
+        labels = got["matrix"].labels
+        # beta's vocabulary has no `run`, so merge keeps its `runs` row;
+        # the graph stage's has, so the `runs` edge lands on the `run` row
+        assert "/c/en/runs" in labels and "/c/en/walked" not in labels
+        cache = pipeline.StageCache()
+        edges = pipeline.load_graphs(config, pipeline.fuse_sources(config, cache), cache)
+        assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edges]
+
+    def test_memo_scoped_to_its_rule_files(self, workspace):
+        (workspace / "stop.txt").write_text("big\n", encoding="utf-8")
+        plain = toy_config(workspace)
+        custom = toy_config(workspace, standardize={"stopwords": str(workspace / "stop.txt")})
+        cache = pipeline.StageCache()
+        rules = cache.label_rules(plain)
+        assert cache.label_rules(plain) is rules
+        assert cache.label_rules(custom) is not rules
+        assert cache.label_rules(custom).uri("big dog", "en") == "/c/en/dog"
+        assert rules.uri("big dog", "en") == "/c/en/big_dog"
+        assert pipeline.StageCache().label_rules(plain) is not rules
+
+    def test_rule_files_read_once_per_run(self, workspace, monkeypatch):
+        (workspace / "alpha.txt").write_text(ALPHA_TEXT + "big_dog 0.1 0.2 0.3\n",
+                                             encoding="utf-8")
+        stop, exc = workspace / "stop.txt", workspace / "exc.txt"
+        stop.write_text("big\n", encoding="utf-8")
+        exc.write_text("stones\tstone\n", encoding="utf-8")
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(labels, "open", counting_open, raising=False)
+
+        def config(out):
+            return toy_config(workspace, out=out, standardize={
+                "stopwords": str(stop), "exceptions": str(exc)})
+
+        got = self.run_both(monkeypatch, config)
+        # merge twice, graph and evaluate: each per-stage run read both 4 times
+        assert opened.count(str(stop)) == opened.count(str(exc)) == 5
+        assert "/c/en/big_dog" not in got["matrix"].labels
 
 
 class TestCli:
