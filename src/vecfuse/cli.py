@@ -92,8 +92,8 @@ def run(args) -> int:
                                          cache)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "graph":
-        _, assertions = pipeline.fuse_and_load_graphs(config, cache)
-        kgraph.write_assertions(args.out, assertions)
+        matrix = pipeline.fuse_sources(config, cache)
+        kgraph.write_assertions(args.out, pipeline.load_graphs(config, matrix, cache))
     elif args.command == "fuse":
         matrix = pipeline.fuse_sources(config, cache,
                                        singular_values_path=args.singular_values)
@@ -104,7 +104,7 @@ def run(args) -> int:
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "evaluate":
         matrix = matrixio.read_native(args.matrix, args.labels)
-        reports = pipeline.evaluate_matrix(config, matrix)
+        reports = pipeline.evaluate_matrix(config, matrix, cache)
         print(evaluation.format_report_table(reports))
         if args.report:
             evaluation.write_report(reports, args.report)

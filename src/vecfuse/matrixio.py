@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ChecksumOrLengthMismatch,
+    DataError,
     DimensionMismatch,
     DuplicateLabel,
     ParseError,
@@ -24,9 +25,6 @@ from .errors import (
 
 NATIVE_MAGIC = b"EMB1"
 
-# float32 bytes per block of parsed text rows; the blocks are concatenated
-# once at the end of the file
-_TEXT_BLOCK_BYTES = 1 << 20
 # text lines whose value fields are converted by one numpy call; their
 # field strings are held until then, so a batch is kept small
 _TEXT_BATCH_LINES = 256
@@ -123,17 +121,16 @@ def read_text_embeddings(path, header: bool = False,
     its line.
 
     Each field is parsed as a double, `_TEXT_BATCH_LINES` lines per numpy
-    call, and rounded once to float32, in blocks of `_TEXT_BLOCK_BYTES`
-    that are concatenated at the end. Every error is raised at the line
-    it would be raised at if each line were parsed as it is read.
+    call, and rounded once to float32; the float32 batches are
+    concatenated once at the end. Every error is raised at the line it
+    would be raised at if each line were parsed as it is read.
     """
     if on_duplicate not in ("error", "first"):
         raise ValueError(f"on_duplicate must be 'error' or 'first': {on_duplicate}")
     path_str = str(path)
     labels = []
     seen = set()
-    blocks = []
-    block, filled = None, 0
+    batches = []  # float32 rows of each parsed batch
     linenos = []
     dims = None
     vector_lines = 0
@@ -142,27 +139,15 @@ def read_text_embeddings(path, header: bool = False,
     batch, batch_linenos, batch_kept = [], [], []
 
     def flush():
-        nonlocal block, filled
         if not batch:
             return
         values = _parse_batch(batch, batch_linenos, path_str)
         if len(batch_kept) != len(batch):
             values = values[batch_kept]
+        batches.append(values.astype(np.float32))
         batch.clear()
         batch_linenos.clear()
         batch_kept.clear()
-        start = 0
-        while start < len(values):
-            if block is None or filled == len(block):
-                # sized only once a line has proved `dims`
-                block = np.empty((max(1, _TEXT_BLOCK_BYTES // (4 * dims)), dims),
-                                 dtype=np.float32)
-                blocks.append(block)
-                filled = 0
-            n = min(len(values) - start, len(block) - filled)
-            block[filled:filled + n] = values[start:start + n]
-            filled += n
-            start += n
 
     with open(path, encoding="utf-8") as f, np.errstate(over="ignore"):
         # values past float32 range become inf and fail the finite check
@@ -212,10 +197,9 @@ def read_text_embeddings(path, header: bool = False,
     if header and vector_lines != declared_rows:
         raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
                          path=path_str, line=1)
-    if blocks:
-        blocks[-1] = block[:filled]
-        data = np.concatenate(blocks)
-        del blocks, block  # freed before the finite check allocates
+    if batches:
+        data = np.concatenate(batches)
+        del batches  # freed before the finite check allocates
     else:
         data = np.zeros((0, dims or 0), dtype=np.float32)
     bad = _first_nonfinite_row(data)
@@ -293,15 +277,22 @@ def read_word2vec_binary(path) -> LabeledMatrix:
 
 
 def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
-    """Write the native artifact: EMB1 binary matrix + labels text file."""
+    """Write the native artifact: EMB1 binary matrix + labels text file.
+    A label holding a line break could not be read back, and is a
+    `DataError` naming its row, raised before either file is written."""
     rows, dims = matrix.data.shape
+    text = "".join([label + "\n" for label in matrix.labels])
+    if "\r" in text or text.count("\n") != rows:
+        bad = next(i for i, label in enumerate(matrix.labels)
+                   if "\n" in label or "\r" in label)
+        raise DataError(f"{labels_path}: label of row {bad + 1} holds a line "
+                        f"break: {matrix.labels[bad]!r}")
     with open(matrix_path, "wb") as f:
         f.write(NATIVE_MAGIC)
         f.write(struct.pack("<II", rows, dims))
         f.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
     with open(labels_path, "w", encoding="utf-8", newline="\n") as f:
-        for label in matrix.labels:
-            f.write(label + "\n")
+        f.write(text)
 
 
 def read_native(matrix_path, labels_path) -> LabeledMatrix:

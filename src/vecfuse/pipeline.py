@@ -11,7 +11,9 @@ on the next run; cached and straight-through runs produce identical bits.
 A run reads the configured stopword and exception files once and keeps
 one label memo for all its stages (on `StageCache`): merge, graph and
 evaluate standardize a label that no lemma vocabulary decides once per
-run, and build their lemma vocabularies only when a label needs one.
+run. Each stage's lemma vocabulary is a `LazyVocabulary`, built only when
+a label needs one; evaluate's extends graph's, so each output label is
+tokenized at most once per run.
 """
 
 from __future__ import annotations
@@ -48,14 +50,16 @@ def _stage(name):
 class StageCache:
     """Optional on-disk cache of intermediate artifacts, plus what the
     stages of a run share in memory: the configured label rules with their
-    memo, and the token vocabulary of the labels of the run's matrices."""
+    memo, and the last label list given to `output_standardizer` with its
+    lemma vocabulary."""
 
     def __init__(self, directory=None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self.label_tokens = LabelTokens()
         self._label_rules = {}
+        self.output_labels = []
+        self.output_vocabulary = None
 
     def label_rules(self, config: PipelineConfig) -> Standardizer:
         """The Standardizer of the configured rule files, read on first use;
@@ -122,68 +126,53 @@ def rule_standardizer(config: PipelineConfig) -> Standardizer:
 
 
 class LazyVocabulary:
-    """The lemma vocabulary `vocabulary(texts)`, built on its first
-    membership test."""
+    """The lemma vocabulary of a label list: `token_vocabulary(texts)`
+    joined with the words of `base`, the LazyVocabulary of a list that
+    this one extends. It is built on its first membership test, which
+    drops `texts` and `base`."""
 
-    def __init__(self, vocabulary, texts):
-        self.vocabulary = vocabulary
+    def __init__(self, texts, base=None):
         self.texts = texts
+        self.base = base
         self.words = None
 
     def __contains__(self, word) -> bool:
+        return word in self.build()
+
+    def build(self) -> set:
         if self.words is None:
-            self.words = self.vocabulary(self.texts)
-            self.texts = None
-        return word in self.words
+            words = token_vocabulary(self.texts)
+            if self.base is not None:
+                words |= self.base.build()
+            self.words, self.texts, self.base = words, None, None
+        return self.words
 
 
-def build_standardizer(config: PipelineConfig, texts, vocabulary=token_vocabulary,
-                       cache: StageCache | None = None) -> Standardizer:
+def build_standardizer(config: PipelineConfig, texts, cache: StageCache,
+                       base: LazyVocabulary | None = None) -> Standardizer:
     """The configured Standardizer, sharing the rules and memo of `cache`'s
-    run (read from the config's files when there is no cache). With
-    `vocab_check` on, lemma candidates are checked against
-    `vocabulary(texts)`, by default the tokens of `texts`, which is built
-    when a candidate is first checked."""
-    rules = cache.label_rules(config) if cache is not None else rule_standardizer(config)
-    return rules.with_vocab(LazyVocabulary(vocabulary, texts)
-                            if config.vocab_check else None)
+    run. With `vocab_check` on, lemma candidates are checked against
+    `LazyVocabulary(texts, base)`."""
+    return cache.label_rules(config).with_vocab(
+        LazyVocabulary(texts, base) if config.vocab_check else None)
 
 
 def output_standardizer(config: PipelineConfig, labels, cache: StageCache) -> Standardizer:
     """`build_standardizer` for the graph and evaluate stages, whose lemma
-    vocabulary is that of the standardized `labels`: with `vocab_check` on,
-    they are checked as URIs here and tokenized by `cache.label_tokens`."""
-    if config.vocab_check:
-        cache.label_tokens.check(labels)
-    return build_standardizer(config, labels, cache.label_tokens, cache)
-
-
-class LabelTokens:
-    """`token_vocabulary` of the texts of a standardized label list,
-    tokenizing each label once per run: the output matrix lists the fused
-    matrix's labels first, so a list that starts with the list seen last
-    has only the labels it adds tokenized. `check` splits a list's labels
-    as URIs, which raises on a label that is not one, and defers their
-    tokens to the next call."""
-
-    def __init__(self):
-        self.labels = []
-        self.pending = []  # texts of `labels` whose tokens are not in `vocab` yet
-        self.vocab = frozenset()
-
-    def check(self, labels) -> None:
-        seen = len(self.labels)
-        if labels[:seen] != self.labels:
-            seen, self.pending, self.vocab = 0, [], frozenset()
-        self.pending += [split_uri(lab)[1] for lab in labels[seen:]]
-        self.labels = list(labels)
-
-    def __call__(self, labels) -> frozenset:
-        self.check(labels)
-        if self.pending:
-            self.vocab = self.vocab.union(token_vocabulary(self.pending))
-            self.pending = []
-        return self.vocab
+    vocabulary is that of the standardized `labels`. With `vocab_check` on,
+    the labels are split as URIs here, which raises on one that is not. The
+    output matrix lists the fused matrix's labels first: a list that starts
+    with the list of the previous call has only the labels it adds split,
+    and extends that call's vocabulary, so each label is tokenized once."""
+    if not config.vocab_check:
+        return build_standardizer(config, (), cache)
+    seen, base = cache.output_labels, cache.output_vocabulary
+    if labels[:len(seen)] != seen:
+        seen, base = [], None
+    standardizer = build_standardizer(
+        config, [split_uri(label)[1] for label in labels[len(seen):]], cache, base)
+    cache.output_labels, cache.output_vocabulary = list(labels), standardizer.vocab
+    return standardizer
 
 
 @_stage("ingest")
@@ -216,7 +205,7 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
         return cached
     matrix = ingest_source(source, cache)
     if config.standardize_enabled:
-        standardizer = build_standardizer(config, matrix.labels, cache=cache)
+        standardizer = build_standardizer(config, matrix.labels, cache)
         plan, kept = rowmerge.build_merge_plan(matrix, standardizer,
                                                language=source.language)
         if len(kept) != len(matrix):
@@ -265,7 +254,10 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
                 cache: StageCache) -> kgraph.EdgeTable:
     """Load, prune, rescale and term-filter all enabled edge lists,
     standardizing their labels against the vocabulary of `matrix`. A
-    cached table is used without building a Standardizer."""
+    cached table is used without building a Standardizer; with no graph
+    enabled the table is empty and the cache is not read."""
+    if not config.enabled_graphs():
+        return kgraph.EdgeTable.concat([])
     cached = cache.load_assertions("graph_filtered")
     if cached is not None:
         return cached
@@ -310,13 +302,13 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
 
 @_stage("evaluate")
 def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
-                    cache: StageCache | None = None) -> list:
+                    cache: StageCache) -> list:
     """One EvalReport per configured dataset and split. `cache` holds the
-    run's label rules and memo, and may hold the tokens of a prefix of the
-    labels."""
+    run's label rules and memo, and may hold the vocabulary of a prefix of
+    the labels."""
     digit_fallback = any(s.format.startswith("word2vec")
                          for s in config.enabled_embeddings())
-    standardizer = output_standardizer(config, matrix.labels, cache or StageCache()) \
+    standardizer = output_standardizer(config, matrix.labels, cache) \
         if config.standardize_enabled else None
     reports = []
     for ds in config.evaluations:
@@ -349,19 +341,12 @@ def _run_eval(config, matrix, pairs, ds, split, standardizer, digit_fallback,
     return report
 
 
-def fuse_and_load_graphs(config: PipelineConfig, cache: StageCache):
-    """The fused matrix and the filtered edges of the enabled graphs
-    ([] when no graph is enabled)."""
-    matrix = fuse_sources(config, cache)
-    assertions = load_graphs(config, matrix, cache) if config.enabled_graphs() else []
-    return matrix, assertions
-
-
 def ensemble_matrix(config: PipelineConfig, cache: StageCache,
                     checkpoint_dir=None) -> LabeledMatrix:
     """The output matrix: the fused matrix, retrofitted onto the graph
     when any edge survives filtering."""
-    matrix, assertions = fuse_and_load_graphs(config, cache)
+    matrix = fuse_sources(config, cache)
+    assertions = load_graphs(config, matrix, cache)
     if not assertions:
         return matrix
     return retrofit_matrix(config, matrix, assertions, cache,

@@ -367,7 +367,8 @@ def reference_write(path, assertions):
 
 def reference_load_graphs(config, matrix):
     standardizer = pipeline.build_standardizer(
-        config, (label.rsplit("/", 1)[-1] for label in matrix.labels))
+        config, (label.rsplit("/", 1)[-1] for label in matrix.labels),
+        pipeline.StageCache())
     filtered_pool, unfiltered_pool = [], []
     for graph in config.enabled_graphs():
         assertions = reference_load_assertions(graph.path, standardizer)

@@ -1,5 +1,4 @@
 import importlib
-import itertools
 import struct
 import tracemalloc
 
@@ -336,6 +335,21 @@ class TestNativeFormat:
             assert bits_equal(back.data, m.data)
             assert back.labels == m.labels
 
+    @pytest.mark.parametrize("label", ["a\rb", "a\nb", "a\r\nb", "ab\n"])
+    def test_label_with_a_line_break_is_not_written(self, tmp_path, label):
+        m = LabeledMatrix(labels=["cat", label, "dog"], data=np.eye(3, dtype=np.float32))
+        with pytest.raises(DataError, match="row 2 holds a line break"):
+            write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert not (tmp_path / "m.emb1").exists()
+        assert not (tmp_path / "m.labels").exists()
+
+    def test_other_line_separators_round_trip(self, tmp_path):
+        # only "\n" and "\r" end a line for read_native
+        m = LabeledMatrix(labels=["a\x0bb", "a\x85b", "a\u2028b", ""],
+                          data=np.eye(4, dtype=np.float32))
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert read_native(tmp_path / "m.emb1", tmp_path / "m.labels").labels == m.labels
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "m.emb1").write_bytes(b"NOPE" + b"\x00" * 8)
         (tmp_path / "m.labels").write_text("", encoding="utf-8")
@@ -476,13 +490,8 @@ def write_vectors(path, labels, values, head=None):
 class TestBlockReaderMatchesListReader:
     def check(self, path, monkeypatch, **kwargs):
         labels, data, bad = reference_read_text(path, **kwargs)
-        dims = data.shape[1]
-        # one row per block, three rows per block, the default block; one,
-        # two and three lines per conversion batch, the default batch
-        for block, batch in itertools.product(
-                (4 * dims, 12 * dims, matrixio._TEXT_BLOCK_BYTES),
-                (1, 2, 3, matrixio._TEXT_BATCH_LINES)):
-            monkeypatch.setattr(matrixio, "_TEXT_BLOCK_BYTES", block)
+        # one, two and three lines per conversion batch, the default batch
+        for batch in (1, 2, 3, matrixio._TEXT_BATCH_LINES):
             monkeypatch.setattr(matrixio, "_TEXT_BATCH_LINES", batch)
             if bad is not None:
                 with pytest.raises(ParseError) as err:

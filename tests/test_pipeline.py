@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from vecfuse.config import config_from_dict
 from vecfuse.interpolate import svd_factors
 from vecfuse.labels import Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
-from vecfuse.pipeline import LabelTokens, run_pipeline, token_vocabulary
+from vecfuse.pipeline import run_pipeline, token_vocabulary
 from vecfuse.rowmerge import build_merge_plan, l1_normalize_columns, merge_standardized
 
 ALPHA_TEXT = """\
@@ -350,12 +351,15 @@ def per_stage_labels(m):
     """As before labels were standardized once per run: each stage reads
     the rule files, starts its own memo and builds its lemma vocabulary up
     front, tokenizing every label from scratch."""
-    m.setattr(pipeline.StageCache, "label_rules",
-              lambda self, config: pipeline.rule_standardizer(config))
-    m.setattr(pipeline, "LazyVocabulary",
-              lambda vocabulary, texts: frozenset(vocabulary(texts)))
-    m.setattr(LabelTokens, "__call__",
-              lambda self, labels: frozenset(text_vocabulary(labels)))
+    def standardizer(config, texts):
+        return pipeline.rule_standardizer(config).with_vocab(
+            frozenset(token_vocabulary(texts)) if config.vocab_check else None)
+
+    m.setattr(pipeline, "build_standardizer",
+              lambda config, texts, cache, base=None: standardizer(config, texts))
+    m.setattr(pipeline, "output_standardizer",
+              lambda config, labels, cache: standardizer(
+                  config, [split_uri(label)[1] for label in labels]))
 
 
 class TestLabelsTokenizedOnce:
@@ -494,15 +498,78 @@ class TestLabelsTokenizedOnce:
                          "--labels", str(workspace / "m.labels")]) == 2
         assert "not a /c/<language>/<text> uri: 'cat'" in capsys.readouterr().err
 
-    def test_label_tokens_extend_or_restart(self):
-        tokens = LabelTokens()
+    def test_suffixed_gold_word_only(self, workspace, monkeypatch):
+        """Only evaluate reaches a lemma rule. Building its vocabulary
+        builds graph's, which it extends: each output label is tokenized
+        once, and graph's vocabulary keeps the fused labels' tokens."""
+        with open(workspace / "gold.txt", "a", encoding="utf-8") as f:
+            f.write("cats dog 2.0\n")
+        want, _, _ = self.run(monkeypatch, toy_config(workspace, out="scratch"),
+                              from_scratch=True)
+        got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="once"))
+        labels = got["matrix"].labels
+        fused = pipeline.fuse_sources(toy_config(workspace), pipeline.StageCache()).labels
+        assert len(fused) < len(labels)
+        merge, graph, evaluate = vocabs[:2], vocabs[2], vocabs[3]
+        assert [v.words for v in merge] == [None, None]
+        assert calls == len(labels)
+        assert graph.words == text_vocabulary(fused)
+        assert evaluate.words == text_vocabulary(labels)
+        assert self.output_bytes(got) == self.output_bytes(want)
+
+    def test_output_vocabulary_extends_or_restarts(self, workspace, monkeypatch):
+        """A list that starts with the list before it tokenizes only the
+        labels it adds; any other list starts over. A vocabulary holds the
+        tokens of its own list, before and after a later one extends it."""
+        config = toy_config(workspace)
         runs = [["/c/en/cat", "/c/en/big_dog"],
                 ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
                 ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
                 ["/c/en/dog", "/c/en/cat"],
                 []]
+        words = [text_vocabulary(labels) for labels in runs]
+        texts = []
+        tokenize = pipeline.tokenize
+        monkeypatch.setattr(pipeline, "tokenize",
+                            lambda text: texts.append(text) or tokenize(text))
+        # each vocabulary built as soon as it is made
+        cache, built = pipeline.StageCache(), []
         for labels in runs:
-            assert tokens(labels) == text_vocabulary(labels)
+            vocab = pipeline.output_standardizer(config, labels, cache).vocab
+            assert vocab.words is None
+            assert "x" not in vocab
+            built.append(vocab)
+            assert [v.words for v in built] == words[:len(built)]
+        assert texts == ["cat", "big_dog", "chat_noir", "dog", "cat"]
+        # an extending vocabulary built first builds the one it extends
+        cache, texts[:] = pipeline.StageCache(), []
+        graph = pipeline.output_standardizer(config, runs[0], cache).vocab
+        evaluate = pipeline.output_standardizer(config, runs[1], cache).vocab
+        assert "x" not in evaluate
+        assert (graph.words, evaluate.words) == (words[0], words[1])
+        assert sorted(texts) == ["big_dog", "cat", "chat_noir"]
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_label_with_a_line_break_fails_cold_and_warm_alike(workspace, capsys, standardize):
+    """A word2vec token holding "\\r" cannot be stored in the stage cache:
+    the cold run fails where it would store it, and leaves nothing for a
+    warm run to read, which fails the same way."""
+    vector = struct.pack("<2f", 1.0, 2.0)
+    (workspace / "v.bin").write_bytes(b"2 2\ncat " + vector + b"a\rb " + vector)
+    config_path = workspace / "config.json"
+    config_path.write_text(json.dumps({
+        "schema_version": 1,
+        "embeddings": [{"id": "w2v", "path": str(workspace / "v.bin"),
+                        "format": "word2vec_binary"}],
+        "standardize": {"enabled": standardize},
+        "output": {"dir": str(workspace / "out")}}), encoding="utf-8")
+    argv = ["pipeline", "--config", str(config_path),
+            "--stage-cache-dir", str(workspace / "cache")]
+    for run in ("cold", "warm"):
+        assert cli.main(argv) == 2, run
+        assert "row 2 holds a line break: 'a\\rb'" in capsys.readouterr().err, run
+    assert os.listdir(workspace / "cache") == []
 
 
 class TestRunWideLabelMemo:
