@@ -10,10 +10,9 @@ from .rowmerge import MergePlan, build_merge_plan, l1_normalize_columns, \
 from .kgraph import Assertion, AssociationMatrix, EdgeTable, build_association, \
     filter_terms, load_assertions, rescale_by_source
 from .retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
-from .interpolate import FusionResult, OverlapIndex, build_overlap, fuse, \
-    infer_missing, svd_discount
+from .interpolate import FusionResult, OverlapIndex, build_overlap, fuse, svd_discount
 from .evaluation import EvalReport, GoldPair, MatrixLookup, evaluate, fisher_ci, \
-    load_gold, round_robin_split, similarity, spearman
+    load_gold, round_robin_split, spearman
 from .config import PipelineConfig, config_from_dict, load_config
 from .pipeline import run_pipeline
 

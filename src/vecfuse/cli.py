@@ -109,7 +109,9 @@ def run(args) -> int:
         if args.report:
             evaluation.write_report(reports, args.report)
     elif args.command == "pipeline":
-        pipeline.run_pipeline(config, cache_dir=args.stage_cache_dir)
+        reports = pipeline.run_pipeline(config, cache_dir=args.stage_cache_dir)["reports"]
+        if config.evaluations:
+            print(evaluation.format_report_table(reports))
     return 0
 
 

@@ -11,8 +11,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidLanguage
 from .evaluation import GOLD_FORMATS
+from .interpolate import DEFAULT_NEIGHBORS
 from .kgraph import DEFAULT_MAX_WORDS, DEFAULT_MIN_COUNT
 from .labels import validate_language
+from .matrixio import ON_DUPLICATE
+from .retrofit import DEFAULT_ITERATIONS
 from .rowmerge import MERGE_STRATEGIES
 
 SCHEMA_VERSION = 1
@@ -65,10 +68,10 @@ class PipelineConfig:
     vocab_check: bool = True
     merge_strategy: str = "zipf"
     column_norm: str = "l1"
-    fusion_k: int = 10
+    fusion_k: int = DEFAULT_NEIGHBORS
     fusion_out_dims: int | None = None
     fusion_discount: bool = True
-    retrofit_iterations: int = 10
+    retrofit_iterations: int = DEFAULT_ITERATIONS
     retrofit_self_loops: bool = True
     excluded_graph_sources: tuple = ()
     filter_min_count: dict = field(default_factory=lambda: dict(DEFAULT_MIN_COUNT))
@@ -162,8 +165,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"embedding source {src.id}: format must be one of {EMBEDDING_FORMATS}")
         _expect(src.format != "native" or src.labels_path,
                 f"embedding source {src.id}: native format needs labels_path")
-        _expect(src.on_duplicate in ("error", "first"),
-                f"embedding source {src.id}: on_duplicate must be error|first")
+        _expect(src.on_duplicate in ON_DUPLICATE,
+                f"embedding source {src.id}: on_duplicate must be one of {ON_DUPLICATE}")
         _expect_language(src.language, f"embedding source {src.id}")
         embeddings.append(src)
     ids = [s.id for s in embeddings]
@@ -214,10 +217,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         vocab_check=std("vocab_check", True, bool),
         merge_strategy=merge("strategy", "zipf", str),
         column_norm=norm("columns", "l1", str),
-        fusion_k=fusion("k", 10, int),
+        fusion_k=fusion("k", DEFAULT_NEIGHBORS, int),
         fusion_out_dims=fusion("out_dims", None, int),
         fusion_discount=fusion("discount", True, bool),
-        retrofit_iterations=retro("iterations", 10, int),
+        retrofit_iterations=retro("iterations", DEFAULT_ITERATIONS, int),
         retrofit_self_loops=retro("self_loops", True, bool),
         excluded_graph_sources=tuple(retro("excluded_sources", [], list, str)),
         filter_min_count=term_filter("min_count", dict(DEFAULT_MIN_COUNT), dict, int),
@@ -242,6 +245,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(config.fusion_k >= 1, "fusion k must be >= 1")
     _expect(config.fusion_out_dims is None or config.fusion_out_dims >= 1,
             "fusion out_dims must be >= 1")
+    _expect(config.filter_max_words >= 1, "term_filter.max_words must be >= 1")
     return config
 
 

@@ -24,9 +24,8 @@ from .errors import (
 from .labels import Standardizer, map_digit_runs
 from .matrixio import LabeledMatrix
 
-# Two-sided normal critical values; fixed constants instead of an
-# inverse-normal routine.
-Z_CRIT = {0.90: 1.644854, 0.95: 1.959964, 0.99: 2.575829}
+# The two-sided 95% normal critical value.
+Z_95 = 1.959964
 
 _MEN_POS_TAG_RE = re.compile(r"^(.+)-([a-z])$")
 
@@ -159,18 +158,6 @@ def _cosine(v1: np.ndarray, v2: np.ndarray) -> float:
     return max(-1.0, min(1.0, float((v1 @ v2) / (n1 * n2))))
 
 
-def similarity(matrix: LabeledMatrix, w1: str, w2: str, language: str = "en",
-               standardizer: Standardizer | None = None,
-               digit_fallback: bool = False) -> float:
-    """Cosine similarity between two raw words' standardized rows.
-
-    Builds a fresh lookup; use MatrixLookup directly for repeated queries.
-    """
-    lookup = MatrixLookup(matrix, standardizer=standardizer,
-                          digit_fallback=digit_fallback)
-    return lookup.similarity(w1, w2, language)
-
-
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
     values = np.asarray(values, dtype=np.float64)
@@ -202,15 +189,12 @@ def spearman(gold, predicted) -> float:
     return max(-1.0, min(1.0, rho))
 
 
-def fisher_ci(rho: float, n: int, level: float = 0.95):
-    """95% (by default) confidence interval via z = atanh(rho)."""
+def fisher_ci(rho: float, n: int):
+    """95% confidence interval via z = atanh(rho)."""
     if n < 4 or abs(rho) >= 1.0:
         raise DegenerateCorrelation(f"interval undefined for rho={rho}, n={n}")
-    z_crit = Z_CRIT.get(level)
-    if z_crit is None:
-        raise ValueError(f"unsupported level {level}; one of {sorted(Z_CRIT)}")
     z = math.atanh(rho)
-    half_width = z_crit / math.sqrt(n - 3)
+    half_width = Z_95 / math.sqrt(n - 3)
     return math.tanh(z - half_width), math.tanh(z + half_width)
 
 
@@ -231,7 +215,7 @@ def evaluate(matrix: LabeledMatrix, dataset, split: str = "all",
              dataset_id: str = "dataset", num_chunks: int = 3,
              test_chunk: int = 3, standardizer: Standardizer | None = None,
              drop_oov: bool = False, digit_fallback: bool = False,
-             standardize: bool = True, level: float = 0.95) -> EvalReport:
+             standardize: bool = True) -> EvalReport:
     """Score a matrix against a gold dataset.
 
     `split` selects "all", or the round-robin "dev"/"test" portion
@@ -264,7 +248,7 @@ def evaluate(matrix: LabeledMatrix, dataset, split: str = "all",
     if drop_oov:
         gold, ends = gold[~oov], ends[~oov]
     rho = spearman(gold, _pair_cosines(matrix, rows[ends]))
-    ci_low, ci_high = fisher_ci(rho, len(gold), level=level) \
+    ci_low, ci_high = fisher_ci(rho, len(gold)) \
         if abs(rho) < 1.0 and len(gold) >= 4 else (rho, rho)
     return EvalReport(dataset=dataset_id, split=split, n=len(gold), rho=rho,
                       ci_low=ci_low, ci_high=ci_high,

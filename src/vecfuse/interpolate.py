@@ -35,8 +35,8 @@ _GRAM_BYTES = 1 << 20
 
 @dataclass
 class OverlapIndex:
-    """Shared/exclusive vocabulary split between two spaces, with each
-    space's label->row map and unit copies of the shared vectors."""
+    """Shared/exclusive vocabulary split between two spaces, with the rows
+    and unit copies of the shared vectors in each space."""
 
     a: LabeledMatrix
     b: LabeledMatrix
@@ -47,23 +47,19 @@ class OverlapIndex:
     b_shared_rows: np.ndarray
     a_shared_unit: np.ndarray
     b_shared_unit: np.ndarray
-    a_index: dict
-    b_index: dict
 
 
 def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     """Index the vocabulary overlap; shared terms keep a's order."""
-    b_index = b.label_index()
-    shared = [lab for lab in a.labels if lab in b_index]
-    shared_set = set(shared)
-    only_a = [lab for lab in a.labels if lab not in shared_set]
-    only_b = [lab for lab in b.labels if lab not in shared_set]
-    a_index = a.label_index()
-    a_rows = np.array([a_index[lab] for lab in shared], dtype=np.int64)
-    b_rows = np.array([b_index[lab] for lab in shared], dtype=np.int64)
+    a_row, b_row = a.label_index(), b.label_index()
+    shared = [lab for lab in a.labels if lab in b_row]
+    only_a = [lab for lab in a.labels if lab not in b_row]
+    only_b = [lab for lab in b.labels if lab not in a_row]
+    a_rows = np.array([a_row[lab] for lab in shared], dtype=np.int64)
+    b_rows = np.array([b_row[lab] for lab in shared], dtype=np.int64)
     return OverlapIndex(
         a=a, b=b, shared=shared, only_a=only_a, only_b=only_b,
-        a_shared_rows=a_rows, b_shared_rows=b_rows, a_index=a_index, b_index=b_index,
+        a_shared_rows=a_rows, b_shared_rows=b_rows,
         a_shared_unit=unit_rows(a.data[a_rows]) if len(shared) else np.zeros((0, a.dims)),
         b_shared_unit=unit_rows(b.data[b_rows]) if len(shared) else np.zeros((0, b.dims)),
     )
@@ -147,33 +143,6 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
         sums[~flat] /= total[~flat, None]
         sums[flat] = neighbors[flat].mean(axis=1)
         out[start:start + rows] = sums
-
-
-def infer_missing(term: str, have: LabeledMatrix, want: LabeledMatrix,
-                  index: OverlapIndex, k: int = DEFAULT_NEIGHBORS) -> np.ndarray:
-    """Infer `term`'s vector in the `want` space.
-
-    Takes the k overlapping terms most cosine-similar to `term` in the
-    `have` space and averages their `want` vectors weighted by similarity
-    (negative similarities clamped to zero; if every similarity is
-    non-positive, the plain mean of the k neighbors is used instead).
-    Equal similarities go to the earlier shared term, in a's order, so a
-    zero vector takes the first k shared terms.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not index.shared:
-        raise EmptyOverlap("the two spaces share no vocabulary")
-    if have is index.a and want is index.b:
-        row_of, have_unit, want_rows = index.a_index, index.a_shared_unit, index.b_shared_rows
-    elif have is index.b and want is index.a:
-        row_of, have_unit, want_rows = index.b_index, index.b_shared_unit, index.a_shared_rows
-    else:
-        raise ValueError("index was built for different matrices")
-    row = row_of[term]
-    out = np.empty((1, want.dims))
-    _infer_rows(have.data[row:row + 1], have_unit, want.data[want_rows], k, out)
-    return out[0]
 
 
 def svd_factors(m: np.ndarray):
@@ -269,9 +238,14 @@ def fuse(a: LabeledMatrix, b: LabeledMatrix, k: int = DEFAULT_NEIGHBORS,
     """Align, concatenate and (optionally) SVD-discount two spaces.
 
     Union vocabulary order: shared terms in a's order, then terms only in
-    a, then terms only in b. Missing sides are inferred from the overlap;
-    with `discount` off the raw concatenation is returned (dimensionality
-    dims(a) + dims(b)) and `out_dims` is ignored.
+    a, then terms only in b. A term's missing side is the average of the
+    other space's vectors of the k shared terms most cosine-similar to it
+    in its own space, weighted by similarity (negative similarities
+    clamped to zero; if no weight is positive, the plain mean of the k).
+    Equal similarities go to the earlier shared term, so a zero vector
+    takes the first k shared terms. With `discount` off the raw
+    concatenation is returned (dimensionality dims(a) + dims(b)) and
+    `out_dims` is ignored.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -24,6 +24,8 @@ from .errors import (
 )
 
 NATIVE_MAGIC = b"EMB1"
+# what `read_text_embeddings` does with a repeated token
+ON_DUPLICATE = ("error", "first")
 
 # text lines whose value fields are converted by one numpy call; their
 # field strings are held until then, so a batch is kept small
@@ -114,7 +116,7 @@ def read_text_embeddings(path, header: bool = False,
 
     The token is everything before the first U+0020; no other whitespace is
     treated as a separator, so messy tokens survive verbatim and are cleaned
-    later by label standardization. `on_duplicate` is "error" or "first".
+    later by label standardization. `on_duplicate` is one of `ON_DUPLICATE`.
     A header's row count must match the vector lines, duplicates included;
     a vector line without values, a header declaring fewer than one
     dimension, and a nan or inf anywhere are each a `ParseError` naming
@@ -125,8 +127,8 @@ def read_text_embeddings(path, header: bool = False,
     concatenated once at the end. Every error is raised at the line it
     would be raised at if each line were parsed as it is read.
     """
-    if on_duplicate not in ("error", "first"):
-        raise ValueError(f"on_duplicate must be 'error' or 'first': {on_duplicate}")
+    if on_duplicate not in ON_DUPLICATE:
+        raise ValueError(f"on_duplicate must be one of {ON_DUPLICATE}: {on_duplicate}")
     path_str = str(path)
     labels = []
     seen = set()
@@ -214,8 +216,10 @@ def read_word2vec_binary(path) -> LabeledMatrix:
     """Read the word2vec binary format (Google News distribution style).
 
     The header's counts are checked against the file size before anything
-    is allocated; a nan or inf is a `ParseError` naming its vector. Tokens
-    are scanned in chunks of `_BINARY_CHUNK_BYTES`, never the whole file.
+    is allocated; a nan or inf, and a token that still holds a line break
+    once the newlines before it are stripped, are each a `ParseError`
+    naming its vector. Tokens are scanned in chunks of
+    `_BINARY_CHUNK_BYTES`, never the whole file.
     """
     with open(path, "rb") as f:
         header = f.readline()
@@ -255,6 +259,9 @@ def read_word2vec_binary(path) -> LabeledMatrix:
                 token_bytes = b"".join(pieces)
             # newlines before a token are tolerated separators
             token_bytes = token_bytes.lstrip(b"\n")
+            if b"\n" in token_bytes or b"\r" in token_bytes:
+                raise ParseError(f"token of vector {i + 1} holds a line break: "
+                                 f"{token_bytes!r}", path=str(path))
             start = end + 1
             if start + vec_bytes > len(buf):
                 buf = buf[start:] + f.read(max(_BINARY_CHUNK_BYTES, vec_bytes))

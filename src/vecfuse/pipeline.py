@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import os
-import sys
 
 from . import evaluation, interpolate, kgraph, matrixio, rowmerge
 from .config import EmbeddingSource, PipelineConfig
@@ -269,15 +268,14 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
         if excluded:
             table = table.without_sources(excluded)
         (filtered if graph.apply_term_filter else unfiltered).append(table)
-    combined = kgraph.EdgeTable.concat(filtered + unfiltered)
-    if not combined:
-        return combined
-    combined = kgraph.rescale_by_source(combined)
-    n_filtered = sum(len(table) for table in filtered)
-    kept = kgraph.EdgeTable.concat([
-        kgraph.filter_terms(combined[:n_filtered], min_count=config.filter_min_count,
-                            max_words=config.filter_max_words),
-        combined[n_filtered:]])
+    kept = kgraph.EdgeTable.concat(filtered + unfiltered)
+    if kept:
+        kept = kgraph.rescale_by_source(kept)
+        n_filtered = sum(len(table) for table in filtered)
+        kept = kgraph.EdgeTable.concat([
+            kgraph.filter_terms(kept[:n_filtered], min_count=config.filter_min_count,
+                                max_words=config.filter_max_words),
+            kept[n_filtered:]])
     cache.store_assertions("graph_filtered", kept)
     return kept
 
@@ -353,7 +351,7 @@ def ensemble_matrix(config: PipelineConfig, cache: StageCache,
                            checkpoint_dir=checkpoint_dir)
 
 
-def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
+def run_pipeline(config: PipelineConfig, cache_dir=None) -> dict:
     """Run every configured stage; returns the output artifact paths,
     the final matrix and the evaluation reports."""
     cache = StageCache(cache_dir)
@@ -370,8 +368,6 @@ def run_pipeline(config: PipelineConfig, cache_dir=None, verbose=True) -> dict:
         reports = evaluate_matrix(config, matrix, cache)
         report_path = os.path.join(config.output_dir, config.output_report)
         evaluation.write_report(reports, report_path)
-        if verbose:
-            print(evaluation.format_report_table(reports), file=sys.stdout)
     return {"matrix": matrix, "reports": reports,
             "matrix_path": matrix_path, "labels_path": labels_path,
             "report_path": report_path}

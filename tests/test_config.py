@@ -82,6 +82,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("max_words", [0, -1])
+    def test_max_words_below_one(self, tmp_path, capsys, max_words):
+        """Such a limit would drop every edge of every filtered graph."""
+        raw = minimal_config()
+        raw["term_filter"] = {"max_words": max_words}
+        with pytest.raises(ConfigError, match=r"^term_filter\.max_words must be >= 1$"):
+            config_from_dict(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["graph", "--config", str(path), "--out",
+                         str(tmp_path / "edges.tsv")]) == cli.EXIT_CONFIG
+        assert "term_filter.max_words" in capsys.readouterr().err
+        raw["term_filter"] = {"max_words": 1}
+        assert config_from_dict(raw).filter_max_words == 1
+
     def test_graphs_require_standardization(self):
         raw = minimal_config()
         raw["graphs"] = [{"id": "g", "path": "edges.tsv"}]

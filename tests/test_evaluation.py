@@ -25,7 +25,6 @@ from vecfuse.evaluation import (
     load_gold,
     report_rows,
     round_robin_split,
-    similarity,
     spearman,
     write_report,
 )
@@ -126,17 +125,17 @@ class TestRoundRobinSplit:
 class TestSimilarity:
     def test_same_standardized_label(self):
         m = make_matrix(["/c/en/dry"], [[1.0, 2.0]])
-        assert similarity(m, "dry", "dried") == 1.0
+        assert MatrixLookup(m).similarity("dry", "dried") == 1.0
         m2 = make_matrix(["/c/en/polish"], [[1.0, 2.0]])
-        assert similarity(m2, "polish", "Polish") == 1.0
+        assert MatrixLookup(m2).similarity("polish", "Polish") == 1.0
 
     def test_oov_is_zero(self):
         m = make_matrix(["/c/en/cat"], [[1.0, 0.0]])
-        assert similarity(m, "cat", "zyzzyva") == 0.0
+        assert MatrixLookup(m).similarity("cat", "zyzzyva") == 0.0
 
     def test_orthogonal_rows(self):
         m = make_matrix(["/c/en/cat", "/c/en/dog"], [[1.0, 0.0], [0.0, 1.0]])
-        assert similarity(m, "cat", "dog") == 0.0
+        assert MatrixLookup(m).similarity("cat", "dog") == 0.0
 
     def test_symmetric_and_bounded(self, rng):
         labels = [f"/c/en/w{i}" for i in range(6)]
@@ -235,10 +234,6 @@ class TestFisherCi:
             fisher_ci(1.0, 100)
         with pytest.raises(DegenerateCorrelation):
             fisher_ci(0.5, 3)
-
-    def test_unsupported_level(self):
-        with pytest.raises(ValueError):
-            fisher_ci(0.5, 100, level=0.5)
 
 
 class TestEvaluate:

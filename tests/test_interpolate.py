@@ -6,14 +6,12 @@ import pytest
 from conftest import bits_equal, make_matrix
 from vecfuse import interpolate, rowmerge
 from vecfuse.errors import ConvergenceFailure, EmptyOverlap
-from vecfuse.matrixio import LabeledMatrix
 from vecfuse.interpolate import (
     _infer_rows,
     _nearest,
     _top_k,
     build_overlap,
     fuse,
-    infer_missing,
     svd_discount,
     svd_factors,
 )
@@ -58,64 +56,46 @@ class TestBuildOverlap:
         assert not set(idx.shared) & set(idx.only_b)
 
 
+def inferred(have, want, term, k):
+    """`term`'s row in the `want` space, as `fuse` infers it."""
+    fused = fuse(have, want, k=k, discount=False).matrix
+    return fused.data[fused.labels.index(term), have.dims:]
+
+
 class TestInferMissing:
     def test_identical_vector_single_neighbor(self, rng):
         have = make_matrix(["term", "t", "other"],
                            [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         want = make_matrix(["t", "other"], [[5.0, 6.0, 7.0], [1.0, 1.0, 1.0]])
-        idx = build_overlap(have, want)
-        got = infer_missing("term", have, want, idx, k=1)
-        assert np.allclose(got, [5.0, 6.0, 7.0], atol=1e-6)
+        assert np.allclose(inferred(have, want, "term", k=1), [5.0, 6.0, 7.0], atol=1e-6)
 
     def test_equal_similarities_average(self):
         # two shared neighbors at the same angle from the query
         have = make_matrix(["term", "p", "q"],
                            [[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         want = make_matrix(["p", "q"], [[2.0, 0.0], [0.0, 4.0]])
-        idx = build_overlap(have, want)
-        got = infer_missing("term", have, want, idx, k=2)
-        assert np.allclose(got, [1.0, 2.0], atol=1e-7)
+        assert np.allclose(inferred(have, want, "term", k=2), [1.0, 2.0], atol=1e-7)
 
     def test_all_negative_similarities_fall_back_to_mean(self):
         # both shared terms point away from the query
         have = make_matrix(["term", "p", "q"],
                            [[1.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]])
         want = make_matrix(["p", "q"], [[2.0, 0.0], [0.0, 4.0]])
-        idx = build_overlap(have, want)
-        got = infer_missing("term", have, want, idx, k=2)
-        assert np.allclose(got, [1.0, 2.0], atol=1e-7)
+        assert np.allclose(inferred(have, want, "term", k=2), [1.0, 2.0], atol=1e-7)
 
     def test_convex_combination(self, rng):
         have = unit_rows(["term"] + [f"s{i}" for i in range(8)], 5, rng)
         want = unit_rows([f"s{i}" for i in range(8)], 4, rng)
-        idx = build_overlap(have, want)
-        got = infer_missing("term", have, want, idx, k=4)
+        got = inferred(have, want, "term", k=4)
         lo = want.data.min(axis=0) - 1e-9
         hi = want.data.max(axis=0) + 1e-9
         assert np.all(got >= lo) and np.all(got <= hi)
 
-    def test_repeated_calls_reuse_overlap_label_maps(self, rng, monkeypatch):
-        a = unit_rows([f"a{i}" for i in range(10)] + [f"s{i}" for i in range(8)], 5, rng)
-        b = unit_rows([f"s{i}" for i in range(8)] + [f"b{i}" for i in range(10)], 4, rng)
-        idx = build_overlap(a, b)
-        calls = []
-        label_index = LabeledMatrix.label_index
-        monkeypatch.setattr(LabeledMatrix, "label_index",
-                            lambda self: calls.append(self) or label_index(self))
-        for i in range(10):
-            got = infer_missing(f"a{i}", a, b, idx, k=3)
-            _top, want = oracle_infer(a.data[i], idx.a_shared_unit,
-                                      b.data[idx.b_shared_rows], 3)
-            assert np.allclose(got, want, atol=1e-6)
-            infer_missing(f"b{i}", b, a, idx, k=3)
-        assert calls == []
-
     def test_empty_overlap(self):
         have = make_matrix(["term"], [[1.0, 0.0]])
         want = make_matrix(["other"], [[1.0, 0.0]])
-        idx = build_overlap(have, want)
         with pytest.raises(EmptyOverlap):
-            infer_missing("term", have, want, idx, k=1)
+            fuse(have, want, k=1)
 
 
 class TestBlockInference:

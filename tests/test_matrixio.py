@@ -253,11 +253,23 @@ class TestWord2vecBinaryChunks:
         monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
         path = tmp_path / "v.bin"
         one, two = struct.pack("<f", 1.0), struct.pack("<f", 2.0)
-        # a newline after a token's first byte is part of the token
-        path.write_bytes(b"3 1\n\n\ncat " + one + b"\n\n\ndog " + two + b"a\nb " + one)
+        path.write_bytes(b"2 1\n\n\ncat " + one + b"\n\n\ndog " + two)
         m = read_word2vec_binary(path)
-        assert m.labels == ["cat", "dog", "a\nb"]
-        assert m.data.tolist() == [[1.0], [2.0], [1.0]]
+        assert m.labels == ["cat", "dog"]
+        assert m.data.tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("token", [b"a\nb", b"a\rb", b"\ra", b"ab\n"])
+    def test_token_holding_a_line_break(self, tmp_path, monkeypatch, chunk, token):
+        """A line break after a token's first byte would make a label that
+        the native format cannot hold: the reader rejects it."""
+        monkeypatch.setattr(matrixio, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "v.bin"
+        one = struct.pack("<f", 1.0)
+        path.write_bytes(b"2 1\ncat " + one + b"\n" + token + b" " + one)
+        with pytest.raises(ParseError, match="token of vector 2 holds a line break") as err:
+            read_word2vec_binary(path)
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_truncated_last_vector(self, tmp_path, monkeypatch, chunk):

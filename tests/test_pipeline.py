@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal
-from vecfuse import cli, labels, matrixio, pipeline, rowmerge
+from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
+from vecfuse.evaluation import format_report_table
 from vecfuse.interpolate import svd_factors
 from vecfuse.labels import Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
@@ -70,7 +71,7 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def toy_config(root, out="out", **overrides):
+def toy_raw(root, out="out", **overrides):
     raw = {
         "schema_version": 1,
         "embeddings": [
@@ -91,7 +92,11 @@ def toy_config(root, out="out", **overrides):
         "output": {"dir": str(root / out)},
     }
     raw.update(overrides)
-    return config_from_dict(raw)
+    return raw
+
+
+def toy_config(root, out="out", **overrides):
+    return config_from_dict(toy_raw(root, out, **overrides))
 
 
 class TestMinimalPath:
@@ -101,7 +106,7 @@ class TestMinimalPath:
             embeddings=[{"id": "alpha", "path": str(workspace / "alpha.txt"),
                          "format": "glove_text"}],
             graphs=[], evaluations=[])
-        result = run_pipeline(config, verbose=False)
+        result = run_pipeline(config)
 
         raw = read_text_embeddings(workspace / "alpha.txt", header=False)
         vocab = token_vocabulary(raw.labels)
@@ -117,7 +122,7 @@ class TestMinimalPath:
 
     def test_written_artifacts_round_trip(self, workspace):
         config = toy_config(workspace, graphs=[], evaluations=[])
-        result = run_pipeline(config, verbose=False)
+        result = run_pipeline(config)
         back = read_native(result["matrix_path"], result["labels_path"])
         assert back.labels == result["matrix"].labels
         assert bits_equal(back.data, result["matrix"].data)
@@ -125,9 +130,11 @@ class TestMinimalPath:
 
 class TestFullPipeline:
     def test_end_to_end(self, workspace, capsys):
-        config = toy_config(workspace)
-        result = run_pipeline(config)
-        matrix = result["matrix"]
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps(toy_raw(workspace)), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config_path)]) == 0
+        out = workspace / "out"
+        matrix = read_native(out / "ensemble.emb1", out / "ensemble.labels")
         # graph-only terms acquired vectors through retrofitting
         assert "/c/fr/chat" in matrix.labels
         assert "/c/en/rock" in matrix.labels
@@ -135,13 +142,15 @@ class TestFullPipeline:
         chat = matrix.data[matrix.labels.index("/c/fr/chat")]
         assert np.abs(chat).sum() > 0
         # reports: two splits for one dataset, printed and written
-        assert [r.split for r in result["reports"]] == ["all", "test"]
-        assert "toy_gold" in capsys.readouterr().out
-        assert (workspace / "out" / "report.tsv").exists()
+        report = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[:2] for line in report[1:]] == \
+            [["toy_gold", "all"], ["toy_gold", "test"]]
+        reports = run_pipeline(toy_config(workspace, out="again"))["reports"]
+        assert capsys.readouterr().out == format_report_table(reports) + "\n"
 
     def test_bilingual_term_near_anchor(self, workspace):
         config = toy_config(workspace)
-        matrix = run_pipeline(config, verbose=False)["matrix"]
+        matrix = run_pipeline(config)["matrix"]
         idx = {lab: i for i, lab in enumerate(matrix.labels)}
         chat = matrix.data[idx["/c/fr/chat"]].astype(np.float64)
         cat = matrix.data[idx["/c/en/cat"]].astype(np.float64)
@@ -151,8 +160,8 @@ class TestFullPipeline:
     def test_determinism_bit_identical_outputs(self, workspace):
         config1 = toy_config(workspace, out="out1")
         config2 = toy_config(workspace, out="out2")
-        r1 = run_pipeline(config1, verbose=False)
-        r2 = run_pipeline(config2, verbose=False)
+        r1 = run_pipeline(config1)
+        r2 = run_pipeline(config2)
         b1 = Path(r1["matrix_path"]).read_bytes()
         b2 = Path(r2["matrix_path"]).read_bytes()
         assert b1 == b2
@@ -160,13 +169,13 @@ class TestFullPipeline:
         assert Path(r1["report_path"]).read_bytes() == Path(r2["report_path"]).read_bytes()
 
     def test_cache_path_matches_straight_path(self, workspace):
-        plain = run_pipeline(toy_config(workspace, out="plain"), verbose=False)
+        plain = run_pipeline(toy_config(workspace, out="plain"))
         cache_dir = str(workspace / "cache")
         first = run_pipeline(toy_config(workspace, out="warm"),
-                             cache_dir=cache_dir, verbose=False)
+                             cache_dir=cache_dir)
         # second run consumes every cached stage
         second = run_pipeline(toy_config(workspace, out="cached"),
-                              cache_dir=cache_dir, verbose=False)
+                              cache_dir=cache_dir)
         for result in (first, second):
             assert bits_equal(result["matrix"].data, plain["matrix"].data)
             assert result["matrix"].labels == plain["matrix"].labels
@@ -175,8 +184,7 @@ class TestFullPipeline:
 
     def test_warm_graph_cache_calls_no_standardizer(self, workspace, monkeypatch):
         cache_dir = workspace / "cache"
-        first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir),
-                             verbose=False)
+        first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir))
         # retrofit again, from the cached fused matrix and edge table
         (cache_dir / "retrofitted.emb1").unlink()
         calls = {"standardize": 0, "build_standardizer": 0}
@@ -203,8 +211,7 @@ class TestFullPipeline:
         counting(Standardizer, "standardize")
         counting(pipeline, "build_standardizer")
         monkeypatch.setattr(pipeline, "load_graphs", graph_stage(pipeline.load_graphs))
-        second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir),
-                              verbose=False)
+        second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir))
         assert in_graph == {"standardize": 0, "build_standardizer": 0}
         assert calls["standardize"] > 0  # evaluation still standardizes
         assert bits_equal(second["matrix"].data, first["matrix"].data)
@@ -212,10 +219,35 @@ class TestFullPipeline:
         assert Path(second["matrix_path"]).read_bytes() == \
             Path(first["matrix_path"]).read_bytes()
 
+    @pytest.mark.parametrize("edges, retrofit", [
+        ("/c/en/cat\t/c/en/dog\t1.0\tomcs\n", {"excluded_sources": ["omcs"]}),
+        ("/c/en/cat\t/c/en/Cat\t1.0\tomcs\n", {}),
+    ], ids=["source_excluded", "self_edge"])
+    def test_emptied_graph_is_cached(self, workspace, monkeypatch, edges, retrofit):
+        """A graph that source exclusion or standardization leaves empty is
+        stored like any other: a warm run reads no edge file."""
+        (workspace / "one.tsv").write_text(edges, encoding="utf-8")
+        cache_dir = str(workspace / "cache")
+
+        def run(out):
+            return run_pipeline(toy_config(
+                workspace, out=out, retrofit=retrofit,
+                graphs=[{"id": "one", "path": str(workspace / "one.tsv")}]),
+                cache_dir=cache_dir)
+
+        cold = run("cold")
+        assert (workspace / "cache" / "graph_filtered.tsv").read_bytes() == b""
+        loaded = []
+        monkeypatch.setattr(kgraph, "load_assertions", lambda *args, **kwargs:
+                            loaded.append(args))
+        warm = run("warm")
+        assert loaded == []
+        for key in ("matrix_path", "labels_path", "report_path"):
+            assert Path(warm[key]).read_bytes() == Path(cold[key]).read_bytes()
+
     def test_warm_fused_cache_skips_source_preparation(self, workspace, monkeypatch):
         cache_dir = str(workspace / "cache")
-        run_pipeline(toy_config(workspace, out="warm"), cache_dir=cache_dir,
-                     verbose=False)
+        run_pipeline(toy_config(workspace, out="warm"), cache_dir=cache_dir)
         read = []
 
         def recording_read_native(matrix_path, labels_path):
@@ -223,8 +255,7 @@ class TestFullPipeline:
             return read_native(matrix_path, labels_path)
 
         monkeypatch.setattr(matrixio, "read_native", recording_read_native)
-        run_pipeline(toy_config(workspace, out="cached"), cache_dir=cache_dir,
-                     verbose=False)
+        run_pipeline(toy_config(workspace, out="cached"), cache_dir=cache_dir)
         assert read == ["fused.emb1", "retrofitted.emb1"]
 
     def test_source_exclusion_equals_manual_prefilter(self, workspace):
@@ -240,17 +271,16 @@ class TestFullPipeline:
                                      "path": str(workspace / "edges_nowikt.tsv")},
                                     {"id": "ppdb",
                                      "path": str(workspace / "ppdb.tsv")}])
-        r_excluded = run_pipeline(excluded, verbose=False)
-        r_manual = run_pipeline(manual, verbose=False)
+        r_excluded = run_pipeline(excluded)
+        r_manual = run_pipeline(manual)
         assert r_excluded["matrix"].labels == r_manual["matrix"].labels
         assert bits_equal(r_excluded["matrix"].data, r_manual["matrix"].data)
 
     def test_no_self_loops_changes_result(self, workspace):
-        base = run_pipeline(toy_config(workspace, out="with"), verbose=False)
+        base = run_pipeline(toy_config(workspace, out="with"))
         ablated = run_pipeline(
             toy_config(workspace, out="without",
-                       retrofit={"iterations": 10, "self_loops": False}),
-            verbose=False)
+                       retrofit={"iterations": 10, "self_loops": False}))
         assert base["matrix"].labels == ablated["matrix"].labels
         assert not bits_equal(base["matrix"].data, ablated["matrix"].data)
 
@@ -266,7 +296,7 @@ class TestFullPipeline:
             embeddings=[{"id": "news", "path": str(workspace / "news.bin"),
                          "format": "word2vec_binary"}],
             evaluations=[{"id": "toy_gold", "path": str(workspace / "gold.txt")}])
-        result = run_pipeline(config, verbose=False)
+        result = run_pipeline(config)
         assert "/c/en/cat" in result["matrix"].labels
         assert result["reports"][0].n == 6
 
@@ -283,7 +313,7 @@ class TestFullPipeline:
             evaluations=[{"id": "men_like",
                           "dev_path": str(workspace / "gold_dev.txt"),
                           "test_path": str(workspace / "gold_test.txt")}])
-        reports = run_pipeline(config, verbose=False)["reports"]
+        reports = run_pipeline(config)["reports"]
         assert [(r.dataset, r.split, r.n) for r in reports] == \
             [("men_like", "dev", 4), ("men_like", "test", 4)]
 
@@ -293,7 +323,7 @@ class TestFullPipeline:
                             embeddings=[{"id": "alpha",
                                          "path": str(workspace / "alpha.txt"),
                                          "format": "glove_text"}])
-        result = run_pipeline(config, verbose=False)
+        result = run_pipeline(config)
         assert "Cat" in result["matrix"].labels  # no case folding, no merging
         assert len(result["matrix"]) == 8
         report = result["reports"][0]
@@ -391,7 +421,7 @@ class TestLabelsTokenizedOnce:
             m.setattr(pipeline, "Standardizer", Recording)
             if from_scratch:
                 per_stage_labels(m)
-            result = run_pipeline(config, cache_dir=cache_dir, verbose=False)
+            result = run_pipeline(config, cache_dir=cache_dir)
         return result, len(texts), vocabs
 
     def output_bytes(self, result):
@@ -552,9 +582,9 @@ class TestLabelsTokenizedOnce:
 
 @pytest.mark.parametrize("standardize", [False, True])
 def test_label_with_a_line_break_fails_cold_and_warm_alike(workspace, capsys, standardize):
-    """A word2vec token holding "\\r" cannot be stored in the stage cache:
-    the cold run fails where it would store it, and leaves nothing for a
-    warm run to read, which fails the same way."""
+    """A word2vec token holding "\\r" could not be stored in the stage
+    cache or the output: the reader rejects it, so a run fails the same
+    way with a cache or without one, and leaves nothing for a warm run."""
     vector = struct.pack("<2f", 1.0, 2.0)
     (workspace / "v.bin").write_bytes(b"2 2\ncat " + vector + b"a\rb " + vector)
     config_path = workspace / "config.json"
@@ -564,12 +594,28 @@ def test_label_with_a_line_break_fails_cold_and_warm_alike(workspace, capsys, st
                         "format": "word2vec_binary"}],
         "standardize": {"enabled": standardize},
         "output": {"dir": str(workspace / "out")}}), encoding="utf-8")
-    argv = ["pipeline", "--config", str(config_path),
-            "--stage-cache-dir", str(workspace / "cache")]
-    for run in ("cold", "warm"):
-        assert cli.main(argv) == 2, run
-        assert "row 2 holds a line break: 'a\\rb'" in capsys.readouterr().err, run
+    argv = ["pipeline", "--config", str(config_path)]
+    cached = argv + ["--stage-cache-dir", str(workspace / "cache")]
+    for run, args in (("uncached", argv), ("cold", cached), ("warm", cached)):
+        assert cli.main(args) == 2, run
+        assert "v.bin: token of vector 2 holds a line break: b'a\\rb'" \
+            in capsys.readouterr().err, run
     assert os.listdir(workspace / "cache") == []
+
+
+# Non-ASCII words in every input: accented Latin, Cyrillic and Greek, the
+# titlecase digraph U+01C5, an NFD spelling that NFC composes into a row
+# of its own file (cafe + U+0301), and `cafés`, which a lemma rule folds
+# into `café` in each stage.
+NON_ASCII = {"alpha.txt": "café 0.3 0.1 0.2\ncafe\u0301 0.1 0.3 0.2\ncafés 0.2 0.2 0.1\n"
+                          "\u01c5emal 0.5 0.1 0.4\nкошка 0.7 0.2 0.3\n",
+             "beta.txt": "Café 0.2 0.8\nкошки 0.6 0.1\n",
+             "edges.tsv": "/c/en/\u01c5emal\t/c/en/dog\t1.0\tomcs\n"
+                          "/c/en/cafe\u0301s\t/c/en/fish\t1.0\tomcs\n"
+                          "/c/el/Γάτα\t/c/en/кошка\t1.0\twikt\n"
+                          "/c/en/Naïveté\t/c/en/café\t1.0\tomcs\n",
+             "gold.txt": "\u01c6emal dog 4.5\nCAFÉS fish 3.5\nкошка cat 5.5\n"
+                         "naïveté stone 0.5\n"}
 
 
 class TestRunWideLabelMemo:
@@ -580,8 +626,8 @@ class TestRunWideLabelMemo:
     def run_both(self, monkeypatch, config_of):
         with monkeypatch.context() as m:
             per_stage_labels(m)
-            want = run_pipeline(config_of("per_stage"), verbose=False)
-        got = run_pipeline(config_of("run_wide"), verbose=False)
+            want = run_pipeline(config_of("per_stage"))
+        got = run_pipeline(config_of("run_wide"))
         for key in ("matrix_path", "labels_path", "report_path"):
             assert Path(got[key]).read_bytes() == Path(want[key]).read_bytes()
         return got
@@ -598,6 +644,22 @@ class TestRunWideLabelMemo:
         cache = pipeline.StageCache()
         edges = pipeline.load_graphs(config, pipeline.fuse_sources(config, cache), cache)
         assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edges]
+
+    def test_non_ascii_labels(self, workspace, monkeypatch):
+        for name, extra in NON_ASCII.items():
+            text = (workspace / name).read_text(encoding="utf-8") + extra
+            (workspace / name).write_text(text.replace("6 2\n", "8 2\n", 1),
+                                          encoding="utf-8")
+        got = self.run_both(monkeypatch, lambda out: toy_config(workspace, out=out))
+        labels = [label for label in got["matrix"].labels if not label.isascii()]
+        assert labels == ["/c/en/café", "/c/en/\u01c6emal", "/c/en/кошка", "/c/en/кошки",
+                          "/c/el/γάτα", "/c/en/naïveté"]
+        assert [r.oov_fraction for r in got["reports"]] == [0.0, 0.0]
+        cache_dir = str(workspace / "cache")
+        for out in ("cold", "warm"):
+            run = run_pipeline(toy_config(workspace, out=out), cache_dir=cache_dir)
+            for key in ("matrix_path", "labels_path", "report_path"):
+                assert Path(run[key]).read_bytes() == Path(got[key]).read_bytes(), out
 
     def test_memo_scoped_to_its_rule_files(self, workspace):
         (workspace / "stop.txt").write_text("big\n", encoding="utf-8")
