@@ -7,7 +7,7 @@ from .matrixio import LabeledMatrix, read_native, read_text_embeddings, \
     read_word2vec_binary, write_native
 from .rowmerge import MergePlan, build_merge_plan, l1_normalize_columns, \
     l2_normalize_columns, l2_normalize_rows, merge_standardized, zipf_weight
-from .kgraph import Assertion, AssociationMatrix, EdgeTable, build_association, \
+from .kgraph import AssociationMatrix, EdgeTable, build_association, \
     filter_terms, load_assertions, rescale_by_source
 from .retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
 from .interpolate import FusionResult, OverlapIndex, build_overlap, fuse, svd_discount

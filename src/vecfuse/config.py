@@ -246,6 +246,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _expect(config.fusion_out_dims is None or config.fusion_out_dims >= 1,
             "fusion out_dims must be >= 1")
     _expect(config.filter_max_words >= 1, "term_filter.max_words must be >= 1")
+    for language in config.filter_min_count:
+        if language != "other":
+            _expect_language(language, f"term_filter.min_count key {language!r}")
     return config
 
 

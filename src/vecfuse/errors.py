@@ -79,7 +79,7 @@ class PlanMismatch(DataError):
 
 
 class NonPositiveWeight(DataError):
-    """Assertion weight must be strictly positive."""
+    """An edge weight is zero or negative (a non-finite one is a ParseError)."""
 
 
 # --- fusion ---

@@ -7,16 +7,13 @@ L1-normalized off the diagonal, and every term gets a unit self-loop.
 Edges are held in an `EdgeTable`: each term string once, int32 start and
 end term ids, float64 weights and int32 source ids, plus the source
 names. Loading, rescaling, term filtering and the association matrix are
-numpy operations on its columns. The table is also a read-only sequence
-of `Assertion`, and every public function accepts a list of `Assertion`
-in its place.
+numpy operations on its columns.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +25,7 @@ DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
 DEFAULT_MAX_WORDS = 3
 
 
-@dataclass(frozen=True)
-class Assertion:
-    """One undirected edge between two standardized terms."""
-
-    start: str
-    end: str
-    weight: float
-    source: str
-
-
-class EdgeTable(Sequence):
+class EdgeTable:
     """Edges as columns over a term list and a source list.
 
     Row r joins `terms[start[r]]` and `terms[end[r]]` with weight
@@ -54,16 +41,6 @@ class EdgeTable(Sequence):
         self.weight = np.asarray(weight, dtype=np.float64)
         self.source = np.asarray(source, dtype=np.int32)
         self.sources = sources
-
-    @classmethod
-    def from_assertions(cls, assertions) -> "EdgeTable":
-        terms: dict = {}
-        sources: dict = {}
-        start = [terms.setdefault(a.start, len(terms)) for a in assertions]
-        end = [terms.setdefault(a.end, len(terms)) for a in assertions]
-        source = [sources.setdefault(a.source, len(sources)) for a in assertions]
-        return cls(list(terms), start, end, [a.weight for a in assertions],
-                   source, list(sources))
 
     @classmethod
     def concat(cls, tables) -> "EdgeTable":
@@ -94,33 +71,6 @@ class EdgeTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.weight)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return Assertion(start=self.terms[self.start[i]], end=self.terms[self.end[i]],
-                         weight=float(self.weight[i]), source=self.sources[self.source[i]])
-
-    def __iter__(self):
-        terms, sources = self.terms, self.sources
-        for s, e, w, src in zip(self.start.tolist(), self.end.tolist(),
-                                self.weight.tolist(), self.source.tolist()):
-            yield Assertion(start=terms[s], end=terms[e], weight=w, source=sources[src])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    __hash__ = None
-
-
-def as_table(assertions) -> EdgeTable:
-    """`assertions` as an EdgeTable: a table is returned as it is, any
-    other sequence of `Assertion` is converted."""
-    if isinstance(assertions, EdgeTable):
-        return assertions
-    return EdgeTable.from_assertions(assertions)
 
 
 def load_assertions(path, standardizer: Standardizer | None = None) -> EdgeTable:
@@ -216,9 +166,8 @@ def _standard_uri(uri: str) -> str:
     return uri
 
 
-def write_assertions(path, assertions) -> None:
-    """Write assertions back out in the edge-list TSV format."""
-    table = as_table(assertions)
+def write_assertions(path, table: EdgeTable) -> None:
+    """Write an edge table out in the edge-list TSV format."""
     terms, sources = table.terms, table.sources
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("".join([f"{terms[s]}\t{terms[e]}\t{w!r}\t{sources[src]}\n"
@@ -227,16 +176,15 @@ def write_assertions(path, assertions) -> None:
                                                  table.source.tolist())]))
 
 
-def rescale_by_source(assertions) -> EdgeTable:
+def rescale_by_source(table: EdgeTable) -> EdgeTable:
     """Divide each weight by its data source's mean weight.
 
     Confidence scores are not comparable across sources; afterwards every
     source has mean weight 1. `bincount` adds each source's weights left
     to right, in row order.
     """
-    table = as_table(assertions)
     if not len(table):
-        raise ValueError("cannot rescale an empty assertion list")
+        raise ValueError("cannot rescale an empty edge table")
     totals = np.bincount(table.source, weights=table.weight)
     # a source no row uses has total 0 and is never looked up
     means = totals / np.maximum(np.bincount(table.source), 1)
@@ -244,16 +192,15 @@ def rescale_by_source(assertions) -> EdgeTable:
                      table.weight / means[table.source], table.source, table.sources)
 
 
-def filter_terms(assertions, min_count: dict | None = None,
+def filter_terms(table: EdgeTable, min_count: dict | None = None,
                  max_words: int = DEFAULT_MAX_WORDS) -> EdgeTable:
-    """Drop assertions touching fringe terms.
+    """Drop edges touching fringe terms.
 
     A term is excluded when it appears (on either side) in fewer input
-    assertions than its language class requires, or has more than
+    edges than its language class requires, or has more than
     `max_words` underscore-joined words. Thresholds are computed once on
     the input counts; exclusion does not cascade.
     """
-    table = as_table(assertions)
     if min_count is None:
         min_count = DEFAULT_MIN_COUNT
     other = min_count.get("other", DEFAULT_MIN_COUNT["other"])
@@ -271,10 +218,10 @@ def filter_terms(assertions, min_count: dict | None = None,
 class AssociationMatrix:
     """Sparse nonnegative term-by-term matrix in CSR form.
 
-    Within each row, entries are stored in lexicographic order of the
-    neighbor's label (not column index), so that every accumulation over a
-    row is independent of how the vocabulary happens to be enumerated.
-    The diagonal is exactly 1 everywhere; off-diagonal rows sum to 1 for
+    The vocabulary is in label order, so columns are too, and within each
+    row entries are stored in column order: every accumulation over a row
+    is independent of how the terms happened to be enumerated. The
+    diagonal is exactly 1 everywhere; off-diagonal rows sum to 1 for
     connected terms and 0 for isolated ones.
     """
 
@@ -296,55 +243,24 @@ class AssociationMatrix:
         return out
 
 
-def canonical_csr(rows, cols, vals, vocab):
-    """Build CSR arrays with per-row entries in neighbor-label order,
-    summing duplicate coordinates. This is the retrofit matrix's only sort:
-    relabelling keeps that order, so later steps move rows whole."""
-    m = len(vocab)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[np.argsort(np.asarray(vocab, dtype=object), kind="stable")] = np.arange(m)
-    order = np.lexsort((ranks[cols], rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    boundary = np.ones(len(rows), dtype=bool)
-    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(boundary)
-    vals = np.add.reduceat(vals, starts)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[starts], minlength=m))])
-    return indptr, cols[starts], vals
-
-
-def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
+def build_association(table: EdgeTable) -> AssociationMatrix:
     """Accumulate symmetric weights, L1-normalize rows, add unit self-loops.
 
-    The vocabulary is the union of assertion endpoints and `extra_vocab`
-    (typically the embedding labels): extra_vocab keeps its own order and
-    graph-only terms follow in lexicographic order. Self-edges are dropped,
-    as `load_assertions` does, so the diagonal stays exactly 1. One sort
-    places every entry, self-loops included.
+    The vocabulary is the terms some edge uses, in sorted order. Self-edges
+    are dropped, as `load_assertions` does, so the diagonal stays exactly
+    1. One sort places every entry, self-loops included.
     """
-    table = as_table(assertions)
     keep = table.start != table.end
     start, end, weight = table.start[keep], table.end[keep], table.weight[keep]
-    vocab = []
-    index: dict = {}
-    for term in extra_vocab:
-        if term not in index:
-            index[term] = len(vocab)
-            vocab.append(term)
     used = np.zeros(len(table.terms), dtype=bool)
     used[start] = True
     used[end] = True
-    used_ids = np.flatnonzero(used)
-    graph_terms = [table.terms[i] for i in used_ids.tolist()]
-    for term in sorted(t for t in graph_terms if t not in index):
-        index[term] = len(vocab)
-        vocab.append(term)
+    used_ids = np.flatnonzero(used).tolist()
+    used_ids.sort(key=table.terms.__getitem__)
+    vocab = [table.terms[i] for i in used_ids]
     m = len(vocab)
     position = np.zeros(len(table.terms), dtype=np.int64)
-    position[used_ids] = [index[t] for t in graph_terms]
+    position[used_ids] = np.arange(m)
 
     # Each edge gives (i, j) then (j, i), in row order, so that duplicate
     # coordinates are summed in input order; then a zero placeholder for
@@ -357,7 +273,17 @@ def build_association(assertions, extra_vocab=()) -> AssociationMatrix:
     rows[1:2 * n:2] = cols[0:2 * n:2] = position[end]
     rows[2 * n:] = cols[2 * n:] = np.arange(m)
     vals[0:2 * n:2] = vals[1:2 * n:2] = weight
-    indptr, indices, data = canonical_csr(rows, cols, vals, vocab)
+    # The retrofit matrix's only sort, and a stable one: column index is
+    # label rank, and relabelling keeps the order, so later steps move rows
+    # whole.
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    boundary = np.ones(len(rows), dtype=bool)
+    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    first = np.flatnonzero(boundary)
+    data = np.add.reduceat(vals, first)
+    indices = cols[first]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[first], minlength=m))])
 
     # L1-normalize the off-diagonal entries of each row, then set the
     # diagonal. The placeholders stay out of the row sums: an extra term

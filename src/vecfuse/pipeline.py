@@ -235,7 +235,7 @@ def fuse_sources(config: PipelineConfig, cache: StageCache,
     a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache))
             for source in sources)
     out_dims = config.fusion_out_dims
-    if out_dims is not None and out_dims > a.dims + b.dims:
+    if config.fusion_discount and out_dims is not None and out_dims > a.dims + b.dims:
         raise ConfigError(f"out_dims {out_dims} exceeds {a.dims + b.dims} "
                           "concatenated dimensions")
     result = interpolate.fuse(a, b, k=config.fusion_k, out_dims=out_dims,
@@ -273,9 +273,10 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
         kept = kgraph.rescale_by_source(kept)
         n_filtered = sum(len(table) for table in filtered)
         kept = kgraph.EdgeTable.concat([
-            kgraph.filter_terms(kept[:n_filtered], min_count=config.filter_min_count,
+            kgraph.filter_terms(kept.take(slice(None, n_filtered)),
+                                min_count=config.filter_min_count,
                                 max_words=config.filter_max_words),
-            kept[n_filtered:]])
+            kept.take(slice(n_filtered, None))])
     cache.store_assertions("graph_filtered", kept)
     return kept
 

@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from vecfuse.kgraph import EdgeTable
 from vecfuse.matrixio import LabeledMatrix
 
 
@@ -22,3 +25,26 @@ def bits_equal(a, b):
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
     return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class Edge(NamedTuple):
+    """One edge row, for building an EdgeTable and reading one back."""
+
+    start: str
+    end: str
+    weight: float = 1.0
+    source: str = "s"
+
+
+def edge_table(edges) -> EdgeTable:
+    """An EdgeTable of (start, end, weight, source) tuples, in order."""
+    return EdgeTable.concat([EdgeTable([start, end], [0], [1], [weight], [0], [source])
+                             for start, end, weight, source in edges])
+
+
+def edge_rows(table: EdgeTable) -> list:
+    """The rows of `table` as `Edge` tuples."""
+    terms, sources = table.terms, table.sources
+    return [Edge(terms[s], terms[e], w, sources[src])
+            for s, e, w, src in zip(table.start.tolist(), table.end.tolist(),
+                                    table.weight.tolist(), table.source.tolist())]

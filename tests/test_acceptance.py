@@ -14,13 +14,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import bits_equal, make_matrix
+from conftest import Edge, bits_equal, edge_table, make_matrix
 from test_evaluation import brute_force_spearman
 from test_labels import FUZZ_ALPHABET, random_strings
 from vecfuse.errors import EmptyAfterNormalization
 from vecfuse.evaluation import GoldPair, MatrixLookup, round_robin_split, spearman
 from vecfuse.interpolate import svd_discount, svd_factors
-from vecfuse.kgraph import Assertion, build_association
+from vecfuse.kgraph import build_association
 from vecfuse.labels import Standardizer, standardize
 from vecfuse.matrixio import (
     LabeledMatrix,
@@ -45,10 +45,6 @@ def criterion(number, description, budget_seconds):
     print(f"criterion {number:2d} PASS  {description} "
           f"({elapsed:.2f}s < {budget_seconds}s)")
     assert elapsed < budget_seconds, f"criterion {number} over budget: {elapsed:.2f}s"
-
-
-def edge(start, end, weight=1.0):
-    return Assertion(start=start, end=end, weight=weight, source="s")
 
 
 def test_criterion_01_spearman_oracle_equivalence():
@@ -78,7 +74,7 @@ def test_criterion_02_retrofit_fixed_point():
         raw = make_matrix([f"/c/en/w{i}" for i in range(40)],
                           rng.randn(40, 9).astype(np.float32))
         w0 = l2_normalize_rows(raw)
-        problem = assemble_problem(w0, build_association([], extra_vocab=w0.labels))
+        problem = assemble_problem(w0, build_association(edge_table([])))
         expected = l2_normalize_rows(w0)
         for iterations in (1, 10):
             out = retrofit(problem, iterations)
@@ -91,8 +87,7 @@ def test_criterion_03_vocabulary_expansion():
         rng = np.random.RandomState(53)
         emb = l2_normalize_rows(make_matrix(["/c/en/cat"],
                                             rng.randn(1, 6).astype(np.float32)))
-        assoc = build_association([edge("/c/fr/chat", "/c/en/cat")],
-                                  extra_vocab=emb.labels)
+        assoc = build_association(edge_table([Edge("/c/fr/chat", "/c/en/cat")]))
         out = retrofit(assemble_problem(emb, assoc), 10)
         idx = {lab: i for i, lab in enumerate(out.labels)}
         u = out.data[idx["/c/en/cat"]].astype(np.float64)
@@ -105,7 +100,7 @@ def test_criterion_04_oscillation_ablation():
     with criterion(4, "self-loops damp the two-node oscillation", 1):
         def displacements(self_loops):
             anchor = make_matrix(["/c/en/anchor"], [[0.0, 0.0, 0.0, 1.0]])
-            assoc = build_association([edge("/c/en/p", "/c/en/q")])
+            assoc = build_association(edge_table([Edge("/c/en/p", "/c/en/q")]))
             problem = assemble_problem(anchor, assoc, self_loops=self_loops)
             w = problem.w0.copy()
             w[problem.vocab.index("/c/en/p"), 0] = 1.0  # asymmetric seed
@@ -133,14 +128,14 @@ def test_criterion_05_permutation_equivariance():
         while len(edges) < 150:
             i, j = rng.randint(0, len(terms), 2)
             if i != j:
-                edges.append(edge(terms[i], terms[j], float(rng.rand() + 0.1)))
+                edges.append(Edge(terms[i], terms[j], float(rng.rand() + 0.1)))
         out = retrofit(assemble_problem(
-            emb, build_association(edges, extra_vocab=emb.labels)), 10)
+            emb, build_association(edge_table(edges))), 10)
 
         perm = rng.permutation(len(labels))
         emb_p = LabeledMatrix([emb.labels[i] for i in perm], emb.data[perm])
         out_p = retrofit(assemble_problem(
-            emb_p, build_association(edges, extra_vocab=emb_p.labels)), 10)
+            emb_p, build_association(edge_table(edges))), 10)
 
         rows = {lab: out.data[i] for i, lab in enumerate(out.labels)}
         rows_p = {lab: out_p.data[i] for i, lab in enumerate(out_p.labels)}

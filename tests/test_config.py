@@ -97,6 +97,22 @@ class TestConfigValidation:
         raw["term_filter"] = {"max_words": 1}
         assert config_from_dict(raw).filter_max_words == 1
 
+    @pytest.mark.parametrize("key", ["english", "EN", "", "others"])
+    def test_min_count_key_not_a_language(self, tmp_path, capsys, key):
+        """A dict replaces the defaults whole, so a misspelt language would
+        silently fall back to the `other` threshold."""
+        raw = minimal_config()
+        raw["term_filter"] = {"min_count": {key: 1}}
+        with pytest.raises(ConfigError, match=rf"^term_filter\.min_count key {key!r}: "):
+            config_from_dict(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["graph", "--config", str(path), "--out",
+                         str(tmp_path / "edges.tsv")]) == cli.EXIT_CONFIG
+        assert f"term_filter.min_count key {key!r}" in capsys.readouterr().err
+        raw["term_filter"] = {"min_count": {"en": 1, "fra": 2, "other": 5}}
+        assert config_from_dict(raw).filter_min_count == {"en": 1, "fra": 2, "other": 5}
+
     def test_graphs_require_standardization(self):
         raw = minimal_config()
         raw["graphs"] = [{"id": "g", "path": "edges.tsv"}]

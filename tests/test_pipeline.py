@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bits_equal
+from conftest import bits_equal, edge_rows
 from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.evaluation import format_report_table
@@ -349,7 +349,7 @@ class TestSlashInLabelText:
         matrix = pipeline.fuse_sources(config, cache)
         assert "/c/en/ac/dc" in matrix.labels
         edges = pipeline.load_graphs(config, matrix, cache)
-        assert [(a.start, a.end) for a in edges] == [
+        assert [(a.start, a.end) for a in edge_rows(edges)] == [
             ("/c/en/ac/dc", "/c/en/cat"), ("/c/en/ac/dc", "/c/en/dog")]
 
 
@@ -643,7 +643,7 @@ class TestRunWideLabelMemo:
         assert "/c/en/runs" in labels and "/c/en/walked" not in labels
         cache = pipeline.StageCache()
         edges = pipeline.load_graphs(config, pipeline.fuse_sources(config, cache), cache)
-        assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edges]
+        assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edge_rows(edges)]
 
     def test_non_ascii_labels(self, workspace, monkeypatch):
         for name, extra in NON_ASCII.items():
@@ -793,6 +793,26 @@ class TestCli:
         null = np.sqrt(concat.shape[1] * np.finfo(np.float64).eps) * s[0]
         assert np.abs(spectrum - s).max() <= max(1e-12 * s[0], null)
         assert np.all((spectrum > 0) | (s <= null))
+
+    def test_out_dims_unchecked_without_discount(self, workspace, capsys):
+        """With the discount off, an out_dims wider than the 5 concatenated
+        dimensions has no effect: the raw concatenation is written."""
+        written = {}
+        for name, fusion in (("plain", {"k": 2, "discount": False}),
+                             ("wide", {"k": 2, "out_dims": 6, "discount": False})):
+            config = self.write_config(workspace,
+                                       self.raw_toy_dict(workspace, fusion=fusion))
+            paths = [str(workspace / f"{name}.emb1"), str(workspace / f"{name}.labels")]
+            assert cli.main(["fuse", "--config", config, "--out-matrix", paths[0],
+                             "--out-labels", paths[1]]) == 0
+            written[name] = [Path(p).read_bytes() for p in paths]
+        assert written["wide"] == written["plain"]
+        assert read_native(workspace / "wide.emb1", workspace / "wide.labels").dims == 5
+        config = self.write_config(workspace, self.raw_toy_dict(
+            workspace, fusion={"k": 2, "out_dims": 6, "discount": True}))
+        assert cli.main(["fuse", "--config", config, "--out-matrix", paths[0],
+                         "--out-labels", paths[1]]) == cli.EXIT_CONFIG
+        assert "out_dims 6 exceeds 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         {},

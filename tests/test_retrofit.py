@@ -5,19 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bits_equal, make_matrix
+from conftest import Edge, bits_equal, edge_table, make_matrix
 from vecfuse.errors import DimensionMismatch
-from vecfuse.kgraph import Assertion, build_association
+from vecfuse.kgraph import AssociationMatrix, build_association
 from vecfuse.matrixio import LabeledMatrix
 from vecfuse.retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
 from vecfuse.rowmerge import l2_normalize_rows, normalize_rows_inplace
 
 # the package attribute `vecfuse.retrofit` is the function, not the module
 retrofit_module = importlib.import_module("vecfuse.retrofit")
-
-
-def edge(start, end, weight=1.0):
-    return Assertion(start=start, end=end, weight=weight, source="s")
 
 
 def unit(dims, axis):
@@ -34,22 +30,38 @@ def normalized_random(labels, dims, rng):
 class TestAssembleProblem:
     def test_union_construction(self):
         emb = make_matrix(["/c/en/a", "/c/en/b"], [unit(3, 0), unit(3, 1)])
-        assoc = build_association([edge("/c/en/b", "/c/en/c")])
+        assoc = build_association(edge_table([Edge("/c/en/b", "/c/en/c")]))
         prob = assemble_problem(emb, assoc)
         assert prob.vocab == ["/c/en/a", "/c/en/b", "/c/en/c"]
         assert list(prob.anchored) == [True, True, False]
         assert np.all(prob.w0[2] == 0.0)
 
+    def test_vocab_ordering(self):
+        """Embedding terms first, in their order, then graph-only terms in
+        code point order; an embedding term the graph lacks keeps a bare
+        unit self-loop."""
+        emb = make_matrix(["/c/en/zeta", "/c/en/beta", "/c/en/isolated"],
+                          [unit(3, 0), unit(3, 1), unit(3, 2)])
+        assoc = build_association(edge_table([
+            Edge("/c/en/zeta", "/c/en/alpha"), Edge("/c/en/beta", "/c/fr/été"),
+            Edge("/c/en/beta", "/c/fr/zèbre")]))
+        prob = assemble_problem(emb, assoc)
+        assert prob.vocab == ["/c/en/zeta", "/c/en/beta", "/c/en/isolated",
+                              "/c/en/alpha", "/c/fr/zèbre", "/c/fr/été"]
+        iso = prob.vocab.index("/c/en/isolated")
+        lo, hi = prob.indptr[iso], prob.indptr[iso + 1]
+        assert prob.indices[lo:hi].tolist() == [iso] and prob.data[lo:hi].tolist() == [1.0]
+
     def test_shared_term_is_single_row(self):
         emb = make_matrix(["/c/en/b"], [unit(2, 0)])
-        assoc = build_association([edge("/c/en/b", "/c/en/c")])
+        assoc = build_association(edge_table([Edge("/c/en/b", "/c/en/c")]))
         prob = assemble_problem(emb, assoc)
         assert prob.vocab == ["/c/en/b", "/c/en/c"]
         assert prob.size == 2
 
     def test_empty_graph_gives_identity(self):
         emb = make_matrix(["/c/en/a", "/c/en/b"], np.eye(2))
-        assoc = build_association([], extra_vocab=emb.labels)
+        assoc = build_association(edge_table([]))
         prob = assemble_problem(emb, assoc)
         s = np.zeros((2, 2))
         for i in range(2):
@@ -59,13 +71,13 @@ class TestAssembleProblem:
 
     def test_empty_embeddings_rejected(self):
         empty = LabeledMatrix(labels=[], data=np.zeros((0, 3), np.float32))
-        assoc = build_association([edge("/c/en/a", "/c/en/b")])
+        assoc = build_association(edge_table([Edge("/c/en/a", "/c/en/b")]))
         with pytest.raises(DimensionMismatch):
             assemble_problem(empty, assoc)
 
     def test_self_loops_switch_strips_diagonal(self):
         emb = make_matrix(["/c/en/a"], [unit(2, 0)])
-        assoc = build_association([edge("/c/en/a", "/c/en/b")])
+        assoc = build_association(edge_table([Edge("/c/en/a", "/c/en/b")]))
         prob = assemble_problem(emb, assoc, self_loops=False)
         for i in range(prob.size):
             lo, hi = prob.indptr[i], prob.indptr[i + 1]
@@ -75,7 +87,7 @@ class TestAssembleProblem:
 class TestRetrofitStep:
     def test_anchored_no_edge_term_is_fixed_point(self):
         emb = make_matrix(["/c/en/a"], [unit(4, 0)])
-        assoc = build_association([], extra_vocab=emb.labels)
+        assoc = build_association(edge_table([]))
         prob = assemble_problem(emb, assoc)
         out = retrofit_step(prob, prob.w0)
         assert bits_equal(out, prob.w0)
@@ -83,7 +95,7 @@ class TestRetrofitStep:
     def test_oov_single_neighbor_copies_vector(self):
         v = unit(4, 2)
         emb = make_matrix(["/c/en/i"], [v])
-        assoc = build_association([edge("/c/en/j", "/c/en/i")])
+        assoc = build_association(edge_table([Edge("/c/en/j", "/c/en/i")]))
         prob = assemble_problem(emb, assoc)
         w = prob.w0.copy()
         j = prob.vocab.index("/c/en/j")
@@ -95,8 +107,8 @@ class TestRetrofitStep:
     def test_oov_two_orthogonal_neighbors(self):
         u, v = unit(4, 0), unit(4, 1)
         emb = make_matrix(["/c/en/u", "/c/en/v"], [u, v])
-        assoc = build_association([edge("/c/en/j", "/c/en/u"),
-                                   edge("/c/en/j", "/c/en/v")])
+        assoc = build_association(edge_table([Edge("/c/en/j", "/c/en/u"),
+                                              Edge("/c/en/j", "/c/en/v")]))
         prob = assemble_problem(emb, assoc)
         j = prob.vocab.index("/c/en/j")
         out = retrofit_step(prob, prob.w0)
@@ -104,8 +116,8 @@ class TestRetrofitStep:
 
     def test_rows_zero_or_unit(self, rng):
         emb = normalized_random([f"/c/en/t{i}" for i in range(12)], 6, rng)
-        edges = [edge(f"/c/en/t{i}", f"/c/en/g{i % 4}") for i in range(12)]
-        prob = assemble_problem(emb, build_association(edges, extra_vocab=emb.labels))
+        edges = [Edge(f"/c/en/t{i}", f"/c/en/g{i % 4}") for i in range(12)]
+        prob = assemble_problem(emb, build_association(edge_table(edges)))
         w = prob.w0
         for _ in range(5):
             w = retrofit_step(prob, w)
@@ -114,7 +126,7 @@ class TestRetrofitStep:
 
     def test_shape_check(self):
         emb = make_matrix(["/c/en/a"], [unit(2, 0)])
-        prob = assemble_problem(emb, build_association([], extra_vocab=emb.labels))
+        prob = assemble_problem(emb, build_association(edge_table([])))
         with pytest.raises(DimensionMismatch):
             retrofit_step(prob, np.zeros((3, 2), dtype=np.float32))
 
@@ -122,7 +134,7 @@ class TestRetrofitStep:
 class TestRetrofit:
     def test_empty_graph_fixed_point_bitwise(self, rng):
         emb = normalized_random([f"/c/en/w{i}" for i in range(15)], 7, rng)
-        prob = assemble_problem(emb, build_association([], extra_vocab=emb.labels))
+        prob = assemble_problem(emb, build_association(edge_table([])))
         expected = l2_normalize_rows(emb)
         for iterations in (1, 10):
             out = retrofit(prob, iterations)
@@ -131,8 +143,7 @@ class TestRetrofit:
 
     def test_bilingual_neighbor_convergence(self, rng):
         emb = normalized_random(["/c/en/cat"], 5, rng)
-        assoc = build_association([edge("/c/fr/chat", "/c/en/cat")],
-                                  extra_vocab=emb.labels)
+        assoc = build_association(edge_table([Edge("/c/fr/chat", "/c/en/cat")]))
         out = retrofit(assemble_problem(emb, assoc), 10)
         idx = {lab: i for i, lab in enumerate(out.labels)}
         u = out.data[idx["/c/en/cat"]].astype(np.float64)
@@ -144,10 +155,9 @@ class TestRetrofit:
         # 5-node path a-b-c-d-e, endpoints anchored at orthogonal vectors;
         # 10 steps must sit near the converged state of the same update.
         emb = make_matrix(["/c/en/a", "/c/en/e"], [unit(6, 0), unit(6, 1)])
-        assertions = [edge("/c/en/a", "/c/en/b"), edge("/c/en/b", "/c/en/c"),
-                      edge("/c/en/c", "/c/en/d"), edge("/c/en/d", "/c/en/e")]
-        prob = assemble_problem(emb, build_association(assertions,
-                                                       extra_vocab=emb.labels))
+        assertions = [Edge("/c/en/a", "/c/en/b"), Edge("/c/en/b", "/c/en/c"),
+                      Edge("/c/en/c", "/c/en/d"), Edge("/c/en/d", "/c/en/e")]
+        prob = assemble_problem(emb, build_association(edge_table(assertions)))
         w10 = retrofit(prob, 10)
         w_converged = retrofit(prob, 1000)
         assert w10.labels == w_converged.labels
@@ -168,7 +178,7 @@ class TestRetrofit:
 
     def test_iterations_validated(self):
         emb = make_matrix(["/c/en/a"], [unit(2, 0)])
-        prob = assemble_problem(emb, build_association([], extra_vocab=emb.labels))
+        prob = assemble_problem(emb, build_association(edge_table([])))
         with pytest.raises(ValueError):
             retrofit(prob, 0)
 
@@ -182,14 +192,14 @@ class TestPermutationEquivariance:
         for _ in range(120):
             i, j = rng.randint(0, len(terms), 2)
             if i != j:
-                edges.append(edge(terms[i], terms[j], float(rng.rand() + 0.1)))
+                edges.append(Edge(terms[i], terms[j], float(rng.rand() + 0.1)))
         out = retrofit(assemble_problem(
-            emb, build_association(edges, extra_vocab=emb.labels)), 10)
+            emb, build_association(edge_table(edges))), 10)
 
         perm = rng.permutation(len(labels))
         emb_p = LabeledMatrix([emb.labels[i] for i in perm], emb.data[perm])
         out_p = retrofit(assemble_problem(
-            emb_p, build_association(edges, extra_vocab=emb_p.labels)), 10)
+            emb_p, build_association(edge_table(edges))), 10)
 
         rows = {lab: out.data[i] for i, lab in enumerate(out.labels)}
         rows_p = {lab: out_p.data[i] for i, lab in enumerate(out_p.labels)}
@@ -202,7 +212,7 @@ class TestOscillationControl:
     def build_two_node(self, self_loops):
         # one anchored bystander plus a mutually-linked out-of-vocab pair
         emb = make_matrix(["/c/en/anchor"], [unit(4, 3)])
-        assoc = build_association([edge("/c/en/p", "/c/en/q")])
+        assoc = build_association(edge_table([Edge("/c/en/p", "/c/en/q")]))
         return assemble_problem(emb, assoc, self_loops=self_loops)
 
     def seeded_displacements(self, prob, steps=10):
@@ -228,8 +238,9 @@ class TestOscillationControl:
 
 # The three-sort construction that the single sort replaced, kept as a
 # bitwise reference: build_association sorted without and then with the
-# self-loops, and assemble_problem stripped the diagonal, added it back
-# and sorted a third time.
+# self-loops, by label rank over a vocabulary that could list the
+# embedding terms first, and assemble_problem stripped the diagonal, added
+# it back and sorted a third time.
 
 def reference_csr(rows, cols, vals, vocab):
     m = len(vocab)
@@ -313,14 +324,18 @@ def assert_same_bits(got, want):
 
 def random_graph(seed):
     """Edges with duplicates, self-edges and hubs of 9+ neighbors, plus an
-    embedding matrix that shares part of the graph's vocabulary."""
+    embedding matrix that shares part of the graph's vocabulary. Accented,
+    Cyrillic and CJK terms among them check that code point order is the
+    label order."""
     rng = np.random.default_rng(seed)
     pool = [f"/c/{'fr' if i % 7 == 0 else 'en'}/w{i}" for i in range(40)]
+    pool += ["/c/fr/été", "/c/fr/etre", "/c/fr/zèbre", "/c/en/café", "/c/en/cafe",
+             "/c/ru/кот", "/c/ru/кошка", "/c/ru/Кот", "/c/zh/猫", "/c/ja/ねこ", "/c/zh/狗"]
     pairs = [tuple(rng.integers(0, len(pool), 2)) for _ in range(60)]
     for hub in rng.choice(len(pool), 2, replace=False):
         pairs += [(hub, j) for j in rng.choice(len(pool), 25, replace=False)]
     pairs += [pairs[i] for i in rng.integers(0, len(pairs), 20)]  # duplicates
-    edges = [edge(pool[i], pool[j], float(w))
+    edges = [Edge(pool[i], pool[j], float(w))
              for (i, j), w in zip(pairs, rng.uniform(0.1, 3.0, len(pairs)))]
     labels = [pool[i] for i in rng.choice(len(pool), 15, replace=False)]
     labels += [f"/c/en/emb{i}" for i in range(5)]  # absent from the graph
@@ -330,34 +345,35 @@ def random_graph(seed):
 
 
 class TestSingleSortMatchesThreeSorts:
+    """build_association's vocabulary is sorted, so its column order is the
+    label order the reference sorts by; and the problem built from it has
+    the bits of one built from the old embedding-first association."""
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graphs_bitwise(self, seed):
         edges, emb = random_graph(seed)
-        problems = {True: [], False: []}
-        for extra in (emb.labels, ()):
-            assoc = build_association(edges, extra_vocab=extra)
-            assert_same_bits(assoc, reference_association(edges, extra_vocab=extra))
-            assert np.diff(assoc.indptr).max() >= 10  # a diagonal and 9+ neighbors
-            for self_loops in (True, False):
-                problem = assemble_problem(emb, assoc, self_loops=self_loops)
+        assoc = build_association(edge_table(edges))
+        assert_same_bits(assoc, reference_association(edges))
+        assert np.diff(assoc.indptr).max() >= 10  # a diagonal and 9+ neighbors
+        embedding_first = AssociationMatrix(
+            **reference_association(edges, extra_vocab=emb.labels))
+        for self_loops in (True, False):
+            problem = assemble_problem(emb, assoc, self_loops=self_loops)
+            for source in (assoc, embedding_first):
                 assert_same_bits(problem,
-                                 reference_problem(emb, assoc, self_loops=self_loops))
-                problems[self_loops].append(problem)
-        # assemble_problem adds the embedding terms itself, so the graph's
-        # association matrix needs no extra_vocab
-        for with_extra, without in problems.values():
-            assert_same_bits(without, vars(with_extra))
+                                 reference_problem(emb, source, self_loops=self_loops))
 
     @pytest.mark.parametrize("extra", [False, True], ids=["empty_vocab", "isolated_only"])
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_empty_edge_list(self, extra, self_loops):
         _edges, emb = random_graph(0)
-        vocab = emb.labels if extra else ()
-        assoc = build_association([], extra_vocab=vocab)
-        assert assoc.size == len(vocab)
-        assert_same_bits(assoc, reference_association([], extra_vocab=vocab))
+        assoc = build_association(edge_table([]))
+        assert assoc.size == 0
+        assert_same_bits(assoc, reference_association([]))
+        old = AssociationMatrix(
+            **reference_association([], extra_vocab=emb.labels if extra else ()))
         assert_same_bits(assemble_problem(emb, assoc, self_loops=self_loops),
-                         reference_problem(emb, assoc, self_loops=self_loops))
+                         reference_problem(emb, old, self_loops=self_loops))
 
 
 # The whole-matrix step that the row-blocked step replaced, kept as a
@@ -411,7 +427,7 @@ class TestBlockedStepMatchesWholeMatrix:
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_random_graphs(self, seed, self_loops, monkeypatch):
         edges, emb = random_graph(seed)
-        problem = assemble_problem(emb, build_association(edges, extra_vocab=emb.labels),
+        problem = assemble_problem(emb, build_association(edge_table(edges)),
                                    self_loops=self_loops)
         assert np.diff(problem.indptr).max() > 7  # a hub longer than the budget
         if not self_loops:
@@ -422,13 +438,14 @@ class TestBlockedStepMatchesWholeMatrix:
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_empty_edge_list(self, self_loops, monkeypatch):
         _edges, emb = random_graph(0)
-        problem = assemble_problem(emb, build_association([]), self_loops=self_loops)
+        problem = assemble_problem(emb, build_association(edge_table([])),
+                                   self_loops=self_loops)
         assert len(problem.data) == (len(emb) if self_loops else 0)
         self.check(problem, random_state(problem, 1), monkeypatch)
 
     def test_all_rows_graph_only(self, monkeypatch):
         edges, emb = random_graph(3)
-        problem = assemble_problem(emb, build_association(edges))
+        problem = assemble_problem(emb, build_association(edge_table(edges)))
         problem = dataclasses.replace(problem, anchored=np.zeros(problem.size, dtype=bool))
         self.check(problem, random_state(problem, 3), monkeypatch)
 
@@ -466,7 +483,7 @@ class TestBlockedStepMatchesWholeMatrix:
     @pytest.mark.parametrize("seed", range(3))
     def test_empty_rows_without_self_loops(self, seed, monkeypatch):
         edges, emb = random_graph(seed)
-        problem = assemble_problem(emb, build_association(edges, extra_vocab=emb.labels),
+        problem = assemble_problem(emb, build_association(edge_table(edges)),
                                    self_loops=False)
         empty = np.flatnonzero(np.diff(problem.indptr) == 0)
         assert len(empty) >= 2
