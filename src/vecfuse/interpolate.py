@@ -21,12 +21,21 @@ from .matrixio import LabeledMatrix
 from .rowmerge import unit_rows
 
 DEFAULT_NEIGHBORS = 10
-# Bytes of float64 similarities per inference tile. Larger tiles were
-# barely faster and raised the peak RSS of a whole pipeline run.
-_SIMS_BYTES = 1 << 19
+# Bytes of float64 similarities per inference tile, in one buffer that
+# `_infer_rows` allocates once and reuses for every tile. Allocated anew
+# for each tile, larger tiles made glibc trim and re-fault its heap: with
+# 2 MiB tiles a fresh `fuse_two_source` benchmark child took 60k minor
+# faults, against 12k-16k with 512 KiB tiles; reused 1 or 2 MiB tiles
+# take 16k. On that corpus reused 1 and 2 MiB tiles run equally fast,
+# both faster than 512 KiB ones. Each tile's argpartition indices take as
+# many bytes again, so 2 MiB tiles hold 2 MiB more at the peak; on the
+# larger corpus of the ROADMAP they spend 2.45 s in inference against
+# 2.66 s for 1 MiB tiles.
+_SIMS_BYTES = 1 << 20
 # Below 16 query rows per tile a GEMM against every shared row degrades
 # towards one GEMV per query; 64 x 1,024 tiles then timed fastest of
 # 32 x 2,048 to 256 x 256 on 1,000 queries against 5k-40k shared rows.
+# With 1 MiB tiles the switch to 2-D tiles comes at 8,192 shared rows.
 _MIN_TILE_ROWS = 16
 _TILE_COLS = 1024
 # Bytes of each float64 row block the SVD discount widens and projects.
@@ -99,16 +108,27 @@ def _tile_shape(n: int) -> tuple:
     return max(1, _SIMS_BYTES // (8 * cols)), cols
 
 
-def _nearest(query: np.ndarray, have_unit: np.ndarray, k: int, cols: int) -> tuple:
+def _nearest(query: np.ndarray, have_unit: np.ndarray, k: int, cols: int,
+             sims: np.ndarray) -> tuple:
     """(negated similarities, shared indices) of the k shared rows nearest
     each row of the unit rows `query`, ordered by (-similarity, shared
     index), from tiles of `cols` shared rows. Each tile's exact top k is
     merged into the running top k by that order, which is total, so equal
-    similarities go to the lower index across tiles too."""
+    similarities go to the lower index across tiles too. `sims`, a float64
+    buffer of at least len(query) × cols entries, holds each tile in turn.
+
+    The query is negated once, not each tile: IEEE rounding is symmetric
+    in sign, so (-q)·s is -(q·s) down to the bit, but for the sign of an
+    exact zero, which every comparison ignores and `np.maximum(-neg, 0.0)`
+    turns into +0.0 either way.
+    """
+    neg_query = np.negative(query)
     best = None
     for col in range(0, len(have_unit), cols):
-        neg = query @ have_unit[col:col + cols].T
-        np.negative(neg, out=neg)
+        tile = have_unit[col:col + cols]
+        # a contiguous view of the buffer, so that matmul writes it through BLAS
+        neg = sims[:len(query) * len(tile)].reshape(len(query), len(tile))
+        np.matmul(neg_query, tile.T, out=neg)
         top = _top_k(neg, min(k, neg.shape[1]))
         vals, top = np.take_along_axis(neg, top, axis=1), top + col
         if best is not None:
@@ -125,7 +145,7 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
                 want_shared: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into `out` the inferred `want`-space row of each row of
     `vecs`, working in tiles of query rows × shared rows whose
-    similarities fit `_SIMS_BYTES`.
+    similarities fit `_SIMS_BYTES`, all in one reused buffer.
 
     Neighbors are the k shared rows most cosine-similar to the query, equal
     similarities going to the lower shared index; a zero query is equally
@@ -133,8 +153,9 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
     """
     k = min(k, len(have_unit))
     rows, cols = _tile_shape(len(have_unit))
+    sims = np.empty(min(rows, len(vecs)) * cols)
     for start in range(0, len(vecs), rows):
-        neg, top = _nearest(unit_rows(vecs[start:start + rows]), have_unit, k, cols)
+        neg, top = _nearest(unit_rows(vecs[start:start + rows]), have_unit, k, cols, sims)
         weights = np.maximum(-neg, 0.0)
         neighbors = want_shared[top].astype(np.float64)
         total = weights.sum(axis=1)

@@ -24,6 +24,9 @@ _DIGIT_RUN_RE = re.compile(r"[0-9]+")
 # is titlecase).
 _SPACE_RE = re.compile(r"\s")
 _ASCII_UPPER_RE = re.compile(r"[A-Z]")
+# a text of one lowercase ASCII alphanumeric token: tokenize returns it
+# whole, and it passes the label check
+_PLAIN_RE = re.compile(r"[a-z0-9]+")
 _MAX_NORMALIZE_PASSES = 10
 
 
@@ -78,13 +81,16 @@ class StandardLabel:
         return self.uri
 
 
-def _label_of_checked_language(language: str, text: str) -> StandardLabel:
-    """`StandardLabel(language, text)` for a language already validated:
-    the text is checked, the language not again."""
-    _check_label_text(text)
+_set_language = StandardLabel.language.__set__
+_set_text = StandardLabel.text.__set__
+
+
+def _unchecked_label(language: str, text: str) -> StandardLabel:
+    """`StandardLabel(language, text)` for a language and text already
+    known to pass its checks."""
     label = object.__new__(StandardLabel)
-    object.__setattr__(label, "language", language)
-    object.__setattr__(label, "text", text)
+    _set_language(label, language)
+    _set_text(label, text)
     return label
 
 
@@ -252,6 +258,14 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
     stable so that standardizing a rendered label reproduces it exactly.
     """
     validate_language(language)
+    if rules is None:
+        rules = default_rules()
+    if _PLAIN_RE.fullmatch(text) and (
+            language != "en" or (text not in rules.exceptions
+                                 and not text.endswith(rules.suffixes))):
+        # one plain token that no stopword list removes and no lemma rule
+        # reaches: it is its own label text
+        return _unchecked_label(language, text)
     if stopwords is None:
         stopwords = default_stopwords()
     tokens = tokenize(text)
@@ -280,8 +294,9 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
         if not changed:
             break
     joined = "_".join(tokens)
+    _check_label_text(joined)
     # most raw words are their own label text: keep one copy of the string
-    return _label_of_checked_language(language, text if joined == text else joined)
+    return _unchecked_label(language, text if joined == text else joined)
 
 
 def map_digit_runs(text: str) -> str:
@@ -316,6 +331,7 @@ class Standardizer:
     every Standardizer made by `with_vocab`, so a pipeline run computes each
     of them once across its stages; a result that reached the check stays
     in this instance's own memo, since another vocabulary may change it.
+    Each label's URI string is kept beside it, split the same way.
     """
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
@@ -326,12 +342,15 @@ class Standardizer:
         self._candidates = _Candidates(vocab)
         self._memo = {}
         self._shared = {}  # language -> text -> label
+        self._uris = {}
+        self._shared_uris = {}  # language -> text -> uri
 
     def with_vocab(self, vocab) -> "Standardizer":
         """A Standardizer with these rules and stopwords, `vocab`, and this
         one's shared memo."""
         other = type(self)(self.rules, self.stopwords, vocab=vocab)
         other._shared = self._shared
+        other._shared_uris = self._shared_uris
         return other
 
     def standardize(self, text: str, language: str) -> StandardLabel:
@@ -351,4 +370,14 @@ class Standardizer:
         return label
 
     def uri(self, text: str, language: str) -> str:
-        return self.standardize(text, language).uri
+        shared = self._shared_uris.get(language)
+        uri = shared.get(text) if shared is not None else None
+        if uri is None:
+            uri = self._uris.get((text, language))
+        if uri is None:
+            uri = self.standardize(text, language).uri
+            if (text, language) in self._memo:
+                self._uris[text, language] = uri
+            else:
+                self._shared_uris.setdefault(language, {})[text] = uri
+        return uri

@@ -3,12 +3,16 @@
 Frequency is approximated by Zipf's law from each row's rank in its
 source file (the nth most frequent token gets pseudo-frequency 1/n), and
 rows standardizing to the same label are combined by a weighted average.
-Every column and row norm of the package lives here too.
+The groups of one size are averaged together, as many per numpy call as
+`_MERGE_BYTES` holds; each group is still summed over its rows in
+ascending rank, so the bits are those of a loop over groups. Every column and row norm of the package lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,12 +24,16 @@ ZERO_NORM_THRESHOLD = 1e-12
 UNIT_NORM_TOLERANCE = 1e-6
 
 MERGE_STRATEGIES = ("zipf", "first", "unweighted")
+# Bytes of the float64 rows of the groups of one size averaged in one call.
+_MERGE_BYTES = 1 << 20
 
 
-def zipf_weight(rank: int) -> float:
-    """Pseudo-frequency of the token at 1-based frequency rank `rank`."""
-    if rank < 1:
-        raise InvalidRank(f"rank must be >= 1, got {rank}")
+def zipf_weight(rank):
+    """Pseudo-frequency of the token at 1-based frequency rank `rank`, an
+    integer or an integer array."""
+    low = np.min(rank)
+    if low < 1:
+        raise InvalidRank(f"rank must be >= 1, got {low}")
     return 1.0 / rank
 
 
@@ -33,15 +41,11 @@ def zipf_weight(rank: int) -> float:
 class MergePlan:
     """Maps each output label to the raw rows that collapse into it.
 
-    groups: label -> list of (raw row index, source rank), ascending rank.
+    groups: label -> non-empty list of (raw row index, source rank), in
+    ascending rank.
     """
 
     groups: dict
-
-    def covered_indices(self):
-        for members in self.groups.values():
-            for idx, _rank in members:
-                yield idx
 
 
 def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
@@ -54,6 +58,7 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
     """
     if matrix.source_rank is None:
         raise PlanMismatch("matrix has no source ranks to merge by")
+    ranks = matrix.source_rank.tolist()
     groups: dict = {}
     kept = []
     for idx, raw in enumerate(matrix.labels):
@@ -63,9 +68,10 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
             continue
         new_idx = len(kept)
         kept.append(idx)
-        groups.setdefault(uri, []).append((new_idx, int(matrix.source_rank[idx])))
+        groups.setdefault(uri, []).append((new_idx, ranks[idx]))
     for members in groups.values():
-        members.sort(key=lambda m: m[1])
+        if len(members) > 1:
+            members.sort(key=itemgetter(1))
     return MergePlan(groups=groups), np.asarray(kept, dtype=np.int64)
 
 
@@ -77,33 +83,46 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
     unweighted: plain mean. Output rows are ordered by ascending group
     minimum rank (ties broken lexicographically by label), and each output
     row inherits its group's minimum source rank.
+
+    Raises PlanMismatch unless the plan covers each row once, in
+    non-empty groups of ascending rank.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(f"unknown merge strategy {strategy!r}")
-    n_rows = len(matrix)
-    covered = sorted(plan.covered_indices())
-    if covered != list(range(n_rows)):
-        raise PlanMismatch(
-            f"plan covers {len(covered)} row references for a {n_rows}-row matrix")
-
+    if not all(plan.groups.values()):
+        raise PlanMismatch("plan has an empty group")
     ordered = sorted(plan.groups.items(), key=lambda kv: (kv[1][0][1], kv[0]))
-    labels = [label for label, _members in ordered]
-    ranks = np.array([members[0][1] for _label, members in ordered], dtype=np.int64)
+    sizes = np.array([len(members) for _label, members in ordered], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+        members for _label, members in ordered)), dtype=np.int64).reshape(-1, 2)
+    rows, ranks = flat[:, 0], flat[:, 1]
+    n_rows = len(matrix)
+    if not np.array_equal(np.sort(rows), np.arange(n_rows)):
+        raise PlanMismatch(
+            f"plan covers {len(rows)} row references for a {n_rows}-row matrix")
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    if ((np.diff(ranks) < 0) & (np.diff(group_of) == 0)).any():
+        raise PlanMismatch("plan group ranks are not ascending")
+
+    starts = np.cumsum(sizes) - sizes
     # every group's lowest-rank row in one gather: the whole of a one-row
     # group, and of every group under "first"
-    out = matrix.data[np.array([members[0][0] for _label, members in ordered],
-                               dtype=np.int64)]
-    for gi, (_label, members) in enumerate(ordered):
-        if len(members) == 1 or strategy == "first":
-            continue
-        rows = matrix.data[[m[0] for m in members]].astype(np.float64)
-        if strategy == "zipf":
-            weights = np.array([zipf_weight(r) for _i, r in members])
-            merged = (weights[:, None] * rows).sum(axis=0) / weights.sum()
-        else:
-            merged = rows.mean(axis=0)
-        out[gi] = merged
-    return LabeledMatrix(labels=labels, data=out, source_rank=ranks)
+    out = matrix.data[rows[starts]]
+    if strategy != "first":
+        for size in sorted(set(sizes.tolist()) - {1}):
+            of_size = np.flatnonzero(sizes == size)
+            step = max(1, _MERGE_BYTES // (8 * size * max(matrix.dims, 1)))
+            for at in np.split(of_size, range(step, len(of_size), step)):
+                members = starts[at, None] + np.arange(size)
+                group = matrix.data[rows[members]].astype(np.float64)
+                if strategy == "zipf":
+                    weights = zipf_weight(ranks[members])
+                    out[at] = ((weights[:, :, None] * group).sum(axis=1)
+                               / weights.sum(axis=1)[:, None])
+                else:
+                    out[at] = group.mean(axis=1)
+    return LabeledMatrix(labels=[label for label, _members in ordered], data=out,
+                         source_rank=ranks[starts])
 
 
 def _divide(data: np.ndarray, norms: np.ndarray) -> None:

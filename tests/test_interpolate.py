@@ -207,7 +207,7 @@ class TestBlockInference:
                               [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         query = np.array([[1.0, 0.0]])
         for cols in (1, 2, 3, 4, 6):
-            _neg, top = _nearest(query, have_unit, k, cols)
+            _neg, top = _nearest(query, have_unit, k, cols, np.empty(cols))
             assert top[0].tolist() == [1, 2, 4, 5, 0][:k]
 
     def test_tile_shape_keeps_neighbor_indices(self, rng, monkeypatch):
@@ -236,6 +236,103 @@ class TestBlockInference:
                     top, row = oracle_infer(vec, have_unit, want_shared, 6)
                     assert top_rows[i].tolist() == top.tolist()
                     assert np.abs(got[i] - row).max() < 1e-6
+
+
+def reference_nearest(query, have_unit, k, cols):
+    """`_nearest` as it was before it reused one buffer: a new similarity
+    tile for each tile, negated after the GEMM."""
+    best = None
+    for col in range(0, len(have_unit), cols):
+        neg = query @ have_unit[col:col + cols].T
+        np.negative(neg, out=neg)
+        top = _top_k(neg, min(k, neg.shape[1]))
+        vals, top = np.take_along_axis(neg, top, axis=1), top + col
+        if best is not None:
+            vals = np.concatenate((best[0], vals), axis=1)
+            top = np.concatenate((best[1], top), axis=1)
+            order = np.lexsort((top, vals))[:, :k]
+            vals = np.take_along_axis(vals, order, axis=1)
+            top = np.take_along_axis(top, order, axis=1)
+        best = vals, top
+    return best
+
+
+def reference_infer_rows(vecs, have_unit, want_shared, k, out):
+    """`_infer_rows` as it was before it reused one buffer and widened the
+    want-side rows once."""
+    k = min(k, len(have_unit))
+    rows, cols = interpolate._tile_shape(len(have_unit))
+    for start in range(0, len(vecs), rows):
+        neg, top = reference_nearest(rowmerge.unit_rows(vecs[start:start + rows]),
+                                     have_unit, k, cols)
+        weights = np.maximum(-neg, 0.0)
+        neighbors = want_shared[top].astype(np.float64)
+        total = weights.sum(axis=1)
+        sums = (weights[:, :, None] * neighbors).sum(axis=1)
+        flat = total <= 0.0
+        sums[~flat] /= total[~flat, None]
+        sums[flat] = neighbors[flat].mean(axis=1)
+        out[start:start + rows] = sums
+
+
+class TestInferenceMatchesTileLoop:
+    """One reused similarity buffer, a query negated once per block and
+    want-side rows widened once give the bits of the per-tile loop."""
+
+    LEVELS = np.array([[1, 0, 0, 0], [0, -1, 0, 0], [0.5, 0.5, -0.5, 0.5],
+                       [-0.5, 0.5, 0.5, 0.5], [0, 0, 0, 1]])
+
+    def cases(self, rng):
+        # exact rows tie across tiles; random rows do not; zero queries
+        # (and one below the zero threshold) go with both
+        tied = (self.LEVELS[rng.randint(0, 5, size=70)],
+                2.0 * self.LEVELS[rng.randint(0, 5, size=33)])
+        spread = (random_space(rng, 70, 4), rng.randn(33, 4) * 3.0)
+        for have_unit, queries in (tied, spread):
+            queries[[4, 20]] = 0.0
+            queries[9] = [1e-14, 0.0, 0.0, 0.0]
+            yield have_unit, queries.astype(np.float32)
+
+    # (similarity budget, tile columns): one tile of every shared row with
+    # a partly full last block of queries; 2-D tiles whose last tile and
+    # last block are partly full; one query row or one column per tile
+    TILES = [(1 << 21, 1024), (8 * 70 * 16, 1024), (8 * 70 * 20, 1024),
+             (8 * 16, 16), (8 * 9, 3), (8 * 64, 16), (8 * 70 * 15, 8),
+             (8 * 7, 7), (8, 1)]
+
+    @pytest.mark.parametrize("budget, cols", TILES)
+    @pytest.mark.parametrize("k", [1, 6, 70, 90])
+    def test_same_bits_and_neighbors(self, rng, monkeypatch, budget, cols, k):
+        monkeypatch.setattr(interpolate, "_SIMS_BYTES", budget)
+        monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
+        want_shared = rng.randn(70, 3).astype(np.float32)
+        for have_unit, queries in self.cases(rng):
+            got = np.empty((len(queries), 3))
+            want = np.empty((len(queries), 3))
+            _infer_rows(queries, have_unit, want_shared, k, got)
+            reference_infer_rows(queries, have_unit, want_shared, k, want)
+            assert got.tobytes() == want.tobytes()
+            unit = rowmerge.unit_rows(queries)
+            tile_cols = interpolate._tile_shape(len(have_unit))[1]
+            neg, top = _nearest(unit, have_unit, min(k, 70), tile_cols,
+                                np.empty(len(unit) * tile_cols))
+            ref_neg, ref_top = reference_nearest(unit, have_unit, min(k, 70), tile_cols)
+            assert np.array_equal(top, ref_top)
+            # equal values; an exact zero may carry the other sign
+            assert np.array_equal(neg, ref_neg)
+
+    def test_same_bits_through_fuse(self, rng, monkeypatch):
+        a = unit_rows([f"w{i}" for i in range(300)], 12, rng)
+        b = unit_rows([f"w{i}" for i in range(100, 420)], 10, rng)
+        infer_rows = interpolate._infer_rows
+        for budget, cols in [(1 << 21, 1024), (8 * 7 * 5, 7), (8 * 200 * 16, 64)]:
+            monkeypatch.setattr(interpolate, "_SIMS_BYTES", budget)
+            monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
+            monkeypatch.setattr(interpolate, "_infer_rows", infer_rows)
+            got = fuse(a, b, k=4, discount=False).matrix.data
+            monkeypatch.setattr(interpolate, "_infer_rows", reference_infer_rows)
+            want = fuse(a, b, k=4, discount=False).matrix.data
+            assert bits_equal(got, want)
 
 
 class TestSvdDiscount:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import unicodedata
 
@@ -316,6 +317,35 @@ class TestStandardizerMemo:
                 assert stds[i].uri("Cats!", "en") == cases[i][1]
         assert len(calls) == 6  # two texts per standardizer, each once
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_uri_memo_keeps_the_vocabulary_boundary(self, monkeypatch, order):
+        """A memoised URI is shared with `with_vocab` siblings exactly when
+        its label is: never when a lemma vocabulary decided it."""
+        seen = []
+        real = Standardizer.standardize
+
+        def counting(self, text, language):
+            seen.append((id(self), text))
+            return real(self, text, language)
+
+        monkeypatch.setattr(Standardizer, "standardize", counting)
+        rules = Standardizer()
+        cases = [({"cat"}, "/c/en/cat"), (set(), "/c/en/cats"), (None, "/c/en/cat")]
+        stds = [rules.with_vocab(vocab) for vocab, _want in cases]
+        for _ in range(2):
+            for i in order:
+                assert stds[i].uri("cats", "en") == cases[i][1]
+                assert stds[i].standardize("cats", "en").uri == cases[i][1]
+                assert stds[i].uri("dogma", "en") == "/c/en/dogma"
+                assert stds[i].uri("went", "en") == "/c/en/go"
+        # each standardizer computes the URI of "cats" once, besides its two
+        # direct calls; "dogma" and "went" are computed once in all, and
+        # every later URI of theirs comes from the shared memo
+        for std in stds:
+            assert seen.count((id(std), "cats")) == 3
+        assert sum(text == "dogma" for _who, text in seen) == 1
+        assert sum(text == "went" for _who, text in seen) == 1
+
 
 # Reference versions of the label checks, tokenizer and lemmatizer as they
 # were before their ASCII fast paths: one code path for every string.
@@ -372,6 +402,15 @@ TRICKY = [
     "cats", "CATS", "dogs_and_cats", "…", "¡hola!", "it's", "'quoted'", "x",
     "a\u00a0b", "a\u3000b", "Ⅻ", "ǈ", "naïve_Café", "bus", "ss", "s", "",
     "running", "flies", "women", "women's", "ABC_def", "1999", "#", "r&d",
+    # plain lowercase alphanumeric texts: the standardizer's shortest path
+    # where no lemma rule reaches them. A word ending in each rule suffix,
+    "buses", "boxes", "buzzes", "churches", "wishes", "cities", "firemen",
+    "goes", "walked", "singing", "taller", "tallest", "es", "ed", "ing", "24s",
+    # exception forms,
+    "went", "was", "ran", "gave",
+    # digits, letters with digits, one letter, lone stopwords, plain words
+    "42", "0", "mp3", "a1b2", "3d", "a", "i", "7", "the", "of", "and",
+    "dog", "tree", "kotama", "cat",
 ]
 
 
@@ -400,15 +439,44 @@ class TestAsciiFastPaths:
         bare = LemmaRuleSet()
         assert lemmatize(text, bare) == reference_lemmatize(text, bare)
 
-    @pytest.mark.parametrize("text", TRICKY)
-    def test_standardize_matches_reference(self, text, monkeypatch):
-        got = outcome(lambda: standardize(text, "en").uri)
+    @staticmethod
+    def one_path(monkeypatch):
+        """Route `standardize` through the reference steps, with no plain
+        text shortcut."""
+        monkeypatch.setattr(labels, "_PLAIN_RE", re.compile(r"(?!)"))
         monkeypatch.setattr(labels, "tokenize", reference_tokenize)
         monkeypatch.setattr(labels, "lemmatize", reference_lemmatize)
         monkeypatch.setattr(StandardLabel, "__post_init__",
                             lambda self: reference_label_check(self.language, self.text))
-        want = outcome(lambda: standardize(text, "en", rules=default_rules()).uri)
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_standardize_matches_reference(self, text, monkeypatch):
+        languages = ("en", "fr")
+        got = [outcome(lambda: standardize(text, lang).uri) for lang in languages]
+        self.one_path(monkeypatch)
+        want = [outcome(lambda: standardize(text, lang).uri) for lang in languages]
         assert got == want
+
+    @pytest.mark.parametrize("text", TRICKY)
+    def test_same_memo_as_reference(self, text, monkeypatch):
+        """A text lands in the shared memo exactly when the one-path
+        computation reaches no lemma vocabulary check."""
+        def memos():
+            std = Standardizer(vocab={"cat", "bus", "box", "city", "walk", "tall"})
+            found = []
+            for lang in ("en", "fr"):
+                try:
+                    label = std.standardize(text, lang)
+                except (ValueError, EmptyAfterNormalization):
+                    found.append(None)
+                    continue
+                found.append((label.uri, text in std._shared.get(lang, {}),
+                              (text, lang) in std._memo))
+            return found
+
+        got = memos()
+        self.one_path(monkeypatch)
+        assert got == memos()
 
     def test_whitespace_regex_is_isspace_on_every_code_point(self):
         # the label check relies on this for non-ASCII text too

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, make_matrix
+from vecfuse import rowmerge
 from vecfuse.errors import InvalidLanguage, InvalidRank, PlanMismatch
 from vecfuse.labels import Standardizer
 from vecfuse.rowmerge import (
+    MERGE_STRATEGIES,
     MergePlan,
     build_merge_plan,
     l1_normalize_columns,
@@ -112,6 +114,87 @@ class TestMergeStandardized:
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1)]}))
         with pytest.raises(PlanMismatch):
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (5, 2)]}))
+        with pytest.raises(PlanMismatch):  # an empty group
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (1, 2)],
+                                                    "/c/en/b": []}))
+        with pytest.raises(PlanMismatch):  # ranks not ascending
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (0, 1)]}))
+
+    def test_equal_ranks_in_a_group_accepted(self):
+        m = make_matrix(["a", "A"], [[1.0], [3.0]], ranks=[2, 2])
+        plan = MergePlan(groups={"/c/en/a": [(1, 2), (0, 2)]})
+        assert merge_standardized(m, plan, strategy="first").data.tolist() == [[3.0]]
+
+    def test_zipf_rank_below_one_in_a_merged_group(self):
+        m = make_matrix(["a", "A"], np.eye(2))
+        with pytest.raises(InvalidRank):
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 0), (1, 1)]}))
+
+
+def reference_merge(matrix, plan, strategy):
+    """`merge_standardized` as it was before it averaged the groups of one
+    size together: a loop of numpy calls per group."""
+    ordered = sorted(plan.groups.items(), key=lambda kv: (kv[1][0][1], kv[0]))
+    out = matrix.data[np.array([members[0][0] for _label, members in ordered],
+                               dtype=np.int64)]
+    for gi, (_label, members) in enumerate(ordered):
+        if len(members) == 1 or strategy == "first":
+            continue
+        rows = matrix.data[[m[0] for m in members]].astype(np.float64)
+        if strategy == "zipf":
+            weights = np.array([zipf_weight(r) for _i, r in members])
+            merged = (weights[:, None] * rows).sum(axis=0) / weights.sum()
+        else:
+            merged = rows.mean(axis=0)
+        out[gi] = merged
+    return ([label for label, _members in ordered], out,
+            [members[0][1] for _label, members in ordered])
+
+
+class TestMergeMatchesGroupLoop:
+    """Averaging all groups of one size at once gives the bits of the loop
+    over groups: each group is still summed over its rows left to right."""
+
+    @pytest.mark.parametrize("strategy", MERGE_STRATEGIES)
+    @pytest.mark.parametrize("dims", [1, 2, 7, 50])
+    @pytest.mark.parametrize("rows_per_call", [2, 13, None])
+    def test_group_sizes_one_to_twelve(self, rng, monkeypatch, strategy, dims,
+                                       rows_per_call):
+        # sizes past 8 cross numpy's pairwise-sum block; three groups of
+        # each size, shuffled rows, scattered ranks with some equal ones.
+        # A budget of 2 rows averages one group per call; 13 rows splits
+        # the groups of sizes 5 and 6 into a call of two and one of one
+        if rows_per_call is not None:
+            monkeypatch.setattr(rowmerge, "_MERGE_BYTES", 8 * dims * rows_per_call)
+        sizes = [size for size in range(1, 13) for _ in range(3)]
+        n = sum(sizes)
+        rows = (rng.randn(n, dims) * rng.uniform(0.01, 100, size=(n, 1))).astype(np.float32)
+        ranks = rng.randint(1, 40, size=n)
+        m = make_matrix([f"w{i}" for i in range(n)], rows, ranks=ranks.tolist())
+        order = rng.permutation(n)
+        groups, at = {}, 0
+        for gi, size in enumerate(sizes):
+            members = sorted(((int(i), int(ranks[i])) for i in order[at:at + size]),
+                             key=lambda mr: mr[1])
+            groups[f"/c/en/g{gi}"] = members
+            at += size
+        plan = MergePlan(groups=groups)
+        merged = merge_standardized(m, plan, strategy=strategy)
+        labels, data, out_ranks = reference_merge(m, plan, strategy)
+        assert merged.labels == labels
+        assert bits_equal(merged.data, data)
+        assert merged.source_rank.tolist() == out_ranks
+
+    def test_pipeline_plan(self, rng):
+        words = ["Cat", "cat", "CAT", "dog", "Dog", "cats", "bird"] * 3
+        m = make_matrix([w + "!" * (i // 7) for i, w in enumerate(words)],
+                        rng.randn(len(words), 5).astype(np.float32))
+        plan, kept = build_merge_plan(m, Standardizer())
+        for strategy in MERGE_STRATEGIES:
+            merged = merge_standardized(m.take(kept), plan, strategy=strategy)
+            labels, data, _ranks = reference_merge(m.take(kept), plan, strategy)
+            assert merged.labels == labels
+            assert bits_equal(merged.data, data)
 
 
 class TestColumnNormalization:
