@@ -7,9 +7,9 @@ schema. Validation failures raise ConfigError (CLI exit code 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidLanguage
+from .errors import ConfigError, InvalidLanguage, ParseError, open_utf8
 from .evaluation import GOLD_FORMATS
 from .interpolate import DEFAULT_NEIGHBORS
 from .kgraph import DEFAULT_MAX_WORDS, DEFAULT_MIN_COUNT
@@ -30,57 +30,60 @@ class EmbeddingSource:
     id: str
     path: str
     format: str
-    enabled: bool = True
-    language: str = "en"
-    labels_path: str | None = None  # native format only
-    on_duplicate: str = "error"
+    enabled: bool
+    language: str
+    labels_path: str | None  # native format only
+    on_duplicate: str
 
 
 @dataclass
 class GraphSource:
     id: str
     path: str
-    enabled: bool = True
-    apply_term_filter: bool = True
+    enabled: bool
+    apply_term_filter: bool
 
 
 @dataclass
 class EvalDataset:
     id: str
-    path: str | None = None
-    dev_path: str | None = None
-    test_path: str | None = None
-    format: str = "generic"
-    language: str = "en"
-    splits: tuple = ("all",)
-    num_chunks: int = 3
-    test_chunk: int = 3
-    drop_oov: bool = False
+    path: str | None
+    dev_path: str | None
+    test_path: str | None
+    format: str
+    language: str
+    splits: tuple
+    num_chunks: int
+    test_chunk: int
+    drop_oov: bool
 
 
 @dataclass
 class PipelineConfig:
-    embeddings: list = field(default_factory=list)
-    graphs: list = field(default_factory=list)
-    standardize_enabled: bool = True
-    stopwords_path: str | None = None
-    exceptions_path: str | None = None
-    vocab_check: bool = True
-    merge_strategy: str = "zipf"
-    column_norm: str = "l1"
-    fusion_k: int = DEFAULT_NEIGHBORS
-    fusion_out_dims: int | None = None
-    fusion_discount: bool = True
-    retrofit_iterations: int = DEFAULT_ITERATIONS
-    retrofit_self_loops: bool = True
-    excluded_graph_sources: tuple = ()
-    filter_min_count: dict = field(default_factory=lambda: dict(DEFAULT_MIN_COUNT))
-    filter_max_words: int = DEFAULT_MAX_WORDS
-    evaluations: list = field(default_factory=list)
-    output_dir: str = "out"
-    output_matrix: str = "ensemble.emb1"
-    output_labels: str = "ensemble.labels"
-    output_report: str = "report.tsv"
+    """A validated config. `config_from_dict` sets every field and holds
+    every default."""
+
+    embeddings: list
+    graphs: list
+    standardize_enabled: bool
+    stopwords_path: str | None
+    exceptions_path: str | None
+    vocab_check: bool
+    merge_strategy: str
+    column_norm: str
+    fusion_k: int
+    fusion_out_dims: int | None
+    fusion_discount: bool
+    retrofit_iterations: int
+    retrofit_self_loops: bool
+    excluded_graph_sources: tuple
+    filter_min_count: dict
+    filter_max_words: int
+    evaluations: list
+    output_dir: str
+    output_matrix: str
+    output_labels: str
+    output_report: str
 
     def enabled_embeddings(self) -> list:
         return [s for s in self.embeddings if s.enabled]
@@ -203,6 +206,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"dataset {ds.id}: format must be one of {GOLD_FORMATS}")
         _expect(all(s in SPLIT_IDS for s in ds.splits),
                 f"dataset {ds.id}: splits must be among {SPLIT_IDS}")
+        _expect(ds.splits and len(set(ds.splits)) == len(ds.splits),
+                f"dataset {ds.id}: splits must be non-empty, without repeats")
         _expect(1 <= ds.test_chunk <= ds.num_chunks,
                 f"dataset {ds.id}: test_chunk outside [1, num_chunks]")
         _expect_language(ds.language, f"dataset {ds.id}")
@@ -254,10 +259,12 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open_utf8(path) as f:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except ParseError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     return config_from_dict(raw)

@@ -1,9 +1,12 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and `open_utf8`, which reports a
+text file that is not UTF-8 as a `ParseError` naming its line.
 
 Three branches matter to callers: configuration problems, malformed or
 inconsistent data, and numerical failures. The CLI maps them to exit
 codes 1, 2 and 3 respectively.
 """
+
+from contextlib import contextmanager
 
 
 class VecfuseError(Exception):
@@ -46,6 +49,34 @@ class ParseError(DataError):
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path = path
         self.line = line
+
+
+@contextmanager
+def open_utf8(path):
+    """`open(path, encoding="utf-8")`. A byte sequence that does not decode
+    is a ParseError naming its line: only then is the file read again, in
+    binary, to find the line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise _undecodable_line(path, exc) from None
+
+
+def _undecodable_line(path, exc) -> ParseError:
+    lineno = 0
+    with open(path, "rb") as f:
+        for chunk in f:
+            # text mode ends a line at "\r", "\r\n" or "\n", as splitlines does
+            for line in chunk.splitlines():
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    return ParseError(f"not UTF-8: {line_exc.reason} at byte "
+                                      f"{line_exc.start + 1} of the line",
+                                      path=str(path), line=lineno)
+    return ParseError(f"not UTF-8: {exc.reason}", path=str(path))
 
 
 class DimensionMismatch(DataError):

@@ -20,6 +20,7 @@ from .errors import (
     EmptyAfterNormalization,
     InvalidChunk,
     ParseError,
+    open_utf8,
 )
 from .labels import Standardizer, map_digit_runs
 from .matrixio import LabeledMatrix
@@ -52,7 +53,7 @@ def load_gold(path, format: str = "generic", language: str = "en") -> list:
     if format not in GOLD_FORMATS:
         raise ValueError(f"unknown gold format {format!r}")
     pairs = []
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NonPositiveWeight, ParseError
+from .errors import DataError, NonPositiveWeight, ParseError, open_utf8
 from .labels import StandardLabel, Standardizer, split_uri
 
 DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
@@ -119,7 +119,7 @@ def _read_edges(path, label) -> EdgeTable:
         ids[uri] = tid
         return tid
 
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

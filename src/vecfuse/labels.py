@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .errors import EmptyAfterNormalization, InvalidLanguage, ParseError
+from .errors import EmptyAfterNormalization, InvalidLanguage, ParseError, open_utf8
 
 _LANGUAGE_RE = re.compile(r"[a-z]{2,3}$")
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
@@ -60,18 +60,17 @@ def _check_label_text(text: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class StandardLabel:
-    """A language-tagged, normalized term identifier."""
+    """A language-tagged, normalized term identifier, and its
+    `/c/<language>/<text>` URI, which is computed once."""
 
     language: str
     text: str
+    uri: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         validate_language(self.language)
         _check_label_text(self.text)
-
-    @property
-    def uri(self) -> str:
-        return f"/c/{self.language}/{self.text}"
+        _set_uri(self, f"/c/{self.language}/{self.text}")
 
     @classmethod
     def from_uri(cls, uri: str) -> "StandardLabel":
@@ -83,6 +82,7 @@ class StandardLabel:
 
 _set_language = StandardLabel.language.__set__
 _set_text = StandardLabel.text.__set__
+_set_uri = StandardLabel.uri.__set__
 
 
 def _unchecked_label(language: str, text: str) -> StandardLabel:
@@ -91,6 +91,7 @@ def _unchecked_label(language: str, text: str) -> StandardLabel:
     label = object.__new__(StandardLabel)
     _set_language(label, language)
     _set_text(label, text)
+    _set_uri(label, f"/c/{language}/{text}")
     return label
 
 
@@ -146,7 +147,7 @@ DEFAULT_RULES = (
 def load_stopwords(path) -> frozenset:
     """Read a stopword file: UTF-8, one token per line, '#' comments."""
     words = set()
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -158,7 +159,7 @@ def load_stopwords(path) -> frozenset:
 def load_exceptions(path) -> dict:
     """Read an exceptions file: UTF-8, tab-separated "form<TAB>lemma" lines."""
     exceptions = {}
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -331,7 +332,6 @@ class Standardizer:
     every Standardizer made by `with_vocab`, so a pipeline run computes each
     of them once across its stages; a result that reached the check stays
     in this instance's own memo, since another vocabulary may change it.
-    Each label's URI string is kept beside it, split the same way.
     """
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
@@ -342,15 +342,12 @@ class Standardizer:
         self._candidates = _Candidates(vocab)
         self._memo = {}
         self._shared = {}  # language -> text -> label
-        self._uris = {}
-        self._shared_uris = {}  # language -> text -> uri
 
     def with_vocab(self, vocab) -> "Standardizer":
         """A Standardizer with these rules and stopwords, `vocab`, and this
         one's shared memo."""
         other = type(self)(self.rules, self.stopwords, vocab=vocab)
         other._shared = self._shared
-        other._shared_uris = self._shared_uris
         return other
 
     def standardize(self, text: str, language: str) -> StandardLabel:
@@ -370,14 +367,4 @@ class Standardizer:
         return label
 
     def uri(self, text: str, language: str) -> str:
-        shared = self._shared_uris.get(language)
-        uri = shared.get(text) if shared is not None else None
-        if uri is None:
-            uri = self._uris.get((text, language))
-        if uri is None:
-            uri = self.standardize(text, language).uri
-            if (text, language) in self._memo:
-                self._uris[text, language] = uri
-            else:
-                self._shared_uris.setdefault(language, {})[text] = uri
-        return uri
+        return self.standardize(text, language).uri

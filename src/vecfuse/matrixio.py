@@ -21,6 +21,7 @@ from .errors import (
     DuplicateLabel,
     ParseError,
     TruncatedFile,
+    open_utf8,
 )
 
 NATIVE_MAGIC = b"EMB1"
@@ -36,16 +37,10 @@ _BINARY_CHUNK_BYTES = 1 << 16
 
 @dataclass
 class LabeledMatrix:
-    """Ordered unique labels paired with a dense float32 embedding matrix.
-
-    `source_rank`, when present, is the 1-based frequency rank each row had
-    in its original source file (both GloVe and word2vec list vocabularies
-    in descending frequency order).
-    """
+    """Ordered unique labels paired with a dense float32 embedding matrix."""
 
     labels: list
     data: np.ndarray
-    source_rank: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -56,12 +51,6 @@ class LabeledMatrix:
                 f"{len(self.labels)} labels for {self.data.shape[0]} rows")
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel("labels are not unique")
-        if self.source_rank is not None:
-            self.source_rank = np.asarray(self.source_rank, dtype=np.int64)
-            if self.source_rank.shape != (self.data.shape[0],):
-                raise DimensionMismatch("one source_rank per row required")
-            if len(self.source_rank) and self.source_rank.min() < 1:
-                raise DimensionMismatch("source_rank values must be positive")
 
     @property
     def dims(self) -> int:
@@ -74,11 +63,10 @@ class LabeledMatrix:
         return {label: i for i, label in enumerate(self.labels)}
 
     def take(self, indices) -> "LabeledMatrix":
-        """Row subset preserving original source ranks."""
+        """The rows at `indices`, in that order."""
         indices = np.asarray(indices, dtype=np.int64)
-        ranks = self.source_rank[indices] if self.source_rank is not None else None
         return LabeledMatrix(labels=[self.labels[i] for i in indices],
-                             data=self.data[indices], source_rank=ranks)
+                             data=self.data[indices])
 
 
 def _check_field_count(fields, dims, path, lineno):
@@ -104,6 +92,16 @@ def _parse_batch(fields, linenos, path) -> np.ndarray:
         raise  # numpy rejected a field that float accepts: not seen, kept loud
 
 
+def _first_repeat(labels) -> int:
+    """Index of the first label that repeats an earlier one; called only
+    once `LabeledMatrix` has found a repeat."""
+    seen = set()
+    for i, label in enumerate(labels):
+        if label in seen:
+            return i
+        seen.add(label)
+
+
 def _first_nonfinite_row(data: np.ndarray):
     """Index of the first row holding a nan or inf, or None."""
     finite = np.isfinite(data).all(axis=1)
@@ -119,8 +117,8 @@ def read_text_embeddings(path, header: bool = False,
     later by label standardization. `on_duplicate` is one of `ON_DUPLICATE`.
     A header's row count must match the vector lines, duplicates included;
     a vector line without values, a header declaring fewer than one
-    dimension, and a nan or inf anywhere are each a `ParseError` naming
-    its line.
+    dimension, bytes that are not UTF-8, and a nan or inf anywhere are
+    each a `ParseError` naming its line.
 
     Each field is parsed as a double, `_TEXT_BATCH_LINES` lines per numpy
     call, and rounded once to float32; the float32 batches are
@@ -151,7 +149,7 @@ def read_text_embeddings(path, header: bool = False,
         batch_linenos.clear()
         batch_kept.clear()
 
-    with open(path, encoding="utf-8") as f, np.errstate(over="ignore"):
+    with open_utf8(path) as f, np.errstate(over="ignore"):
         # values past float32 range become inf and fail the finite check
         lineno = 0
         if header:
@@ -208,8 +206,7 @@ def read_text_embeddings(path, header: bool = False,
     if bad is not None:
         raise ParseError("non-finite value (nan, inf or past float32 range)",
                          path=path_str, line=linenos[bad])
-    ranks = np.arange(1, len(labels) + 1, dtype=np.int64)
-    return LabeledMatrix(labels=labels, data=data, source_rank=ranks)
+    return LabeledMatrix(labels=labels, data=data)
 
 
 def read_word2vec_binary(path) -> LabeledMatrix:
@@ -218,8 +215,9 @@ def read_word2vec_binary(path) -> LabeledMatrix:
     The header's counts are checked against the file size before anything
     is allocated; a nan or inf, and a token that still holds a line break
     once the newlines before it are stripped, are each a `ParseError`
-    naming its vector. Tokens are scanned in chunks of
-    `_BINARY_CHUNK_BYTES`, never the whole file.
+    naming its vector, and a repeated token is a `DuplicateLabel` naming
+    its vector. Tokens are scanned in chunks of `_BINARY_CHUNK_BYTES`,
+    never the whole file.
     """
     with open(path, "rb") as f:
         header = f.readline()
@@ -277,10 +275,12 @@ def read_word2vec_binary(path) -> LabeledMatrix:
     bad = _first_nonfinite_row(data)
     if bad is not None:
         raise ParseError(f"vector {bad + 1} has a non-finite value", path=str(path))
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"{path}: repeated token in binary vocabulary")
-    ranks = np.arange(1, rows + 1, dtype=np.int64)
-    return LabeledMatrix(labels=labels, data=data, source_rank=ranks)
+    try:
+        return LabeledMatrix(labels=labels, data=data)
+    except DuplicateLabel:
+        i = _first_repeat(labels)
+        raise DuplicateLabel(f"{path}: token of vector {i + 1} repeats an earlier "
+                             f"one: {labels[i]!r}") from None
 
 
 def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
@@ -308,7 +308,8 @@ def read_native(matrix_path, labels_path) -> LabeledMatrix:
     The payload size is checked against the header before anything is
     allocated, and the payload is read straight into the result. Fewer
     than one dimension and a nan or inf value are each a `ParseError`
-    naming the file.
+    naming the file; a repeated label is a `DuplicateLabel` naming its
+    line of the labels file.
     """
     with open(matrix_path, "rb") as f:
         head = f.read(12)
@@ -328,12 +329,16 @@ def read_native(matrix_path, labels_path) -> LabeledMatrix:
     bad = _first_nonfinite_row(data)
     if bad is not None:
         raise ParseError(f"row {bad + 1} has a non-finite value", path=str(matrix_path))
-    with open(labels_path, encoding="utf-8") as f:
+    with open_utf8(labels_path) as f:
         labels = f.read().split("\n")
     if labels and labels[-1] == "":
         labels.pop()
     if len(labels) != rows:
         raise ChecksumOrLengthMismatch(
             f"{labels_path}: {len(labels)} labels for {rows} rows")
-    ranks = np.arange(1, rows + 1, dtype=np.int64)
-    return LabeledMatrix(labels=labels, data=data, source_rank=ranks)
+    try:
+        return LabeledMatrix(labels=labels, data=data)
+    except DuplicateLabel:
+        i = _first_repeat(labels)
+        raise DuplicateLabel(f"{labels_path}:{i + 1}: repeated label "
+                             f"{labels[i]!r}") from None

@@ -1,18 +1,20 @@
 """Collapsing raw embedding rows that share a standardized label.
 
-Frequency is approximated by Zipf's law from each row's rank in its
-source file (the nth most frequent token gets pseudo-frequency 1/n), and
-rows standardizing to the same label are combined by a weighted average.
+Frequency is approximated by Zipf's law from each row's rank, its 1-based
+position in its source file (both GloVe and word2vec list words in
+descending frequency; the nth row gets pseudo-frequency 1/n), and rows
+standardizing to the same label are combined by a weighted average.
 The groups of one size are averaged together, as many per numpy call as
 `_MERGE_BYTES` holds; each group is still summed over its rows in
-ascending rank, so the bits are those of a loop over groups. Every column and row norm of the package lives here too.
+ascending rank, so the bits are those of a loop over groups.
+
+Every column and row norm of the package lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -55,10 +57,9 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
     Returns (plan, kept) where `kept` lists the row indices whose labels
     standardized successfully; the plan indexes rows of matrix.take(kept).
     Rows whose labels normalize to nothing (pure punctuation) are dropped.
+    Row `idx` of `matrix` has rank `idx + 1`, whether or not rows before
+    it are dropped; rows join their group in ascending rank.
     """
-    if matrix.source_rank is None:
-        raise PlanMismatch("matrix has no source ranks to merge by")
-    ranks = matrix.source_rank.tolist()
     groups: dict = {}
     kept = []
     for idx, raw in enumerate(matrix.labels):
@@ -66,12 +67,8 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
             uri = standardizer.uri(raw, language)
         except (EmptyAfterNormalization, ValueError):
             continue
-        new_idx = len(kept)
+        groups.setdefault(uri, []).append((len(kept), idx + 1))
         kept.append(idx)
-        groups.setdefault(uri, []).append((new_idx, ranks[idx]))
-    for members in groups.values():
-        if len(members) > 1:
-            members.sort(key=itemgetter(1))
     return MergePlan(groups=groups), np.asarray(kept, dtype=np.int64)
 
 
@@ -81,8 +78,7 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
 
     zipf: average weighted by 1/rank; first: keep the lowest-rank row;
     unweighted: plain mean. Output rows are ordered by ascending group
-    minimum rank (ties broken lexicographically by label), and each output
-    row inherits its group's minimum source rank.
+    minimum rank, ties broken lexicographically by label.
 
     Raises PlanMismatch unless the plan covers each row once, in
     non-empty groups of ascending rank.
@@ -121,8 +117,7 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
                                / weights.sum(axis=1)[:, None])
                 else:
                     out[at] = group.mean(axis=1)
-    return LabeledMatrix(labels=[label for label, _members in ordered], data=out,
-                         source_rank=ranks[starts])
+    return LabeledMatrix(labels=[label for label, _members in ordered], data=out)
 
 
 def _divide(data: np.ndarray, norms: np.ndarray) -> None:
@@ -139,8 +134,7 @@ def _rescaled(matrix: LabeledMatrix, normalize) -> LabeledMatrix:
     """`matrix` with `normalize` applied in place to a float64 copy."""
     data = matrix.data.astype(np.float64)
     normalize(data)
-    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32),
-                         source_rank=matrix.source_rank)
+    return LabeledMatrix(labels=list(matrix.labels), data=data.astype(np.float32))
 
 
 def l1_normalize_columns(matrix: LabeledMatrix) -> LabeledMatrix:

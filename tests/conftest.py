@@ -12,13 +12,11 @@ def rng():
     return np.random.RandomState(20160406)
 
 
-def make_matrix(labels, rows, ranks="auto"):
+def make_matrix(labels, rows):
     data = np.asarray(rows, dtype=np.float32)
     if data.ndim == 1:
         data = data.reshape(len(labels), -1)
-    if ranks == "auto":
-        ranks = np.arange(1, len(labels) + 1)
-    return LabeledMatrix(labels=list(labels), data=data, source_rank=ranks)
+    return LabeledMatrix(labels=list(labels), data=data)
 
 
 def bits_equal(a, b):

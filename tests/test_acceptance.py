@@ -170,8 +170,7 @@ def test_criterion_07_merge_arithmetic():
             dims = rng.randint(1, 12)
             vectors = rng.randn(size, dims).astype(np.float32)
             ranks = np.sort(rng.choice(np.arange(1, 400), size=size, replace=False))
-            matrix = make_matrix([f"raw{i}" for i in range(size)], vectors,
-                                 ranks=list(ranks))
+            matrix = make_matrix([f"raw{i}" for i in range(size)], vectors)
             plan = MergePlan(groups={
                 "/c/en/term": [(i, int(ranks[i])) for i in range(size)]})
             merged = merge_standardized(matrix, plan, strategy="zipf").data[0]
@@ -183,7 +182,7 @@ def test_criterion_07_merge_arithmetic():
             assert np.abs(merged.astype(np.float64)
                           - oracle.astype(np.float64)).max() <= 1e-12
 
-        fixture = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]], ranks=[1, 3])
+        fixture = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]])
         plan = MergePlan(groups={"/c/en/a": [(0, 1), (1, 3)]})
         outs = {strategy: tuple(merge_standardized(fixture, plan, strategy).data[0])
                 for strategy in ("zipf", "first", "unweighted")}

@@ -128,6 +128,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("splits", [[], ["dev", "dev"]])
+    def test_eval_splits_empty_or_repeated(self, splits):
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "x", "path": "g.txt", "splits": splits}]
+        with pytest.raises(ConfigError, match="^dataset x: splits must be non-empty"):
+            config_from_dict(raw)
+
     def test_eval_needs_some_path(self):
         raw = minimal_config()
         raw["evaluations"] = [{"id": "x"}]
@@ -226,6 +233,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    def test_not_utf8_exits_1_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(minimal_config(), indent=1).encode()
+                         .replace(b'"alpha"', b'"alph\xe4"'))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:5: not UTF-8")):
+            load_config(path)
+        assert cli.main(["pipeline", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"{path}:5: not UTF-8" in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"

@@ -85,6 +85,13 @@ class TestLoadGold:
         with pytest.raises(ParseError):
             load_gold(path)
 
+    def test_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "gold.txt"
+        path.write_bytes(b"tiger cat 7.0\r\ncaf\xe9 tea 5.0\r\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            load_gold(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
     def test_language_tag(self, tmp_path):
         path = tmp_path / "gold.txt"
         path.write_text("chat chien 6.0\n", encoding="utf-8")

@@ -134,6 +134,15 @@ class TestLoadAssertions:
         with pytest.raises(ParseError):
             read_assertions(path)
 
+    @pytest.mark.parametrize("reader", [load_assertions, read_assertions])
+    def test_not_utf8_names_its_line(self, tmp_path, reader):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"# edges\n/c/en/cat\t/c/en/dog\t1\tx\n"
+                         b"/c/en/caf\xe9\t/c/en/dog\t1\tx\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            reader(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
 
 class TestEdgeTable:
     EDGES = [Edge("/c/en/a", "/c/en/b", 1.0, "x"), Edge("/c/en/b", "/c/en/c", 2.0, "y"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -96,6 +97,21 @@ class TestStandardLabel:
             StandardLabel(language="en", text="")
         with pytest.raises(InvalidLanguage):
             StandardLabel(language="English", text="a")
+
+    def test_uri_is_derived_not_compared(self):
+        label = StandardLabel(language="en", text="area_#")
+        plain = standardize("cats", "fr")  # built without the checks
+        assert plain.uri == "/c/fr/cats"
+        assert plain == StandardLabel("fr", "cats")
+        assert hash(plain) == hash(StandardLabel("fr", "cats"))
+        assert [f.name for f in dataclasses.fields(label) if f.compare] == \
+            ["language", "text"]
+        assert repr(label) == "StandardLabel(language='en', text='area_#')"
+        moved = dataclasses.replace(label, text="area_1")
+        assert (moved.uri, str(moved)) == ("/c/en/area_1", "/c/en/area_1")
+        assert dataclasses.replace(label, language="fr").uri == "/c/fr/area_#"
+        with pytest.raises(TypeError):
+            StandardLabel(language="en", text="a", uri="/c/en/b")
 
     def test_split_uri_keeps_slashes_in_text(self):
         assert split_uri("/c/en/and/or") == ("en", "and/or")
@@ -244,6 +260,17 @@ class TestRuleFiles:
         with pytest.raises(ParseError):
             load_exceptions(path)
 
+    @pytest.mark.parametrize("load, content", [
+        (load_stopwords, b"# comment\rfoo\n\xff\n"),
+        (load_exceptions, b"# comment\nran\trun\nmice\tmo\xc3use\n"),
+    ])
+    def test_not_utf8_names_its_line(self, tmp_path, load, content):
+        path = tmp_path / "rules.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            load(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
     def test_defaults_available(self):
         assert "the" in default_stopwords()
         assert default_rules().exceptions["dried"] == "dry"
@@ -319,16 +346,16 @@ class TestStandardizerMemo:
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_uri_memo_keeps_the_vocabulary_boundary(self, monkeypatch, order):
-        """A memoised URI is shared with `with_vocab` siblings exactly when
-        its label is: never when a lemma vocabulary decided it."""
+        """A URI comes from the label memo: shared with `with_vocab` siblings
+        exactly when its label is, never when a lemma vocabulary decided it."""
         seen = []
-        real = Standardizer.standardize
+        real = labels.standardize
 
-        def counting(self, text, language):
-            seen.append((id(self), text))
-            return real(self, text, language)
+        def counting(text, language, vocab=None, **kwargs):
+            seen.append((vocab.vocab, text))
+            return real(text, language, vocab=vocab, **kwargs)
 
-        monkeypatch.setattr(Standardizer, "standardize", counting)
+        monkeypatch.setattr(labels, "standardize", counting)
         rules = Standardizer()
         cases = [({"cat"}, "/c/en/cat"), (set(), "/c/en/cats"), (None, "/c/en/cat")]
         stds = [rules.with_vocab(vocab) for vocab, _want in cases]
@@ -338,13 +365,13 @@ class TestStandardizerMemo:
                 assert stds[i].standardize("cats", "en").uri == cases[i][1]
                 assert stds[i].uri("dogma", "en") == "/c/en/dogma"
                 assert stds[i].uri("went", "en") == "/c/en/go"
-        # each standardizer computes the URI of "cats" once, besides its two
-        # direct calls; "dogma" and "went" are computed once in all, and
-        # every later URI of theirs comes from the shared memo
+        # each standardizer computes "cats" once; "dogma" and "went" are
+        # computed once in all, and come from the shared memo after that
         for std in stds:
-            assert seen.count((id(std), "cats")) == 3
-        assert sum(text == "dogma" for _who, text in seen) == 1
-        assert sum(text == "went" for _who, text in seen) == 1
+            assert sum(vocab is std.vocab and text == "cats"
+                       for vocab, text in seen) == 1
+        assert sum(text == "dogma" for _vocab, text in seen) == 1
+        assert sum(text == "went" for _vocab, text in seen) == 1
 
 
 # Reference versions of the label checks, tokenizer and lemmatizer as they

@@ -35,16 +35,11 @@ class TestLabeledMatrix:
         with pytest.raises(DimensionMismatch):
             LabeledMatrix(labels=["a"], data=np.zeros((2, 2)))
 
-    def test_rejects_bad_ranks(self):
-        with pytest.raises(DimensionMismatch):
-            LabeledMatrix(labels=["a", "b"], data=np.zeros((2, 2)),
-                          source_rank=[1, 0])
-
-    def test_take_preserves_ranks(self):
+    def test_take_keeps_the_given_order(self):
         m = make_matrix(["a", "b", "c"], np.eye(3))
         sub = m.take([2, 0])
         assert sub.labels == ["c", "a"]
-        assert list(sub.source_rank) == [3, 1]
+        assert sub.data.tolist() == [[0, 0, 1], [1, 0, 0]]
 
 
 class TestTextReader:
@@ -54,7 +49,6 @@ class TestTextReader:
         m = read_text_embeddings(path, header=False)
         assert m.labels == ["the", "cat"]
         assert np.allclose(m.data, [[0.1, 0.2], [0.3, 0.4]], atol=1e-7)
-        assert list(m.source_rank) == [1, 2]
 
     def test_word2vec_text_header(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -320,6 +314,42 @@ class TestWord2vecBinaryChunks:
         assert peak < 1.6 * m.data.nbytes + 4 * matrixio._BINARY_CHUNK_BYTES
 
 
+class TestErrorsNameTheirLocation:
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_text_not_utf8(self, tmp_path, header, newline):
+        path = tmp_path / "v.txt"
+        lines = [b"2 2"] if header else []
+        lines += [b"the 0.1 0.2", b"caf\xe9 0.3 0.4"]
+        path.write_bytes(newline.encode().join(lines) + newline.encode())
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_text_embeddings(path, header=header)
+        assert (err.value.path, err.value.line) == (str(path), len(lines))
+
+    def test_native_labels_not_utf8(self, tmp_path):
+        m = make_matrix(["a", "b"], [[1, 2], [3, 4]])
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        (tmp_path / "m.labels").write_bytes(b"a\n\xffb\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert (err.value.path, err.value.line) == (str(tmp_path / "m.labels"), 2)
+
+    def test_native_repeated_label(self, tmp_path):
+        m = make_matrix(["a", "b", "c"], np.eye(3))
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        (tmp_path / "m.labels").write_text("a\nb\na\n", encoding="utf-8")
+        with pytest.raises(DuplicateLabel, match=r"m\.labels:3: repeated label 'a'"):
+            read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
+
+    def test_binary_repeated_token(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"3 1\n" + b"".join(token + struct.pack("<f", 1.0)
+                                             for token in (b"a ", b"b ", b"a ")))
+        with pytest.raises(DuplicateLabel,
+                           match="v.bin: token of vector 3 repeats an earlier one: 'a'"):
+            read_word2vec_binary(path)
+
+
 class TestNativeFormat:
     def test_round_trip(self, tmp_path):
         m = make_matrix(["/c/en/a", "/c/en/b", "/c/fr/c"],
@@ -380,12 +410,6 @@ class TestNativeFormat:
         (tmp_path / "m.labels").write_text("a\n", encoding="utf-8")
         with pytest.raises(ChecksumOrLengthMismatch):
             read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
-
-    def test_reader_assigns_file_order_ranks(self, tmp_path):
-        m = make_matrix(["a", "b"], [[1, 2], [3, 4]], ranks=[7, 9])
-        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
-        back = read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
-        assert list(back.source_rank) == [1, 2]
 
     def test_payload_longer_than_header(self, tmp_path):
         (tmp_path / "m.emb1").write_bytes(b"EMB1" + struct.pack("<II", 1, 1) + b"\x00" * 8)

@@ -680,13 +680,13 @@ class TestRunWideLabelMemo:
         stop.write_text("big\n", encoding="utf-8")
         exc.write_text("stones\tstone\n", encoding="utf-8")
         opened = []
-        real_open = open
+        real_open = labels.open_utf8
 
-        def counting_open(path, *args, **kwargs):
+        def counting_open(path):
             opened.append(str(path))
-            return real_open(path, *args, **kwargs)
+            return real_open(path)
 
-        monkeypatch.setattr(labels, "open", counting_open, raising=False)
+        monkeypatch.setattr(labels, "open_utf8", counting_open)
 
         def config(out):
             return toy_config(workspace, out=out, standardize={

@@ -42,6 +42,16 @@ class TestBuildMergePlan:
         # plan indexes rows of the kept subset
         assert plan.groups["/c/en/dog"] == [(1, 3)]
 
+    def test_rank_is_the_row_position_before_rows_are_dropped(self):
+        m = make_matrix(["!!", "Cat", "cat"], [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]])
+        plan, kept = build_merge_plan(m, Standardizer())
+        assert list(kept) == [1, 2]
+        assert plan.groups == {"/c/en/cat": [(0, 2), (1, 3)]}
+        merged = merge_standardized(m.take(kept), plan)
+        # Zipf weights 1/2 and 1/3 (0.6 and 0.4), not 1/1 and 1/2
+        w1, w2 = 1 / 2, 1 / 3
+        assert bits_equal(merged.data, [[w1 / (w1 + w2), w2 / (w1 + w2)]])
+
     def test_bad_language_raises(self):
         m = make_matrix(["cat", "dog"], np.eye(2))
         with pytest.raises(InvalidLanguage):
@@ -50,12 +60,11 @@ class TestBuildMergePlan:
 
 class TestMergeStandardized:
     def test_zipf_weighted_example(self):
-        m = make_matrix(["Cat", "cat"], [[1.0, 0.0], [0.0, 1.0]], ranks=[1, 3])
+        m = make_matrix(["Cat", "cat"], [[1.0, 0.0], [0.0, 1.0]])
         plan = MergePlan(groups={"/c/en/cat": [(0, 1), (1, 3)]})
         merged = merge_standardized(m, plan)
         assert merged.labels == ["/c/en/cat"]
         assert np.allclose(merged.data, [[0.75, 0.25]], atol=1e-7)
-        assert list(merged.source_rank) == [1]
 
     def test_singleton_group_unchanged_bits(self):
         m = make_matrix(["cat"], [[0.1, 0.7]])
@@ -65,7 +74,7 @@ class TestMergeStandardized:
 
     def test_identical_vectors_are_fixed_point(self):
         v = [0.3, -0.4, 0.5]
-        m = make_matrix(["A", "a"], [v, v], ranks=[2, 9])
+        m = make_matrix(["A", "a"], [v, v])
         plan = MergePlan(groups={"/c/en/a": [(0, 2), (1, 9)]})
         merged = merge_standardized(m, plan)
         assert np.allclose(merged.data[0], v, atol=1e-7)
@@ -75,7 +84,7 @@ class TestMergeStandardized:
             g = rng.randint(2, 6)
             rows = rng.randn(g, 4).astype(np.float32)
             ranks = sorted(rng.choice(np.arange(1, 100), size=g, replace=False))
-            m = make_matrix([f"w{i}" for i in range(g)], rows, ranks=list(ranks))
+            m = make_matrix([f"w{i}" for i in range(g)], rows)
             plan = MergePlan(groups={"/c/en/w": [(i, int(ranks[i])) for i in range(g)]})
             merged = merge_standardized(m, plan).data[0]
             lo = rows.min(axis=0) - 1e-6
@@ -83,7 +92,7 @@ class TestMergeStandardized:
             assert np.all(merged >= lo) and np.all(merged <= hi)
 
     def test_group_processing_order_irrelevant(self):
-        m = make_matrix(["b", "B", "a"], [[1, 0], [3, 0], [0, 2]], ranks=[1, 2, 3])
+        m = make_matrix(["b", "B", "a"], [[1, 0], [3, 0], [0, 2]])
         g1 = {"/c/en/b": [(0, 1), (1, 2)], "/c/en/a": [(2, 3)]}
         g2 = {"/c/en/a": [(2, 3)], "/c/en/b": [(0, 1), (1, 2)]}
         m1 = merge_standardized(m, MergePlan(groups=g1))
@@ -92,14 +101,14 @@ class TestMergeStandardized:
         assert bits_equal(m1.data, m2.data)
 
     def test_output_order_by_min_rank_then_label(self):
-        m = make_matrix(["x", "y", "z"], np.eye(3), ranks=[5, 2, 5])
+        m = make_matrix(["x", "y", "z"], np.eye(3))
         plan = MergePlan(groups={"/c/en/x": [(0, 5)], "/c/en/y": [(1, 2)],
                                  "/c/en/a": [(2, 5)]})
         merged = merge_standardized(m, plan)
         assert merged.labels == ["/c/en/y", "/c/en/a", "/c/en/x"]
 
     def test_strategies_differ_on_fixture(self):
-        m = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]], ranks=[1, 3])
+        m = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]])
         plan = MergePlan(groups={"/c/en/a": [(0, 1), (1, 3)]})
         zipf = merge_standardized(m, plan, strategy="zipf").data[0]
         first = merge_standardized(m, plan, strategy="first").data[0]
@@ -121,7 +130,7 @@ class TestMergeStandardized:
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (0, 1)]}))
 
     def test_equal_ranks_in_a_group_accepted(self):
-        m = make_matrix(["a", "A"], [[1.0], [3.0]], ranks=[2, 2])
+        m = make_matrix(["a", "A"], [[1.0], [3.0]])
         plan = MergePlan(groups={"/c/en/a": [(1, 2), (0, 2)]})
         assert merge_standardized(m, plan, strategy="first").data.tolist() == [[3.0]]
 
@@ -147,8 +156,7 @@ def reference_merge(matrix, plan, strategy):
         else:
             merged = rows.mean(axis=0)
         out[gi] = merged
-    return ([label for label, _members in ordered], out,
-            [members[0][1] for _label, members in ordered])
+    return [label for label, _members in ordered], out
 
 
 class TestMergeMatchesGroupLoop:
@@ -170,7 +178,7 @@ class TestMergeMatchesGroupLoop:
         n = sum(sizes)
         rows = (rng.randn(n, dims) * rng.uniform(0.01, 100, size=(n, 1))).astype(np.float32)
         ranks = rng.randint(1, 40, size=n)
-        m = make_matrix([f"w{i}" for i in range(n)], rows, ranks=ranks.tolist())
+        m = make_matrix([f"w{i}" for i in range(n)], rows)
         order = rng.permutation(n)
         groups, at = {}, 0
         for gi, size in enumerate(sizes):
@@ -180,10 +188,9 @@ class TestMergeMatchesGroupLoop:
             at += size
         plan = MergePlan(groups=groups)
         merged = merge_standardized(m, plan, strategy=strategy)
-        labels, data, out_ranks = reference_merge(m, plan, strategy)
+        labels, data = reference_merge(m, plan, strategy)
         assert merged.labels == labels
         assert bits_equal(merged.data, data)
-        assert merged.source_rank.tolist() == out_ranks
 
     def test_pipeline_plan(self, rng):
         words = ["Cat", "cat", "CAT", "dog", "Dog", "cats", "bird"] * 3
@@ -192,7 +199,7 @@ class TestMergeMatchesGroupLoop:
         plan, kept = build_merge_plan(m, Standardizer())
         for strategy in MERGE_STRATEGIES:
             merged = merge_standardized(m.take(kept), plan, strategy=strategy)
-            labels, data, _ranks = reference_merge(m.take(kept), plan, strategy)
+            labels, data = reference_merge(m.take(kept), plan, strategy)
             assert merged.labels == labels
             assert bits_equal(merged.data, data)
 
