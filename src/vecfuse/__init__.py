@@ -12,7 +12,7 @@ from .kgraph import AssociationMatrix, EdgeTable, build_association, \
 from .retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
 from .interpolate import FusionResult, OverlapIndex, build_overlap, fuse, svd_discount
 from .evaluation import EvalReport, GoldPair, MatrixLookup, evaluate, fisher_ci, \
-    load_gold, round_robin_split, spearman
+    load_gold, round_robin_split, select_split, spearman
 from .config import PipelineConfig, config_from_dict, load_config
 from .pipeline import run_pipeline
 

@@ -97,6 +97,17 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
+# characters no id may hold: embedding ids name stage cache files and
+# dataset ids start report.tsv rows
+_ID_BREAKERS = frozenset("/\\\t\r\n\0")
+
+
+def _expect_id(value, owner):
+    _expect(value, f"{owner} needs an id")
+    _expect(_ID_BREAKERS.isdisjoint(value),
+            f"{owner} id {value!r} must not hold '/', '\\', a tab, '\\r', '\\n' or NUL")
+
+
 def _expect_language(code, owner):
     try:
         validate_language(code)
@@ -162,7 +173,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             labels_path=e("labels_path", None, str),
             on_duplicate=e("on_duplicate", "error", str))
         e.close()
-        _expect(src.id, "embedding source needs an id")
+        _expect_id(src.id, "embedding source")
         _expect(src.path, f"embedding source {src.id}: needs a path")
         _expect(src.format in EMBEDDING_FORMATS,
                 f"embedding source {src.id}: format must be one of {EMBEDDING_FORMATS}")
@@ -182,7 +193,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                         enabled=e("enabled", True, bool),
                         apply_term_filter=e("apply_term_filter", True, bool))
         e.close()
-        _expect(g.id, "graph source needs an id")
+        _expect_id(g.id, "graph source")
         _expect(g.path, f"graph source {g.id}: needs a path")
         graphs.append(g)
     gids = [g.id for g in graphs]
@@ -199,9 +210,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             num_chunks=e("num_chunks", 3, int), test_chunk=e("test_chunk", 3, int),
             drop_oov=e("drop_oov", False, bool))
         e.close()
-        _expect(ds.id, "evaluation dataset needs an id")
+        _expect_id(ds.id, "evaluation dataset")
         _expect(ds.path or ds.dev_path or ds.test_path,
                 f"dataset {ds.id}: needs path or dev_path/test_path")
+        if ds.dev_path is not None or ds.test_path is not None:
+            for key in ("path", "splits", "num_chunks", "test_chunk"):
+                _expect(entry.get(key) is None,
+                        f"dataset {ds.id}: {key} cannot be combined with dev_path/test_path")
         _expect(ds.format in GOLD_FORMATS,
                 f"dataset {ds.id}: format must be one of {GOLD_FORMATS}")
         _expect(all(s in SPLIT_IDS for s in ds.splits),

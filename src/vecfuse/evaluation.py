@@ -104,28 +104,39 @@ def dev_test_split(pairs, num_chunks: int, test_chunk: int):
     return dev, test
 
 
+def select_split(pairs, split: str, num_chunks: int, test_chunk: int) -> list:
+    """The pairs of `split`: "all", or the round-robin "test" chunk
+    (`test_chunk` of `num_chunks`), or "dev", the other chunks."""
+    if split == "all":
+        return list(pairs)
+    if split == "test":
+        return round_robin_split(pairs, num_chunks, test_chunk)
+    if split == "dev":
+        return dev_test_split(pairs, num_chunks, test_chunk)[0]
+    raise ValueError(f"unknown split {split!r}")
+
+
 class MatrixLookup:
     """Standardize-then-look-up view of a labeled matrix.
 
-    `digit_fallback` retries a miss with maximal digit runs collapsed to
-    '#', matching the preprocessing of word2vec-sourced rows; stored
-    labels always keep their literal digits. With `standardize` off,
-    words are looked up as exact strings (for spaces built from raw,
-    untransformed labels).
+    With `standardizer` None, words are looked up as exact strings (for
+    spaces built from raw, untransformed labels). `digit_fallback`
+    retries a miss with maximal digit runs collapsed to '#', matching the
+    preprocessing of word2vec-sourced rows; stored labels always keep
+    their literal digits.
     """
 
-    def __init__(self, matrix: LabeledMatrix, standardizer: Standardizer | None = None,
-                 digit_fallback: bool = False, standardize: bool = True):
+    def __init__(self, matrix: LabeledMatrix, standardizer: Standardizer | None,
+                 digit_fallback: bool = False):
         self.matrix = matrix
-        self.standardizer = standardizer if standardizer is not None else Standardizer()
+        self.standardizer = standardizer
         self.digit_fallback = digit_fallback
-        self.standardize = standardize
         self._index = matrix.label_index()
         self._zero = np.zeros(matrix.dims)
 
     def row_index(self, word: str, language: str = "en"):
         """The matrix row of a raw word, or None when out of vocabulary."""
-        if not self.standardize:
+        if self.standardizer is None:
             return self._index.get(word)
         try:
             label = self.standardizer.standardize(word, language)
@@ -212,31 +223,15 @@ class EvalReport:
     oov_fraction: float
 
 
-def evaluate(matrix: LabeledMatrix, dataset, split: str = "all",
-             dataset_id: str = "dataset", num_chunks: int = 3,
-             test_chunk: int = 3, standardizer: Standardizer | None = None,
-             drop_oov: bool = False, digit_fallback: bool = False,
-             standardize: bool = True) -> EvalReport:
-    """Score a matrix against a gold dataset.
+def evaluate(lookup: MatrixLookup, pairs, dataset_id: str, split: str,
+             drop_oov: bool = False) -> EvalReport:
+    """Score `lookup`'s matrix against the gold `pairs` of one split;
+    `split` only names it in the report (`select_split` picks pairs).
 
-    `split` selects "all", or the round-robin "dev"/"test" portion
-    (`test_chunk` of `num_chunks`; dev is the rest). With `drop_oov`,
-    pairs containing out-of-vocabulary words are excluded from the
-    correlation instead of being scored 0; the reported oov_fraction is
-    always relative to the split size.
+    With `drop_oov`, pairs containing out-of-vocabulary words are excluded
+    from the correlation instead of being scored 0; the reported
+    oov_fraction is always relative to the split size.
     """
-    if not dataset:
-        raise DegenerateInput("empty dataset")
-    if split == "all":
-        pairs = list(dataset)
-    elif split == "test":
-        pairs = round_robin_split(dataset, num_chunks, test_chunk)
-    elif split == "dev":
-        pairs, _ = dev_test_split(dataset, num_chunks, test_chunk)
-    else:
-        raise ValueError(f"unknown split {split!r}")
-    lookup = MatrixLookup(matrix, standardizer=standardizer,
-                          digit_fallback=digit_fallback, standardize=standardize)
     # each distinct (word, language) is looked up once
     slots = {}
     ends = np.array([[slots.setdefault((p.word1, p.language), len(slots)),
@@ -248,12 +243,12 @@ def evaluate(matrix: LabeledMatrix, dataset, split: str = "all",
     gold = np.array([p.score for p in pairs], dtype=np.float64)
     if drop_oov:
         gold, ends = gold[~oov], ends[~oov]
-    rho = spearman(gold, _pair_cosines(matrix, rows[ends]))
+    rho = spearman(gold, _pair_cosines(lookup.matrix, rows[ends]))
     ci_low, ci_high = fisher_ci(rho, len(gold)) \
         if abs(rho) < 1.0 and len(gold) >= 4 else (rho, rho)
     return EvalReport(dataset=dataset_id, split=split, n=len(gold), rho=rho,
                       ci_low=ci_low, ci_high=ci_high,
-                      oov_fraction=int(oov.sum()) / len(pairs) if pairs else 0.0)
+                      oov_fraction=int(oov.sum()) / len(pairs))
 
 
 # pairs whose float64 rows are gathered at once

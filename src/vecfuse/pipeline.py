@@ -22,8 +22,8 @@ import functools
 import os
 
 from . import evaluation, interpolate, kgraph, matrixio, rowmerge
-from .config import EmbeddingSource, PipelineConfig
-from .errors import ConfigError, StageError, VecfuseError
+from .config import EmbeddingSource, EvalDataset, PipelineConfig
+from .errors import ConfigError, DegenerateInput, StageError, VecfuseError
 from .labels import LemmaRuleSet, DEFAULT_RULES, Standardizer, \
     default_rules, load_exceptions, load_stopwords, split_uri, tokenize
 from .matrixio import LabeledMatrix
@@ -299,45 +299,38 @@ def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
     return result
 
 
+def dataset_splits(ds: EvalDataset) -> list:
+    """[(split, pairs), ...] of one dataset, each gold file read once: the
+    `splits` of its `path` in config order, or ("dev", ...) and then
+    ("test", ...) for the partition files it names."""
+    def load(path):
+        pairs = evaluation.load_gold(path, format=ds.format, language=ds.language)
+        if not pairs:
+            raise DegenerateInput("empty dataset")
+        return pairs
+    if ds.path:
+        pairs = load(ds.path)
+        return [(split, evaluation.select_split(pairs, split, ds.num_chunks, ds.test_chunk))
+                for split in ds.splits]
+    return [(split, load(path))
+            for split, path in (("dev", ds.dev_path), ("test", ds.test_path)) if path]
+
+
 @_stage("evaluate")
 def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
                     cache: StageCache) -> list:
-    """One EvalReport per configured dataset and split. `cache` holds the
-    run's label rules and memo, and may hold the vocabulary of a prefix of
-    the labels."""
-    digit_fallback = any(s.format.startswith("word2vec")
-                         for s in config.enabled_embeddings())
+    """One EvalReport per configured dataset and split, in config order,
+    all through one lookup of `matrix`. `cache` holds the run's label
+    rules and memo, and may hold the vocabulary of a prefix of the
+    labels."""
     standardizer = output_standardizer(config, matrix.labels, cache) \
         if config.standardize_enabled else None
-    reports = []
-    for ds in config.evaluations:
-        if ds.path:
-            pairs = evaluation.load_gold(ds.path, format=ds.format,
-                                         language=ds.language)
-            for split in ds.splits:
-                reports.append(_run_eval(config, matrix, pairs, ds, split,
-                                         standardizer, digit_fallback))
-        for split, path in (("dev", ds.dev_path), ("test", ds.test_path)):
-            if path:
-                pairs = evaluation.load_gold(path, format=ds.format,
-                                             language=ds.language)
-                reports.append(_run_eval(config, matrix, pairs, ds, "all",
-                                         standardizer, digit_fallback,
-                                         split_label=split))
-    return reports
-
-
-def _run_eval(config, matrix, pairs, ds, split, standardizer, digit_fallback,
-              split_label=None):
-    report = evaluation.evaluate(
-        matrix, pairs, split=split, dataset_id=ds.id,
-        num_chunks=ds.num_chunks, test_chunk=ds.test_chunk,
-        standardizer=standardizer, drop_oov=ds.drop_oov,
-        digit_fallback=digit_fallback,
-        standardize=config.standardize_enabled)
-    if split_label is not None:
-        report.split = split_label
-    return report
+    lookup = evaluation.MatrixLookup(
+        matrix, standardizer,
+        digit_fallback=any(s.format.startswith("word2vec")
+                           for s in config.enabled_embeddings()))
+    return [evaluation.evaluate(lookup, pairs, ds.id, split, drop_oov=ds.drop_oov)
+            for ds in config.evaluations for split, pairs in dataset_splits(ds)]
 
 
 def ensemble_matrix(config: PipelineConfig, cache: StageCache,

@@ -299,7 +299,7 @@ def test_criterion_11_large_data_glove_42b():
     """
     with criterion(11, "GloVe 42B reproduces the published rho values", 3600):
         matrix = read_text_embeddings(os.environ["VECFUSE_GLOVE_42B"], header=False)
-        lookup = MatrixLookup(matrix, standardize=False)
+        lookup = MatrixLookup(matrix, None)
 
         def score(pairs):
             gold, predicted = [], []

@@ -141,6 +141,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [("path", "g.txt"), ("splits", ["test"]),
+                                            ("num_chunks", 5), ("test_chunk", 1)])
+    @pytest.mark.parametrize("partition", [["dev_path"], ["test_path"],
+                                           ["dev_path", "test_path"]],
+                             ids=["dev", "test", "both"])
+    def test_partition_dataset_rejects_round_robin_keys(self, key, value, partition):
+        """A dataset with published partition files has no round robin, so
+        a round-robin setting would be ignored."""
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "men", key: value,
+                               **{name: name + ".txt" for name in partition}}]
+        with pytest.raises(ConfigError, match=f"^dataset men: {key} cannot be combined "
+                                              "with dev_path/test_path$"):
+            config_from_dict(raw)
+        del raw["evaluations"][0][key]
+        assert config_from_dict(raw).evaluations[0].splits == ("all",)
+
+    def test_partition_dataset_with_splits_exits_1(self, tmp_path, capsys):
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "men", "dev_path": "men.dev", "test_path": "men.test",
+                               "splits": ["test"], "num_chunks": 5}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "dataset men: splits cannot be combined with dev_path/test_path" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("language", ["english", "EN"])
     def test_bad_language(self, language):
         raw = minimal_config()
@@ -151,6 +178,51 @@ class TestConfigValidation:
         raw["evaluations"] = [{"id": "x", "path": "g.txt", "language": language}]
         with pytest.raises(ConfigError, match="dataset x"):
             config_from_dict(raw)
+
+
+def with_id(section, value):
+    raw = minimal_config()
+    if section == "embeddings":
+        raw["embeddings"][0]["id"] = value
+    elif section == "graphs":
+        raw["graphs"] = [{"id": value, "path": "edges.tsv"}]
+    else:
+        raw["evaluations"] = [{"id": value, "path": "g.txt"}]
+    return raw
+
+
+ID_OWNERS = {"embeddings": "embedding source", "graphs": "graph source",
+             "evaluations": "evaluation dataset"}
+
+
+class TestIds:
+    """An id names stage cache files and starts report.tsv rows."""
+
+    @pytest.mark.parametrize("section", ID_OWNERS)
+    @pytest.mark.parametrize("value", ["glove/840B", "a\\b", "rw\tall", "a\rb", "a\nb",
+                                       "a\0b"],
+                             ids=["slash", "backslash", "tab", "cr", "lf", "nul"])
+    def test_id_that_breaks_files_is_config_error_naming_it(self, section, value):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{ID_OWNERS[section]} id {value!r} must not hold")):
+            config_from_dict(with_id(section, value))
+
+    @pytest.mark.parametrize("section", ID_OWNERS)
+    def test_other_ids_accepted(self, section):
+        config_from_dict(with_id(section, "glove.840B-300d_v1 (cased)"))
+
+    @pytest.mark.parametrize("section", ID_OWNERS)
+    def test_empty_id(self, section):
+        with pytest.raises(ConfigError, match=f"^{ID_OWNERS[section]} needs an id$"):
+            config_from_dict(with_id(section, ""))
+
+    def test_slash_in_id_exits_1_with_stage_cache(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(with_id("embeddings", "glove/840B")), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(path),
+                         "--stage-cache-dir", str(tmp_path / "cache")]) == cli.EXIT_CONFIG
+        assert "embedding source id 'glove/840B' must not hold" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
 
 # (top-level key, value, the setting the error must name)

@@ -25,6 +25,7 @@ from vecfuse.evaluation import (
     load_gold,
     report_rows,
     round_robin_split,
+    select_split,
     spearman,
     write_report,
 )
@@ -132,22 +133,22 @@ class TestRoundRobinSplit:
 class TestSimilarity:
     def test_same_standardized_label(self):
         m = make_matrix(["/c/en/dry"], [[1.0, 2.0]])
-        assert MatrixLookup(m).similarity("dry", "dried") == 1.0
+        assert MatrixLookup(m, Standardizer()).similarity("dry", "dried") == 1.0
         m2 = make_matrix(["/c/en/polish"], [[1.0, 2.0]])
-        assert MatrixLookup(m2).similarity("polish", "Polish") == 1.0
+        assert MatrixLookup(m2, Standardizer()).similarity("polish", "Polish") == 1.0
 
     def test_oov_is_zero(self):
         m = make_matrix(["/c/en/cat"], [[1.0, 0.0]])
-        assert MatrixLookup(m).similarity("cat", "zyzzyva") == 0.0
+        assert MatrixLookup(m, Standardizer()).similarity("cat", "zyzzyva") == 0.0
 
     def test_orthogonal_rows(self):
         m = make_matrix(["/c/en/cat", "/c/en/dog"], [[1.0, 0.0], [0.0, 1.0]])
-        assert MatrixLookup(m).similarity("cat", "dog") == 0.0
+        assert MatrixLookup(m, Standardizer()).similarity("cat", "dog") == 0.0
 
     def test_symmetric_and_bounded(self, rng):
         labels = [f"/c/en/w{i}" for i in range(6)]
         m = make_matrix(labels, rng.randn(6, 4).astype(np.float32))
-        lookup = MatrixLookup(m)
+        lookup = MatrixLookup(m, Standardizer())
         words = ["w0", "w3", "w5", "unknown"]
         for w1 in words:
             for w2 in words:
@@ -157,14 +158,14 @@ class TestSimilarity:
 
     def test_digit_fallback(self):
         m = make_matrix(["/c/en/area_#"], [[1.0, 0.0]])
-        hit = MatrixLookup(m, digit_fallback=True)
-        miss = MatrixLookup(m, digit_fallback=False)
+        hit = MatrixLookup(m, Standardizer(), digit_fallback=True)
+        miss = MatrixLookup(m, Standardizer(), digit_fallback=False)
         assert hit.row_for("area 51")[1] is True
         assert miss.row_for("area 51")[1] is False
 
     def test_raw_lookup(self):
         m = make_matrix(["Cat"], [[1.0, 0.0]])
-        raw = MatrixLookup(m, standardize=False)
+        raw = MatrixLookup(m, None)
         assert raw.row_for("Cat")[1] is True
         assert raw.row_for("cat")[1] is False
 
@@ -249,6 +250,10 @@ class TestEvaluate:
                 GoldPair("cat", "fish", 4.0), GoldPair("fish", "stone", 3.0),
                 GoldPair("dog", "stone", 2.0), GoldPair("cat", "stone", 1.0)]
 
+    def score(self, matrix, pairs, split="all", drop_oov=False):
+        return evaluate(MatrixLookup(matrix, Standardizer()), pairs, "toy", split,
+                        drop_oov=drop_oov)
+
     def toy_matrix(self):
         # angles chosen so the pairwise cosine order matches the gold order
         def vec(theta):
@@ -260,51 +265,57 @@ class TestEvaluate:
     def test_composition_matches_manual_oracle(self):
         matrix = self.toy_matrix()
         pairs = self.gold_pairs()
-        lookup = MatrixLookup(matrix)
+        lookup = MatrixLookup(matrix, Standardizer())
         manual = spearman([p.score for p in pairs],
                           [lookup.similarity(p.word1, p.word2) for p in pairs])
-        report = evaluate(matrix, pairs, split="all", dataset_id="toy")
+        report = evaluate(lookup, pairs, "toy", "all")
+        assert (report.dataset, report.split) == ("toy", "all")
         assert report.rho == manual
         assert report.n == 6
         assert report.oov_fraction == 0.0
         assert report.ci_low <= report.rho <= report.ci_high
 
     def test_perfect_order_gives_rho_one(self):
-        report = evaluate(self.toy_matrix(), self.gold_pairs())
+        report = self.score(self.toy_matrix(), self.gold_pairs())
         assert report.rho == 1.0
         assert report.ci_low == report.ci_high == 1.0
 
     def test_all_oov_degenerates(self):
         matrix = make_matrix(["/c/en/unrelated"], [[1.0, 0.0]])
         with pytest.raises(DegenerateInput):
-            evaluate(matrix, self.gold_pairs())
+            self.score(matrix, self.gold_pairs())
 
     def test_oov_fraction_and_drop_mode(self):
         matrix = self.toy_matrix()
         pairs = self.gold_pairs() + [GoldPair("cat", "zyzzyva", 4.0)]
-        keep = evaluate(matrix, pairs)
+        keep = self.score(matrix, pairs)
         assert keep.n == 7
         assert abs(keep.oov_fraction - 1 / 7) < 1e-12
-        drop = evaluate(matrix, pairs, drop_oov=True)
+        drop = self.score(matrix, pairs, drop_oov=True)
         assert drop.n == 6
         assert abs(drop.oov_fraction - 1 / 7) < 1e-12
 
     def test_split_selection(self):
         pairs = self.gold_pairs()
-        report_test = evaluate(self.toy_matrix(), pairs, split="test")
-        assert report_test.n == 2  # positions 3 and 6 of 6
-        report_dev = evaluate(self.toy_matrix(), pairs, split="dev")
-        assert report_dev.n == 4
+        test = select_split(pairs, "test", 3, 3)
+        assert test == [pairs[2], pairs[5]]  # positions 3 and 6 of 6
+        dev = select_split(pairs, "dev", 3, 3)
+        assert dev == [pairs[0], pairs[3], pairs[1], pairs[4]]
+        assert select_split(pairs, "all", 3, 3) == pairs
+        assert self.score(self.toy_matrix(), test, split="test").n == 2
+        assert self.score(self.toy_matrix(), dev, split="dev").n == 4
+        with pytest.raises(ValueError, match="unknown split 'holdout'"):
+            select_split(pairs, "holdout", 3, 3)
 
     def test_empty_dataset(self):
         with pytest.raises(DegenerateInput):
-            evaluate(self.toy_matrix(), [])
+            self.score(self.toy_matrix(), [])
 
 
 class TestReports:
     def test_tsv_and_table(self, tmp_path):
-        report = evaluate(TestEvaluate().toy_matrix(), TestEvaluate().gold_pairs(),
-                          dataset_id="toy")
+        report = TestEvaluate().score(TestEvaluate().toy_matrix(),
+                                      TestEvaluate().gold_pairs())
         path = tmp_path / "report.tsv"
         write_report([report], path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
@@ -316,20 +327,18 @@ class TestReports:
         assert len(report_rows([report])) == 1
 
 
-# The per-pair evaluation and the tie loop that the batched ones replaced,
-# kept as bitwise references.
+# The per-pair evaluation, with its own split rule, and the tie loop that
+# the batched ones replaced, kept as bitwise references.
 
 def reference_evaluate(matrix, dataset, split="all", num_chunks=3, test_chunk=3,
-                       standardizer=None, drop_oov=False, digit_fallback=False,
-                       standardize=True):
+                       standardizer=None, drop_oov=False, digit_fallback=False):
     if split == "all":
         pairs = list(dataset)
     elif split == "test":
         pairs = round_robin_split(dataset, num_chunks, test_chunk)
     else:
         pairs, _ = dev_test_split(dataset, num_chunks, test_chunk)
-    lookup = MatrixLookup(matrix, standardizer=standardizer,
-                          digit_fallback=digit_fallback, standardize=standardize)
+    lookup = MatrixLookup(matrix, standardizer, digit_fallback=digit_fallback)
     gold, predicted, oov_count = [], [], 0
     for pair in pairs:
         v1, found1 = lookup.row_for(pair.word1, pair.language)
@@ -385,6 +394,15 @@ def awkward_pairs(rng, n=300):
     return pairs
 
 
+def batched_evaluate(matrix, dataset, split="all", num_chunks=3, test_chunk=3,
+                     standardizer=None, drop_oov=False, digit_fallback=False):
+    """`evaluate` on the pairs `select_split` picks: the path of the
+    pipeline, with `reference_evaluate`'s arguments."""
+    return evaluate(MatrixLookup(matrix, standardizer, digit_fallback=digit_fallback),
+                    select_split(dataset, split, num_chunks, test_chunk), "dataset",
+                    split, drop_oov=drop_oov)
+
+
 class TestBatchedEvaluateMatchesPerPair:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("drop_oov", [False, True])
@@ -395,7 +413,8 @@ class TestBatchedEvaluateMatchesPerPair:
         matrix, pairs = awkward_matrix(rng), awkward_pairs(rng)
         kwargs = dict(split=split, drop_oov=drop_oov, digit_fallback=digit_fallback,
                       standardizer=Standardizer())
-        assert evaluate(matrix, pairs, **kwargs) == reference_evaluate(matrix, pairs, **kwargs)
+        assert batched_evaluate(matrix, pairs, **kwargs) == \
+            reference_evaluate(matrix, pairs, **kwargs)
 
     @pytest.mark.parametrize("drop_oov", [False, True])
     def test_reports_equal_without_standardizing(self, drop_oov):
@@ -405,8 +424,8 @@ class TestBatchedEvaluateMatchesPerPair:
         words = ["Cat", "cat", "dog", "Dog", "fish", "FISH", "bird"]
         pairs = [GoldPair(words[i], words[j], float(k))
                  for k, (i, j) in enumerate(rng.integers(0, len(words), (40, 2)))]
-        assert evaluate(matrix, pairs, standardize=False, drop_oov=drop_oov) == \
-            reference_evaluate(matrix, pairs, standardize=False, drop_oov=drop_oov)
+        assert batched_evaluate(matrix, pairs, drop_oov=drop_oov) == \
+            reference_evaluate(matrix, pairs, drop_oov=drop_oov)
 
     def test_pair_cosines_bitwise(self):
         rng = np.random.default_rng(11)
@@ -438,11 +457,11 @@ class TestBatchedEvaluateMatchesPerPair:
         pairs = [GoldPair(f"w{i}", f"w{j}", float(k))
                  for k, (i, j) in enumerate(rng.integers(0, rows, (2000, 2)))]
         standardizer = Standardizer()
-        evaluate(matrix, pairs, standardizer=standardizer)  # memoise the labels
+        batched_evaluate(matrix, pairs, standardizer=standardizer)  # memoise the labels
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            evaluate(matrix, pairs, standardizer=standardizer)
+            batched_evaluate(matrix, pairs, standardizer=standardizer)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

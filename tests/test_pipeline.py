@@ -317,6 +317,36 @@ class TestFullPipeline:
         assert [(r.dataset, r.split, r.n) for r in reports] == \
             [("men_like", "dev", 4), ("men_like", "test", 4)]
 
+    def test_both_dataset_forms_share_one_lookup(self, workspace, monkeypatch):
+        (workspace / "gold_dev.txt").write_text("cat dog 6.0\ndog fish 5.0\n",
+                                                encoding="utf-8")
+        (workspace / "gold_test.txt").write_text("fish stone 3.0\ndog stone 2.0\n"
+                                                 "cat stone 1.0\n", encoding="utf-8")
+        config = toy_config(workspace, evaluations=[
+            {"id": "men_like", "test_path": str(workspace / "gold_test.txt"),
+             "dev_path": str(workspace / "gold_dev.txt")},
+            {"id": "toy_gold", "path": str(workspace / "gold.txt"),
+             "splits": ["test", "all", "dev"]}])
+        matrix = pipeline.ensemble_matrix(config, pipeline.StageCache())
+        indexed = []
+        label_index = matrixio.LabeledMatrix.label_index
+        monkeypatch.setattr(matrixio.LabeledMatrix, "label_index",
+                            lambda self: indexed.append(self) or label_index(self))
+        reports = pipeline.evaluate_matrix(config, matrix, pipeline.StageCache())
+        assert [(r.dataset, r.split, r.n) for r in reports] == [
+            ("men_like", "dev", 2), ("men_like", "test", 3),
+            ("toy_gold", "test", 2), ("toy_gold", "all", 6), ("toy_gold", "dev", 4)]
+        assert len(indexed) == 1 and indexed[0] is matrix
+
+    def test_empty_gold_file_is_numerical_error(self, workspace, capsys):
+        (workspace / "empty.txt").write_text("# no pairs\n", encoding="utf-8")
+        raw = toy_raw(workspace, graphs=[],
+                      evaluations=[{"id": "empty", "path": str(workspace / "empty.txt")}])
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config_path)]) == cli.EXIT_NUMERICAL
+        assert "stage 'evaluate' failed: empty dataset" in capsys.readouterr().err
+
     def test_standardization_disabled_keeps_raw_labels(self, workspace):
         config = toy_config(workspace, graphs=[],
                             standardize={"enabled": False},
