@@ -225,6 +225,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"dataset {ds.id}: splits must be non-empty, without repeats")
         _expect(1 <= ds.test_chunk <= ds.num_chunks,
                 f"dataset {ds.id}: test_chunk outside [1, num_chunks]")
+        _expect("dev" not in ds.splits or ds.num_chunks >= 2,
+                f"dataset {ds.id}: the dev split is empty unless num_chunks >= 2")
         _expect_language(ds.language, f"dataset {ds.id}")
         evaluations.append(ds)
 

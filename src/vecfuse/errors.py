@@ -1,5 +1,6 @@
-"""Exception hierarchy for the toolkit, and `open_utf8`, which reports a
-text file that is not UTF-8 as a `ParseError` naming its line.
+"""Exception hierarchy for the toolkit, and `open_utf8`, which reads a
+leading byte order mark as one and reports a text file that is not UTF-8
+as a `ParseError` naming its line.
 
 Three branches matter to callers: configuration problems, malformed or
 inconsistent data, and numerical failures. The CLI maps them to exit
@@ -53,10 +54,11 @@ class ParseError(DataError):
 
 @contextmanager
 def open_utf8(path):
-    """`open(path, encoding="utf-8")`. A byte sequence that does not decode
-    is a ParseError naming its line: only then is the file read again, in
+    """`open(path, encoding="utf-8-sig")`: UTF-8, less a byte order mark
+    at the very start. A byte sequence that does not decode is a
+    ParseError naming its line: only then is the file read again, in
     binary, to find the line."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             yield f
         except UnicodeDecodeError as exc:

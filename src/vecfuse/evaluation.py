@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateCorrelation,
     DegenerateInput,
-    EmptyAfterNormalization,
     InvalidChunk,
     ParseError,
     open_utf8,
@@ -136,16 +135,28 @@ class MatrixLookup:
 
     def row_index(self, word: str, language: str = "en"):
         """The matrix row of a raw word, or None when out of vocabulary."""
+        return self.row_indices([(word, language)])[0]
+
+    def row_indices(self, keys) -> list:
+        """`row_index` of each (word, language) in `keys`; the words of one
+        language are standardized by one `Standardizer.uris` call."""
+        keys = list(keys)
+        index = self._index
         if self.standardizer is None:
-            return self._index.get(word)
-        try:
-            label = self.standardizer.standardize(word, language)
-        except (EmptyAfterNormalization, ValueError):
-            return None
-        row = self._index.get(label.uri)
-        if row is None and self.digit_fallback:
-            row = self._index.get(replace(label, text=map_digit_runs(label.text)).uri)
-        return row
+            return [index.get(word) for word, _language in keys]
+        rows = [None] * len(keys)
+        for language in dict.fromkeys(language for _word, language in keys):
+            at = [i for i, key in enumerate(keys) if key[1] == language]
+            uris = self.standardizer.uris([keys[i][0] for i in at], language)
+            for i, uri in zip(at, uris):
+                if uri is None:  # the word does not standardize
+                    continue
+                row = index.get(uri)
+                if row is None and self.digit_fallback:
+                    # the /c/<language>/ prefix holds no digit
+                    row = index.get(map_digit_runs(uri))
+                rows[i] = row
+        return rows
 
     def row_for(self, word: str, language: str = "en"):
         """(vector, found) for a raw word; zero vector when out of vocabulary."""
@@ -237,8 +248,8 @@ def evaluate(lookup: MatrixLookup, pairs, dataset_id: str, split: str,
     ends = np.array([[slots.setdefault((p.word1, p.language), len(slots)),
                       slots.setdefault((p.word2, p.language), len(slots))]
                      for p in pairs], dtype=np.int64).reshape(len(pairs), 2)
-    rows = np.array([-1 if row is None else row
-                     for row in (lookup.row_index(*key) for key in slots)], dtype=np.int64)
+    rows = np.array([-1 if row is None else row for row in lookup.row_indices(slots)],
+                    dtype=np.int64)
     oov = (rows[ends] < 0).any(axis=1)
     gold = np.array([p.score for p in pairs], dtype=np.float64)
     if drop_oov:

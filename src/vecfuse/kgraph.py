@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .labels import StandardLabel, Standardizer, split_uri
 
 DEFAULT_MIN_COUNT = {"en": 4, "other": 3}
 DEFAULT_MAX_WORDS = 3
+# characters of an edge file read and added at a time (`readlines`' hint);
+# kept as small as matrixio's `_TEXT_CHUNK_CHARS`, for the same reason
+_EDGE_CHUNK_CHARS = 1 << 18
 
 
 class EdgeTable:
@@ -44,7 +48,12 @@ class EdgeTable:
 
     @classmethod
     def concat(cls, tables) -> "EdgeTable":
-        """The rows of `tables`, in order, over merged term and source lists."""
+        """The rows of `tables`, in order, over merged term and source
+        lists; a lone table with rows is returned as it is, and tables
+        without rows add nothing."""
+        tables = [t for t in tables if len(t)]
+        if len(tables) == 1:
+            return tables[0]
         terms: dict = {}
         sources: dict = {}
         parts = []
@@ -89,45 +98,118 @@ def load_assertions(path, standardizer: Standardizer | None = None) -> EdgeTable
     def label(uri):
         language, text = split_uri(uri)
         return standardizer.uri(text, language)
-    return _read_edges(path, label)
+    return _read_edges(path, label, standardizer.uris)
 
 
 def read_assertions(path) -> EdgeTable:
     """Read an edge list that `write_assertions` wrote. Its labels are
     checked to be standard URIs but are not standardized again."""
-    return _read_edges(path, _standard_uri)
+    return _read_edges(path, _standard_uri, lambda uris: list(map(_standard_uri, uris)))
 
 
-def _read_edges(path, label) -> EdgeTable:
+def _read_edges(path, label, labels) -> EdgeTable:
     """The edge list at `path`, with `label(uri)` naming each distinct
     URI's term; a DataError or ValueError from it is reported at the
-    URI's first line."""
-    ids: dict = {}       # raw URI -> term id
-    index: dict = {}     # term -> term id
-    terms: list = []
-    source_ids: dict = {}
-    # typed columns, so a row costs its 20 bytes while the file is read
-    starts, ends, sources = array("i"), array("i"), array("i")
-    weights = array("d")
+    URI's first line. `labels(uris)` names many URIs at once, None for
+    one that `label` rejects.
 
-    def term_id(uri):
-        term = label(uri)
-        tid = index.get(term)
-        if tid is None:
-            tid = index[term] = len(terms)
-            terms.append(term)
-        ids[uri] = tid
-        return tid
-
+    The file is read `_EDGE_CHUNK_CHARS` at a time, and each chunk is
+    added in bulk; a chunk with a blank line, a comment or anything
+    `label` or the weight check would reject is added line by line
+    instead, which raises each error at its line."""
+    edges = _EdgeReader(path, label, labels)
+    lineno = 0
     with open_utf8(path) as f:
-        for lineno, line in enumerate(f, start=1):
+        while lines := f.readlines(_EDGE_CHUNK_CHARS):
+            if not edges.add_chunk(lines):
+                edges.add_lines(lines, lineno)
+            lineno += len(lines)
+    return edges.table()
+
+
+class _EdgeReader:
+    """The terms, sources and edge columns of one edge file so far."""
+
+    def __init__(self, path, label, labels):
+        self.path = str(path)
+        self.label, self.labels = label, labels
+        self.ids: dict = {}         # raw URI -> term id
+        self.term_ids: dict = {}    # term -> term id, in id order
+        self.source_ids: dict = {}  # source -> source id, in id order
+        self.columns = []           # (start, end, weight, source) of each chunk
+
+    def table(self) -> EdgeTable:
+        columns = [np.concatenate(c) for c in zip(*self.columns)] or [(), (), (), ()]
+        return EdgeTable(list(self.term_ids), *columns, list(self.source_ids))
+
+    def add_chunk(self, lines) -> bool:
+        """Add the edges of `lines` with one split, one weight conversion
+        and one `labels` call; False, with nothing added, if a line is
+        blank, a comment or not an edge the line loop would accept."""
+        n = len(lines)
+        joined = "\t".join(lines)
+        if joined.startswith("#") or "\n\t#" in joined:
+            return False
+        fields = joined.split("\t")
+        # A line break only ever ends a field. With 4 fields a line, every
+        # line-final field must be a 4th field, and then every line has 4.
+        if (len(fields) != 4 * n
+                or joined.count("\n") != "".join(fields[3::4]).count("\n")):
+            return False
+        weights = fields[2::4]
+        if "" in weights:
+            weights = [w or "1" for w in weights]
+        try:
+            weight = np.array(weights, dtype=np.float64)  # the grammar of `float`
+        except ValueError:
+            return False
+        if not (np.isfinite(weight).all() and (weight > 0).all()):
+            return False
+        # distinct URIs in order of first appearance, a start before its end
+        uris = [None] * (2 * n)
+        uris[0::2], uris[1::2] = fields[0::4], fields[1::4]
+        ids = self.ids
+        new = [uri for uri in dict.fromkeys(uris) if uri not in ids]
+        try:
+            terms = self.labels(new)
+        except (DataError, ValueError):
+            return False
+        if None in terms:
+            return False
+        term_ids = self.term_ids
+        for uri, term in zip(new, terms):
+            ids[uri] = term_ids.setdefault(term, len(term_ids))
+
+        start = np.fromiter(map(ids.__getitem__, fields[0::4]), np.int32, n)
+        end = np.fromiter(map(ids.__getitem__, fields[1::4]), np.int32, n)
+        sources = fields[3::4]
+        keep = start != end
+        if not keep.all():
+            start, end, weight = start[keep], end[keep], weight[keep]
+            sources = list(compress(sources, keep.tolist()))
+        # a source's id is given at its first kept edge
+        source_ids = self.source_ids
+        raw_ids = {raw: source_ids.setdefault(raw.rstrip("\n"), len(source_ids))
+                   for raw in dict.fromkeys(sources)}
+        source = np.fromiter(map(raw_ids.__getitem__, sources), np.int32, len(sources))
+        self.columns.append((start, end, weight, source))
+        return True
+
+    def add_lines(self, lines, lineno) -> None:
+        """Add the edges of `lines`, the first of which is line `lineno + 1`,
+        one line at a time; the first bad line raises."""
+        path, ids, term_ids, source_ids = self.path, self.ids, self.term_ids, self.source_ids
+        # typed columns, so a row costs its 20 bytes while the lines are read
+        starts, ends, sources = array("i"), array("i"), array("i")
+        weights = array("d")
+        for lineno, line in enumerate(lines, start=lineno + 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}",
-                                 path=str(path), line=lineno)
+                                 path=path, line=lineno)
             start_uri, end_uri, weight_field, source = fields
             if weight_field.strip() == "":
                 weight = 1.0
@@ -135,30 +217,31 @@ def _read_edges(path, label) -> EdgeTable:
                 try:
                     weight = float(weight_field)
                 except ValueError:
-                    raise ParseError(f"bad weight {weight_field!r}",
-                                     path=str(path), line=lineno)
+                    raise ParseError(f"bad weight {weight_field!r}", path=path, line=lineno)
                 if not math.isfinite(weight):
                     raise ParseError(f"non-finite weight {weight_field!r}",
-                                     path=str(path), line=lineno)
+                                     path=path, line=lineno)
             if weight <= 0:
                 raise NonPositiveWeight(
                     f"{path}:{lineno}: weight must be positive, got {weight}")
             try:
                 start = ids.get(start_uri)
                 if start is None:
-                    start = term_id(start_uri)
+                    start = ids[start_uri] = term_ids.setdefault(self.label(start_uri),
+                                                                 len(term_ids))
                 end = ids.get(end_uri)
                 if end is None:
-                    end = term_id(end_uri)
+                    end = ids[end_uri] = term_ids.setdefault(self.label(end_uri),
+                                                             len(term_ids))
             except (DataError, ValueError) as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno)
+                raise ParseError(str(exc), path=path, line=lineno)
             if start == end:
                 continue
             starts.append(start)
             ends.append(end)
             weights.append(weight)
             sources.append(source_ids.setdefault(source, len(source_ids)))
-    return EdgeTable(terms, starts, ends, weights, sources, list(source_ids))
+        self.columns.append((starts, ends, weights, sources))
 
 
 def _standard_uri(uri: str) -> str:

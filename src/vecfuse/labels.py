@@ -249,6 +249,15 @@ def lemmatize(token: str, rules: LemmaRuleSet | None = None,
     return token
 
 
+def _is_own_label(text: str, language: str, rules: LemmaRuleSet) -> bool:
+    """Whether `text` is one plain token that no stopword list removes and
+    no lemma rule reaches, so that it is its own label text in `language`
+    (a valid language tag)."""
+    return _PLAIN_RE.fullmatch(text) is not None and (
+        language != "en" or (text not in rules.exceptions
+                             and not text.endswith(rules.suffixes)))
+
+
 def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
                 stopwords=None, vocab=None) -> StandardLabel:
     """Transform a raw surface string into its standardized label.
@@ -261,11 +270,7 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
     validate_language(language)
     if rules is None:
         rules = default_rules()
-    if _PLAIN_RE.fullmatch(text) and (
-            language != "en" or (text not in rules.exceptions
-                                 and not text.endswith(rules.suffixes))):
-        # one plain token that no stopword list removes and no lemma rule
-        # reaches: it is its own label text
+    if _is_own_label(text, language, rules):
         return _unchecked_label(language, text)
     if stopwords is None:
         stopwords = default_stopwords()
@@ -368,3 +373,33 @@ class Standardizer:
 
     def uri(self, text: str, language: str) -> str:
         return self.standardize(text, language).uri
+
+    def uris(self, texts, language: str | None = None) -> list:
+        """The URI of each of `texts` standardized in `language`, or, with
+        no language, of each `/c/<language>/<text>` URI in `texts`
+        standardized in its own language. A text that fails with
+        `EmptyAfterNormalization` or `ValueError` gives None; an invalid
+        language raises. A text that is its own label is answered here;
+        every other one goes to `standardize`."""
+        rules = self.rules
+        valid = set()  # languages already checked
+        out = []
+        for raw in texts:
+            if language is None:
+                try:
+                    lang, text = split_uri(raw)
+                except ValueError:
+                    out.append(None)
+                    continue
+            else:
+                lang, text = language, raw
+            if lang not in valid:
+                valid.add(validate_language(lang))
+            if _is_own_label(text, lang, rules):
+                out.append(raw if language is None else f"/c/{lang}/{text}")
+                continue
+            try:
+                out.append(self.standardize(text, lang).uri)
+            except (EmptyAfterNormalization, ValueError):
+                out.append(None)
+        return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,13 @@ NATIVE_MAGIC = b"EMB1"
 # what `read_text_embeddings` does with a repeated token
 ON_DUPLICATE = ("error", "first")
 
-# text lines whose value fields are converted by one numpy call; their
-# field strings are held until then, so a batch is kept small
-_TEXT_BATCH_LINES = 256
+# characters of a text vector file read and parsed at a time (`readlines`'
+# hint). A chunk's temporaries are freed to the allocator each time; at
+# 1 MiB, glibc then served a later stage's 1 MiB buffer from the heap, and
+# fuse_two_source's peak RSS rose by 3 MB.
+_TEXT_CHUNK_CHARS = 1 << 18
+# the only characters numpy's C parser strips from a number and `float` rejects
+_C_PARSER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # bytes read at a time while scanning word2vec binary tokens
 _BINARY_CHUNK_BYTES = 1 << 16
 
@@ -77,19 +82,90 @@ def _check_field_count(fields, dims, path, lineno):
             f"{path}:{lineno}: expected {dims} values, got {len(fields)}")
 
 
-def _parse_batch(fields, linenos, path) -> np.ndarray:
-    """Float64 values of a batch of equally long field lists, converted by
-    one numpy call (the grammar of `float`). If any field fails, the lines
-    are parsed one by one, so the error names the first bad line."""
+def _parse_chunk(lines, dims):
+    """(tokens, float64 values) of vector lines by one call of numpy's C
+    parser, or None where it might not give what `_parse_lines` gives: a
+    blank line, a line without values, a field the C parser rejects (its
+    grammar is `float`'s less `1_0`, non-ASCII digits and the empty field
+    of a repeated or trailing space), a row of other than `dims` values,
+    a warning, or one of the separators U+001C to U+001F, which the C
+    parser strips from a field as whitespace and `float` does not."""
+    text = "".join(lines)
+    if any(sep in text for sep in _C_PARSER_ONLY_SPACE):
+        return None
+    tokens, _, rests = zip(*[line.partition(" ") for line in lines])
     try:
-        return np.array(fields, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a token is cut off, so a field may start with "#"
+            values = np.loadtxt(rests, delimiter=" ", comments=None,
+                                dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    # the parser skips a line that is blank once its token is cut off
+    if values.shape != (len(lines), dims or values.shape[1]):
+        return None
+    return tokens, values
+
+
+def _parse_lines(lines, lineno, dims, path):
+    """(tokens, float64 values, line numbers, error, dims) of the vector
+    lines among `lines`, the first of which is line `lineno + 1`, parsed
+    line by line with `float`'s grammar. The first bad line stops the
+    parse; its error is returned, not raised, so that a repeated token
+    before it can be reported first."""
+    tokens, rows, linenos = [], [], []
+    error = None
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        token, _, rest = line.partition(" ")
+        fields = rest.split(" ")
+        if "" in fields:
+            fields = [v for v in fields if v]
+        if dims is None:
+            dims = len(fields)
+        try:
+            _check_field_count(fields, dims, path, lineno)
+        except DataError as exc:
+            error = exc
+            break
+        tokens.append(token)
+        rows.append(fields)
+        linenos.append(lineno)
+    try:
+        values = np.array(rows, dtype=np.float64)
     except ValueError:
-        for line_fields, lineno in zip(fields, linenos):
+        for i, fields in enumerate(rows):
             try:
-                [float(v) for v in line_fields]
+                [float(v) for v in fields]
             except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno)
-        raise  # numpy rejected a field that float accepts: not seen, kept loud
+                error = ParseError(f"non-numeric field: {exc}", path=path, line=linenos[i])
+                break
+        else:
+            raise  # numpy rejected a field that float accepts: not seen, kept loud
+        del tokens[i:], rows[i:], linenos[i:]
+        values = np.array(rows, dtype=np.float64)
+    return tokens, values.reshape(len(rows), dims or 0), linenos, error, dims
+
+
+def _new_tokens(tokens, seen, on_duplicate, path, linenos):
+    """Indices of the tokens not in `seen`, which gets them, or None when
+    all of them are new and distinct. Unless `on_duplicate` is "first", a
+    repeated token is a `DuplicateLabel` naming its line."""
+    fresh = set(tokens)
+    if len(fresh) == len(tokens) and seen.isdisjoint(fresh):
+        seen |= fresh
+        return None
+    kept = []
+    for i, token in enumerate(tokens):
+        if token not in seen:
+            seen.add(token)
+            kept.append(i)
+        elif on_duplicate == "error":
+            raise DuplicateLabel(f"{path}:{linenos[i]}: repeated token {token!r}")
+    return kept
 
 
 def _first_repeat(labels) -> int:
@@ -117,37 +193,25 @@ def read_text_embeddings(path, header: bool = False,
     later by label standardization. `on_duplicate` is one of `ON_DUPLICATE`.
     A header's row count must match the vector lines, duplicates included;
     a vector line without values, a header declaring fewer than one
-    dimension, bytes that are not UTF-8, and a nan or inf anywhere are
-    each a `ParseError` naming its line.
+    dimension, bytes that are not UTF-8, and a nan or inf anywhere, in a
+    skipped duplicate too, are each a `ParseError` naming its line.
 
-    Each field is parsed as a double, `_TEXT_BATCH_LINES` lines per numpy
-    call, and rounded once to float32; the float32 batches are
-    concatenated once at the end. Every error is raised at the line it
-    would be raised at if each line were parsed as it is read.
+    The file is read `_TEXT_CHUNK_CHARS` at a time. Each chunk's values
+    are parsed as doubles by one call of numpy's C parser, or, where that
+    parser might differ, line by line with `float`'s grammar, and rounded
+    once to float32; the float32 blocks are concatenated once at the end.
+    Every error is raised at the line it would be raised at if each line
+    were parsed as it is read.
     """
     if on_duplicate not in ON_DUPLICATE:
         raise ValueError(f"on_duplicate must be one of {ON_DUPLICATE}: {on_duplicate}")
     path_str = str(path)
     labels = []
     seen = set()
-    batches = []  # float32 rows of each parsed batch
-    linenos = []
+    blocks = []  # float32 rows kept from each chunk
     dims = None
     vector_lines = 0
-    # the unparsed value fields of the batch, the line of each, and which
-    # of them are kept (a skipped duplicate is parsed but not stored)
-    batch, batch_linenos, batch_kept = [], [], []
-
-    def flush():
-        if not batch:
-            return
-        values = _parse_batch(batch, batch_linenos, path_str)
-        if len(batch_kept) != len(batch):
-            values = values[batch_kept]
-        batches.append(values.astype(np.float32))
-        batch.clear()
-        batch_linenos.clear()
-        batch_kept.clear()
+    nonfinite_line = None  # first line with a nan, an inf or a value past float32
 
     with open_utf8(path) as f, np.errstate(over="ignore"):
         # values past float32 range become inf and fail the finite check
@@ -165,47 +229,43 @@ def read_text_embeddings(path, header: bool = False,
             if dims < 1:
                 raise ParseError(f"header declares {dims} dimensions",
                                  path=path_str, line=lineno)
-        for line in f:
-            lineno += 1
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            token, _, rest = line.partition(" ")
-            fields = rest.split(" ")
-            if "" in fields:
-                fields = [v for v in fields if v]
-            if dims is None:
-                dims = len(fields)
-            if len(fields) != dims or not fields:
-                flush()
-                _check_field_count(fields, dims, path_str, lineno)
-            vector_lines += 1
-            batch.append(fields)
-            batch_linenos.append(lineno)
-            if token in seen:
-                if on_duplicate == "error":
-                    flush()
-                    raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
+        while lines := f.readlines(_TEXT_CHUNK_CHARS):
+            parsed = _parse_chunk(lines, dims)
+            if parsed is not None:
+                tokens, values = parsed
+                linenos = range(lineno + 1, lineno + 1 + len(lines))
+                error, dims = None, values.shape[1]
             else:
-                batch_kept.append(len(batch) - 1)
-                seen.add(token)
-                labels.append(token)
-                linenos.append(lineno)
-            if len(batch) >= _TEXT_BATCH_LINES:
-                flush()
-        flush()
+                tokens, values, linenos, error, dims = _parse_lines(lines, lineno, dims,
+                                                                    path_str)
+            lineno += len(lines)
+            vector_lines += len(tokens)
+            kept = _new_tokens(tokens, seen, on_duplicate, path, linenos)
+            if error is not None:
+                raise error
+            values = values.astype(np.float32)
+            if nonfinite_line is None:
+                bad = _first_nonfinite_row(values)
+                if bad is not None:
+                    nonfinite_line = linenos[bad]
+            if kept is None:
+                labels.extend(tokens)
+            else:
+                labels.extend([tokens[i] for i in kept])
+                values = values[kept]
+            if len(values):
+                blocks.append(values)
     if header and vector_lines != declared_rows:
         raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
                          path=path_str, line=1)
-    if batches:
-        data = np.concatenate(batches)
-        del batches  # freed before the finite check allocates
+    if nonfinite_line is not None:
+        raise ParseError("non-finite value (nan, inf or past float32 range)",
+                         path=path_str, line=nonfinite_line)
+    if blocks:
+        data = np.concatenate(blocks)
+        del blocks  # freed before the labels are checked
     else:
         data = np.zeros((0, dims or 0), dtype=np.float32)
-    bad = _first_nonfinite_row(data)
-    if bad is not None:
-        raise ParseError("non-finite value (nan, inf or past float32 range)",
-                         path=path_str, line=linenos[bad])
     return LabeledMatrix(labels=labels, data=data)
 
 
@@ -285,7 +345,8 @@ def read_word2vec_binary(path) -> LabeledMatrix:
 
 def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
     """Write the native artifact: EMB1 binary matrix + labels text file.
-    A label holding a line break could not be read back, and is a
+    A label holding a line break, or a first label starting with U+FEFF
+    (read back as a byte order mark), could not be read back, and is a
     `DataError` naming its row, raised before either file is written."""
     rows, dims = matrix.data.shape
     text = "".join([label + "\n" for label in matrix.labels])
@@ -294,6 +355,9 @@ def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
                    if "\n" in label or "\r" in label)
         raise DataError(f"{labels_path}: label of row {bad + 1} holds a line "
                         f"break: {matrix.labels[bad]!r}")
+    if text.startswith("\ufeff"):
+        raise DataError(f"{labels_path}: label of row 1 starts with a byte order "
+                        f"mark: {matrix.labels[0]!r}")
     with open(matrix_path, "wb") as f:
         f.write(NATIVE_MAGIC)
         f.write(struct.pack("<II", rows, dims))

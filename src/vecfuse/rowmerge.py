@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import EmptyAfterNormalization, InvalidRank, PlanMismatch
+from .errors import InvalidRank, PlanMismatch
 from .labels import Standardizer
 from .matrixio import LabeledMatrix
 
@@ -62,10 +62,8 @@ def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
     """
     groups: dict = {}
     kept = []
-    for idx, raw in enumerate(matrix.labels):
-        try:
-            uri = standardizer.uri(raw, language)
-        except (EmptyAfterNormalization, ValueError):
+    for idx, uri in enumerate(standardizer.uris(matrix.labels, language)):
+        if uri is None:  # the label does not standardize
             continue
         groups.setdefault(uri, []).append((len(kept), idx + 1))
         kept.append(idx)

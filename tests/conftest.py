@@ -35,9 +35,15 @@ class Edge(NamedTuple):
 
 
 def edge_table(edges) -> EdgeTable:
-    """An EdgeTable of (start, end, weight, source) tuples, in order."""
-    return EdgeTable.concat([EdgeTable([start, end], [0], [1], [weight], [0], [source])
-                             for start, end, weight, source in edges])
+    """An EdgeTable of (start, end, weight, source) tuples, in order, its
+    terms and sources in order of first use."""
+    terms: dict = {}
+    sources: dict = {}
+    rows = [(terms.setdefault(start, len(terms)), terms.setdefault(end, len(terms)),
+             weight, sources.setdefault(source, len(sources)))
+            for start, end, weight, source in edges]
+    start, end, weight, source = zip(*rows) if rows else ((), (), (), ())
+    return EdgeTable(list(terms), start, end, weight, source, list(sources))
 
 
 def edge_rows(table: EdgeTable) -> list:

@@ -135,6 +135,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^dataset x: splits must be non-empty"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("num_chunks, ok", [(1, False), (2, True)])
+    def test_dev_split_needs_two_chunks(self, num_chunks, ok):
+        """With one chunk the test chunk is every pair, so dev is always
+        empty."""
+        raw = minimal_config()
+        raw["evaluations"] = [{"id": "simlex", "path": "g.txt", "splits": ["all", "dev"],
+                               "num_chunks": num_chunks, "test_chunk": 1}]
+        if ok:
+            assert config_from_dict(raw).evaluations[0].num_chunks == 2
+            return
+        with pytest.raises(ConfigError, match="^dataset simlex: the dev split is empty "
+                                              "unless num_chunks >= 2$"):
+            config_from_dict(raw)
+        raw["evaluations"][0]["splits"] = ["all", "test"]
+        assert config_from_dict(raw).evaluations[0].num_chunks == 1
+
     def test_eval_needs_some_path(self):
         raw = minimal_config()
         raw["evaluations"] = [{"id": "x"}]

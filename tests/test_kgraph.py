@@ -115,11 +115,11 @@ class TestLoadAssertions:
                         "/c/en/dog\t/c/en/Cats\t1\tx\n"
                         "/c/en/cat\t/c/en/dogs\t1\tx\n", encoding="utf-8")
         calls = []
-        inner = Standardizer.uri
-        monkeypatch.setattr(Standardizer, "uri",
-                            lambda self, text, lang: calls.append(text) or inner(self, text, lang))
+        inner = Standardizer.uris
+        monkeypatch.setattr(Standardizer, "uris",
+                            lambda self, uris: calls.extend(uris) or inner(self, uris))
         table = load_assertions(path)
-        assert sorted(calls) == ["Cats", "cat", "dog", "dogs"]
+        assert sorted(calls) == ["/c/en/Cats", "/c/en/cat", "/c/en/dog", "/c/en/dogs"]
         assert table.terms == ["/c/en/cat", "/c/en/dog"]
         assert [(a.start, a.end) for a in edge_rows(table)] == [
             ("/c/en/cat", "/c/en/dog"), ("/c/en/dog", "/c/en/cat"),
@@ -171,6 +171,15 @@ class TestEdgeTable:
         assert edge_rows(both) == self.EDGES + [Edge("/c/en/d", "/c/en/a", 4.0, "z")]
         assert len(both.terms) == len(set(both.terms)) == 4
         assert edge_rows(EdgeTable.concat([])) == []
+
+    def test_concat_of_one_table_with_rows_is_that_table(self):
+        a = edge_table(self.EDGES)
+        empty = edge_table([Edge("/c/en/z", "/c/en/y", 1.0, "w")]).take(slice(0, 0))
+        assert EdgeTable.concat([a]) is a
+        assert EdgeTable.concat([empty, a, empty]) is a
+        both = EdgeTable.concat([empty, a, empty, edge_table(self.EDGES[:1])])
+        assert edge_rows(both) == self.EDGES + self.EDGES[:1]
+        assert both.terms == a.terms and both.sources == a.sources
 
     def test_without_sources(self):
         table = edge_table(self.EDGES)

@@ -505,6 +505,46 @@ class TestAsciiFastPaths:
         self.one_path(monkeypatch)
         assert got == memos()
 
+    @pytest.mark.parametrize("vocab", [None, {"cat", "bus", "walk", "tall"}])
+    def test_bulk_uris_match_uri(self, vocab):
+        """`uris` gives what `uri` gives, and None where `uri` raises
+        EmptyAfterNormalization or ValueError, for texts and for URIs."""
+        def one_by_one(items):
+            std = Standardizer(vocab=vocab)
+            out = []
+            for item in items:
+                try:
+                    text, language = item if isinstance(item, tuple) else split_uri(item)[::-1]
+                    out.append(std.uri(text, language))
+                except (EmptyAfterNormalization, ValueError):
+                    out.append(None)
+            return out
+
+        for language in ("en", "fr"):
+            assert Standardizer(vocab=vocab).uris(TRICKY, language) == \
+                one_by_one([(text, language) for text in TRICKY])
+        raw = [f"/c/{language}/{text}" for text in TRICKY for language in ("en", "fr")]
+        raw += ["cat", "", "/c/en", "/x/en/cat", "c/en/cat", "/c/en/a/b"]
+        assert Standardizer(vocab=vocab).uris(raw) == one_by_one(raw)
+
+    def test_bulk_uris_reach_standardize_only_for_labels_not_their_own(self, monkeypatch):
+        seen = []
+        inner = Standardizer.standardize
+        monkeypatch.setattr(Standardizer, "standardize",
+                            lambda self, text, lang: seen.append(text) or inner(self, text, lang))
+        std = Standardizer()
+        assert std.uris(["cat", "cats", "Dog", "x1", "ran"], "en") == [
+            "/c/en/cat", "/c/en/cat", "/c/en/dog", "/c/en/x1", "/c/en/run"]
+        assert std.uris(["/c/fr/chats", "/c/fr/Chat", "/c/en/dog"]) == [
+            "/c/fr/chats", "/c/fr/chat", "/c/en/dog"]
+        assert seen == ["cats", "Dog", "ran", "Chat"]
+
+    def test_bulk_uris_raise_on_an_invalid_language(self):
+        with pytest.raises(InvalidLanguage):
+            Standardizer().uris(["cat"], "EN")
+        with pytest.raises(InvalidLanguage):
+            Standardizer().uris(["/c/en/cat", "/c/english/cat"])
+
     def test_whitespace_regex_is_isspace_on_every_code_point(self):
         # the label check relies on this for non-ASCII text too
         differ = [cp for cp in range(sys.maxunicode + 1)

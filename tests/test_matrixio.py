@@ -461,11 +461,14 @@ class TestNativeFormat:
 
 # The list-of-lists text reader that the float32-block reader replaced,
 # kept as a bitwise reference. It parses each line as it is read, and
-# raises each error at the line the readers have always named.
+# raises each error at the line the readers have always named; the first
+# vector line, a skipped duplicate too, holding a nan, an inf or a value
+# past float32 range is the non-finite line it returns.
 
 def reference_read_text(path, header=False, on_duplicate="error"):
-    labels, seen, rows, linenos = [], set(), [], []
+    labels, seen, rows = [], set(), []
     dims = None
+    bad = None
     vector_lines = 0
     with open(path, encoding="utf-8") as f:
         lineno = 0
@@ -491,6 +494,9 @@ def reference_read_text(path, header=False, on_duplicate="error"):
             except ValueError as exc:
                 raise ParseError(f"non-numeric field: {exc}", path=str(path), line=lineno)
             vector_lines += 1
+            with np.errstate(over="ignore"):
+                if bad is None and not np.isfinite(np.float32(values)).all():
+                    bad = lineno
             if token in seen:
                 if on_duplicate == "error":
                     raise DuplicateLabel(f"{path}:{lineno}: repeated token {token!r}")
@@ -498,14 +504,11 @@ def reference_read_text(path, header=False, on_duplicate="error"):
             seen.add(token)
             labels.append(token)
             rows.append(values)
-            linenos.append(lineno)
     if header and vector_lines != declared_rows:
         raise ParseError(f"header declares {declared_rows} rows, file has {vector_lines}",
                          path=str(path), line=1)
     with np.errstate(over="ignore"):
         data = np.array(rows, dtype=np.float32).reshape(len(labels), dims or 0)
-    finite = np.isfinite(data).all(axis=1)
-    bad = None if finite.all() else linenos[int(np.argmin(finite))]
     return labels, data, bad
 
 
@@ -526,9 +529,9 @@ def write_vectors(path, labels, values, head=None):
 class TestBlockReaderMatchesListReader:
     def check(self, path, monkeypatch, **kwargs):
         labels, data, bad = reference_read_text(path, **kwargs)
-        # one, two and three lines per conversion batch, the default batch
-        for batch in (1, 2, 3, matrixio._TEXT_BATCH_LINES):
-            monkeypatch.setattr(matrixio, "_TEXT_BATCH_LINES", batch)
+        # one line per chunk, a few lines, the default chunk
+        for chunk in (1, 40, 100, matrixio._TEXT_CHUNK_CHARS):
+            monkeypatch.setattr(matrixio, "_TEXT_CHUNK_CHARS", chunk)
             if bad is not None:
                 with pytest.raises(ParseError) as err:
                     read_text_embeddings(path, **kwargs)
@@ -602,12 +605,14 @@ def numbered_lines(rows, dims, seed=0):
 
 
 class TestBatchErrorsNameTheirLine:
-    """Whatever the batch size, each error is the one a reader that parses
+    """Whatever the chunk size, each error is the one a reader that parses
     every line as it reads it raises, at the same line."""
 
-    @pytest.fixture(params=[1, 2, 3, 4, 256])
+    # chunk sizes in characters: one line a chunk up to 4, then 3 or 5
+    # lines of about 62 characters, then all of them
+    @pytest.fixture(params=[1, 2, 3, 4, 128, 256, 1 << 20])
     def batch(self, request, monkeypatch):
-        monkeypatch.setattr(matrixio, "_TEXT_BATCH_LINES", request.param)
+        monkeypatch.setattr(matrixio, "_TEXT_CHUNK_CHARS", request.param)
         return request.param
 
     def check(self, tmp_path, lines, **kwargs):
@@ -657,26 +662,32 @@ class TestBatchErrorsNameTheirLine:
     def test_first_error_in_line_order(self, tmp_path, batch, edits, on_duplicate):
         self.check(tmp_path, self.edited(edits), on_duplicate=on_duplicate)
 
-    def test_skipped_duplicates_keep_their_parse_check_only(self, tmp_path, batch):
-        # a skipped duplicate's fields are parsed, but its values are not kept
-        lines = self.edited({6: "w0 nan inf 1e39"})
-        assert self.check(tmp_path, lines, on_duplicate="first")[0][:2] == ["w0", "w1"]
-        lines = self.edited({6: "w0 1 x 3"})
-        got = self.check(tmp_path, lines, on_duplicate="first")
+    @pytest.mark.parametrize("line", ["w0 nan 0 0", "w0 0 inf 0", "w0 0 0 1e39",
+                                      "w0 1 x 3"])
+    def test_skipped_duplicates_are_parsed_and_checked(self, tmp_path, batch, line):
+        # a skipped duplicate's values are not kept, but a bad one is an error
+        got = self.check(tmp_path, self.edited({6: line}), on_duplicate="first")
+        assert got[0] is ParseError and got[2] == 6
+        got = self.check(tmp_path, self.edited({6: line, 9: "w8 nan 0 0"}),
+                         on_duplicate="first")
         assert got[0] is ParseError and got[2] == 6
 
     def test_skipped_duplicates_count_toward_the_batch(self, tmp_path, batch, monkeypatch):
         sizes = []
-        parse = matrixio._parse_batch
+        parse = matrixio._parse_chunk
 
-        def recording(fields, linenos, path):
-            sizes.append(len(fields))
-            return parse(fields, linenos, path)
+        def recording(lines, dims):
+            parsed = parse(lines, dims)
+            assert parsed is not None  # numpy's C parser takes every chunk
+            sizes.append(len(lines))
+            return parsed
 
-        monkeypatch.setattr(matrixio, "_parse_batch", recording)
+        monkeypatch.setattr(matrixio, "_parse_chunk", recording)
         lines = numbered_lines(1, 3) * 20
         assert self.check(tmp_path, lines, on_duplicate="first")[0] == ["w0"]
-        assert sum(sizes) == 20 and max(sizes) <= batch
+        # `readlines` stops at the line that reaches the chunk size
+        per_chunk = min(20, -(-batch // (len(lines[0]) + 1)))
+        assert sum(sizes) == 20 and max(sizes) == per_chunk
 
     def test_header_count_checked_after_every_line(self, tmp_path, batch):
         self.check(tmp_path, ["13 3"] + self.edited({}), header=True)

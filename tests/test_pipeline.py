@@ -187,7 +187,7 @@ class TestFullPipeline:
         first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir))
         # retrofit again, from the cached fused matrix and edge table
         (cache_dir / "retrofitted.emb1").unlink()
-        calls = {"standardize": 0, "build_standardizer": 0}
+        calls = {"standardize": 0, "uris": 0, "build_standardizer": 0}
         in_graph = dict(calls)
 
         def counting(owner, name):
@@ -209,11 +209,12 @@ class TestFullPipeline:
             return call
 
         counting(Standardizer, "standardize")
+        counting(Standardizer, "uris")
         counting(pipeline, "build_standardizer")
         monkeypatch.setattr(pipeline, "load_graphs", graph_stage(pipeline.load_graphs))
         second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir))
-        assert in_graph == {"standardize": 0, "build_standardizer": 0}
-        assert calls["standardize"] > 0  # evaluation still standardizes
+        assert in_graph == {"standardize": 0, "uris": 0, "build_standardizer": 0}
+        assert calls["uris"] > 0  # evaluation still standardizes
         assert bits_equal(second["matrix"].data, first["matrix"].data)
         assert second["matrix"].labels == first["matrix"].labels
         assert Path(second["matrix_path"]).read_bytes() == \
@@ -873,6 +874,14 @@ class TestCli:
         config = self.write_config(workspace, bad)
         assert cli.main(["pipeline", "--config", config]) == 1
         capsys.readouterr()
+
+    def test_empty_dev_split_exits_1_before_any_stage(self, workspace, capsys):
+        raw = self.raw_toy_dict(workspace)
+        raw["evaluations"][0].update(splits=["all", "dev"], num_chunks=1, test_chunk=1)
+        config = self.write_config(workspace, raw)
+        assert cli.main(["pipeline", "--config", config]) == cli.EXIT_CONFIG
+        assert "dataset toy_gold: the dev split is empty" in capsys.readouterr().err
+        assert not (workspace / "cli_out").exists()
 
     def test_exit_code_wrong_json_type(self, workspace, capsys):
         bad = self.raw_toy_dict(workspace, retrofit={"iterations": "10"})
