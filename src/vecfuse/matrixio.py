@@ -87,13 +87,15 @@ def _parse_chunk(lines, dims):
     parser, or None where it might not give what `_parse_lines` gives: a
     blank line, a line without values, a field the C parser rejects (its
     grammar is `float`'s less `1_0`, non-ASCII digits and the empty field
-    of a repeated or trailing space), a row of other than `dims` values,
-    a warning, or one of the separators U+001C to U+001F, which the C
-    parser strips from a field as whitespace and `float` does not."""
+    of a repeated space; trailing spaces are cut off before it), a row of
+    other than `dims` values, a warning, or one of the separators U+001C
+    to U+001F, which the C parser strips from a field as whitespace and
+    `float` does not."""
     text = "".join(lines)
     if any(sep in text for sep in _C_PARSER_ONLY_SPACE):
         return None
-    tokens, _, rests = zip(*[line.partition(" ") for line in lines])
+    # trailing spaces only make empty fields, which the line loop drops
+    tokens, _, rests = zip(*[line.rstrip(" \n").partition(" ") for line in lines])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

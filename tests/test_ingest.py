@@ -44,6 +44,12 @@ TEXT_CHUNKS = (1, 25, 1 << 20)
 TEXT_CASES = {
     "underscore": "x 1_0 2",
     "trailing space": "x 1 2 ",
+    "several trailing spaces": "x 1 2   ",
+    "trailing space before CRLF": "x 1 2 \r",
+    "only spaces after the token": "x   ",
+    "trailing space, short line": "x 1 ",
+    "trailing space, nan": "x 1 nan ",
+    "trailing space after a double space": "x 1  2 ",
     "double space": "x 1  2",
     "arabic-indic digits": "x \u0661\u0662 2",
     "tab before a field": "x \t1 2",
@@ -124,6 +130,8 @@ def test_text_grammar_table(tmp_path, monkeypatch, case, at, newline, on_duplica
     ("x +.5 2", [0.5, 2.0]),
     ("x 5. 2", [5.0, 2.0]),
     ("x 4.9e-324 2", [0.0, 2.0]),
+    ("x 1 2   ", [1.0, 2.0]),
+    ("x 1 2 \r", [1.0, 2.0]),
 ])
 @pytest.mark.parametrize("at", [3, 4])
 def test_text_values(tmp_path, monkeypatch, case, values, at):
@@ -155,6 +163,16 @@ def test_text_errors_name_the_first_line_of_chunk_2(tmp_path, monkeypatch, case,
         read_text_embeddings(path)
 
 
+def test_trailing_spaces_take_the_c_parser(tmp_path, monkeypatch):
+    # fastText's .vec layout: a space before every newline
+    path = tmp_path / "v.txt"
+    write_lines(path, [line + " " for line in text_lines("x 1 2", 4)])
+    want = text_outcome(path)
+    monkeypatch.setattr(matrixio, "_parse_lines", None)  # the line loop is not called
+    assert text_outcome(path) == want
+    assert want[0][3] == "x"
+
+
 def test_skipped_duplicate_across_a_chunk_boundary(tmp_path, monkeypatch):
     path = tmp_path / "v.txt"
     write_lines(path, text_lines("w2 7 7", 4))
@@ -169,7 +187,7 @@ FIELDS = ["0.25", "-1", "1e-3", "+.5", "5.", "-0", "1_0", "\u0661", "1e39", "inf
           "\u20281", "1\x85"]
 
 
-def random_text(rng, rows):
+def random_text(rng, rows, trailing=False):
     lines = []
     for i in range(rows):
         if rng.random() < 0.05:
@@ -179,7 +197,7 @@ def random_text(rng, rows):
         width = 3 if rng.random() < 0.97 else rng.choice([2, 4])
         fields = [rng.choice(FIELDS[:6]) if rng.random() < 0.97 else rng.choice(FIELDS)
                   for _ in range(width)]
-        lines.append(" ".join([token] + fields))
+        lines.append(" ".join([token] + fields) + " " * (trailing and rng.randrange(3)))
     return lines
 
 
@@ -188,6 +206,15 @@ def test_random_text_files(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
     path = tmp_path / "v.txt"
     write_lines(path, random_text(rng, 30))
+    check_text(path, monkeypatch, (1, rng.randrange(2, 200), rng.randrange(2, 400), 1 << 20),
+               on_duplicate="first")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_text_files_with_trailing_spaces(tmp_path, monkeypatch, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "v.txt"
+    write_lines(path, random_text(rng, 30, trailing=True))
     check_text(path, monkeypatch, (1, rng.randrange(2, 200), rng.randrange(2, 400), 1 << 20),
                on_duplicate="first")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, make_matrix
-from vecfuse import interpolate, rowmerge
+from vecfuse import interpolate, parallel, rowmerge
 from vecfuse.errors import ConvergenceFailure, EmptyOverlap
 from vecfuse.interpolate import (
     _infer_rows,
@@ -226,6 +226,8 @@ class TestBlockInference:
             monkeypatch.setattr(interpolate, "_SIMS_BYTES", budget)
             monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
             for have_unit, queries in cases:
+                # one worker, so that the spy collects the tiles in row order
+                monkeypatch.setattr(parallel, "worker_count", lambda: 1)
                 tops = []
                 monkeypatch.setattr(interpolate, "_nearest",
                                     lambda *args: tops.append(nearest(*args)) or tops[-1])
@@ -236,6 +238,11 @@ class TestBlockInference:
                     top, row = oracle_infer(vec, have_unit, want_shared, 6)
                     assert top_rows[i].tolist() == top.tolist()
                     assert np.abs(got[i] - row).max() < 1e-6
+                for workers in (2, 3):
+                    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+                    again = np.empty_like(got)
+                    _infer_rows(queries.astype(np.float32), have_unit, want_shared, 6, again)
+                    assert again.tobytes() == got.tobytes()
 
 
 def reference_nearest(query, have_unit, k, cols):
@@ -333,6 +340,40 @@ class TestInferenceMatchesTileLoop:
             monkeypatch.setattr(interpolate, "_infer_rows", reference_infer_rows)
             want = fuse(a, b, k=4, discount=False).matrix.data
             assert bits_equal(got, want)
+
+
+class TestWorkers:
+    """Runs of tiles on 1, 2 or 3 threads give the same bits: a tile's
+    shape does not depend on the worker count."""
+
+    # (similarity budget, tile columns): one tile of every shared row and
+    # many query blocks; 2-D tiles; one query block of every row
+    @pytest.mark.parametrize("budget, cols", [(8 * 200 * 16, 1024), (8 * 7 * 5, 7),
+                                              (1 << 21, 1024)])
+    def test_same_bits_at_any_worker_count(self, rng, monkeypatch, budget, cols):
+        a = unit_rows([f"w{i}" for i in range(300)], 12, rng)
+        b = unit_rows([f"w{i}" for i in range(100, 420)], 10, rng)
+        monkeypatch.setattr(interpolate, "_SIMS_BYTES", budget)
+        monkeypatch.setattr(interpolate, "_TILE_COLS", cols)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            fused = fuse(a, b, k=4, out_dims=15)
+            results.append((fused.matrix.data.tobytes(), fused.singular_values.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("queries", [0, 1, 2])
+    def test_fewer_tiles_than_workers(self, rng, monkeypatch, queries):
+        have_unit = random_space(rng, 40, 4)
+        want_shared = rng.randn(40, 3).astype(np.float32)
+        vecs = rng.randn(queries, 4).astype(np.float32)
+        monkeypatch.setattr(interpolate, "_SIMS_BYTES", 8 * 40)  # one query row a tile
+        want = np.empty((queries, 3))
+        reference_infer_rows(vecs, have_unit, want_shared, 5, want)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 3)
+        got = np.empty((queries, 3))
+        _infer_rows(vecs, have_unit, want_shared, 5, got)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSvdDiscount:

@@ -12,6 +12,7 @@ from vecfuse.config import config_from_dict
 from vecfuse.errors import NonPositiveWeight, ParseError
 from vecfuse.kgraph import (
     EdgeTable,
+    _row_major_order,
     build_association,
     filter_terms,
     load_assertions,
@@ -337,6 +338,18 @@ class TestBuildAssociation:
 # a bitwise reference: the loader, rescale, term filter and TSV writer,
 # and the graph stage of the pipeline built on them. The association
 # matrix's list reference lives in test_retrofit.
+
+@pytest.mark.parametrize("m", [1, 7, 300, 3 * 10 ** 9 - 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_row_major_order_is_lexsort(m, seed):
+    # many repeats: coordinates drawn from a small pool, then shuffled
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, m, (2, 50))
+    pick = rng.integers(0, 50, 5000)
+    rows, cols = pool[0, pick], pool[1, rng.permutation(pick)]
+    assert len(set(zip(rows.tolist(), cols.tolist()))) < len(rows)
+    assert np.array_equal(_row_major_order(rows, cols, m), np.lexsort((cols, rows)))
+
 
 def reference_load_assertions(path, standardizer):
     assertions = []

@@ -1,11 +1,14 @@
 import dataclasses
 import importlib
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import Edge, bits_equal, edge_table, make_matrix
+from vecfuse import parallel
 from vecfuse.errors import DimensionMismatch
 from vecfuse.kgraph import AssociationMatrix, build_association
 from vecfuse.matrixio import LabeledMatrix
@@ -408,11 +411,12 @@ class TestBlockedStepMatchesWholeMatrix:
     def check(self, problem, w, monkeypatch, budgets=BLOCK_ENTRIES):
         want = reference_step(problem, w)
         before = w.copy()
-        for entries in budgets:
+        for entries, workers in itertools.product(budgets, (1, 2, 3)):
             monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * problem.dims * entries)
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
             got = retrofit_step(problem, w)
             assert got.dtype == np.float32
-            assert got.tobytes() == want.tobytes(), entries
+            assert got.tobytes() == want.tobytes(), (entries, workers)
             assert got is not w and w.tobytes() == before.tobytes()
             # the step swept blocks of the patched budget, from a plan built
             # for that budget
@@ -524,16 +528,82 @@ def dense_graph_problem(size, dims, degree, seed):
                            data=data, w0=w0, anchored=anchored)
 
 
-def test_step_memory_grows_with_vocabulary_not_edges():
-    size, dims = 500, 64
-    problem = dense_graph_problem(size, dims, degree=50, seed=0)
-    w = random_state(problem, 0)
+def step_peak(problem, w):
+    """Peak bytes traced during one step, from every thread."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         retrofit_step(problem, w)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_step_memory_grows_with_vocabulary_not_edges(monkeypatch):
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    size, dims = 500, 64
+    problem = dense_graph_problem(size, dims, degree=50, seed=0)
+    w = random_state(problem, 0)
+    peak = step_peak(problem, w)
     # the whole-matrix product alone would be 8 * nnz * dims = 12.8 MB
     assert peak < 12 * size * dims + 4 * retrofit_module._PROD_BYTES
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_step_memory_per_worker(monkeypatch, workers, block_rows):
+    # each worker holds buffers of the whole budget; the plan, 16 bytes an
+    # entry, is built before the step is measured
+    size, dims = 500, 64
+    if block_rows is not None:  # blocks for every worker
+        monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * dims * block_rows)
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+    problem = dense_graph_problem(size, dims, degree=50, seed=0)
+    w = random_state(problem, 0)
+    problem.sweep_plan(retrofit_module._PROD_BYTES // (8 * dims))
+    peak = step_peak(problem, w)
+    assert peak < 12 * size * dims + workers * 4 * retrofit_module._PROD_BYTES
+
+
+class TestWorkers:
+    """Runs of row blocks on 1, 2 or 3 threads give the same bits: a
+    block's shape does not depend on the worker count."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 10 ** 9])
+    def test_retrofit_same_bits_at_any_worker_count(self, monkeypatch, block_rows):
+        size, dims = 300, 8
+        monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * dims * block_rows)
+        problem = dense_graph_problem(size, dims, degree=6, seed=2)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            results.append(retrofit(problem, iterations=4).data.tobytes())
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_stress_with_short_switch_interval(self, monkeypatch):
+        # more workers than cores, switching threads every few bytecodes:
+        # a lost or misplaced row write changes the bits
+        monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * 8 * 3)
+        problem = dense_graph_problem(400, 8, degree=5, seed=7)
+        w = random_state(problem, 7)
+        want = reference_step(problem, w)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert retrofit_step(problem, w).tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_runs_balance_entries_gathered(self, monkeypatch):
+        problem = dense_graph_problem(300, 8, degree=6, seed=2)
+        plan = problem.sweep_plan(16)
+        assert plan.starts[0] == 0 and plan.starts[-1] == len(plan.indices)
+        assert np.diff(plan.starts).tolist() == [sum(b.widths) for b in plan.blocks]
+        runs = []
+        monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * 8 * 16)
+        monkeypatch.setattr(retrofit_module, "run_split", lambda part, offsets: runs.append(
+            offsets) or parallel.run_split(part, offsets))
+        retrofit_step(problem, problem.w0)
+        assert runs == [plan.starts]

@@ -13,6 +13,7 @@ from vecfuse.rowmerge import (
     l2_normalize_columns,
     l2_normalize_rows,
     merge_standardized,
+    normalize_rows_inplace,
     zipf_weight,
 )
 
@@ -265,3 +266,26 @@ class TestRowNormalization:
             before = cos(raw[0], raw[1]) > cos(raw[0], raw[2])
             after = cos(out[0], out[1]) > cos(out[0], out[2])
             assert before == after
+
+    @pytest.mark.parametrize("dims", [1, 7, 75, 300])
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 64, None])
+    def test_blocks_match_whole_matrix(self, rng, monkeypatch, dims, rows_per_block):
+        # zero, unit, tiny and huge rows, through blocks of 1 row, blocks
+        # that do not divide the row count, and one block for all rows
+        if rows_per_block is not None:
+            monkeypatch.setattr(rowmerge, "_NORM_BYTES", 8 * dims * rows_per_block)
+        n = 100
+        rows = (rng.randn(n, dims) * rng.uniform(1e-8, 1e4, size=(n, 1))).astype(np.float32)
+        rows[5] = 0.0
+        rows[9] /= np.sqrt((rows[9].astype(np.float64) ** 2).sum())
+        m = make_matrix([f"w{i}" for i in range(n)], rows)
+        whole = m.data.astype(np.float64)
+        normalize_rows_inplace(whole)
+        out = l2_normalize_rows(m)
+        assert out.labels == m.labels
+        assert out.data.dtype == np.float32
+        assert bits_equal(out.data, whole.astype(np.float32))
+
+    def test_no_rows(self):
+        out = l2_normalize_rows(make_matrix([], np.zeros((0, 4), dtype=np.float32)))
+        assert out.data.shape == (0, 4) and out.data.dtype == np.float32
