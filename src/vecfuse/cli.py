@@ -19,8 +19,12 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-def _common_flags(parser):
+def _config_flag(parser):
     parser.add_argument("--config", required=True, help="pipeline config (JSON)")
+
+
+def _common_flags(parser):
+    _config_flag(parser)
     parser.add_argument("--stage-cache-dir", default=None,
                         help="directory for cached stage outputs")
 
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write every intermediate iterate here in native format")
 
     p = sub.add_parser("evaluate", help="evaluate an existing native matrix")
-    _common_flags(p)
+    _config_flag(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--report", default=None, help="report TSV path")
@@ -82,36 +86,40 @@ def _find_source(config, source_id):
 
 def run(args) -> int:
     config = load_config(args.config)
-    cache = pipeline.StageCache(args.stage_cache_dir)
+    if args.command == "pipeline":
+        reports = pipeline.run_pipeline(config, cache_dir=args.stage_cache_dir)["reports"]
+        if config.evaluations:
+            print(evaluation.format_report_table(reports))
+        return 0
+    run_labels = pipeline.RunLabels(config)
+    if args.command == "evaluate":
+        matrix = matrixio.read_native(args.matrix, args.labels)
+        reports = pipeline.evaluate_matrix(config, matrix, run_labels)
+        print(evaluation.format_report_table(reports))
+        if args.report:
+            evaluation.write_report(reports, args.report)
+        return 0
 
+    cache = pipeline.StageCache(args.stage_cache_dir)
     if args.command == "ingest":
         matrix = pipeline.ingest_source(_find_source(config, args.source), cache)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "merge":
         matrix = pipeline.prepare_source(config, _find_source(config, args.source),
-                                         cache)
+                                         cache, run_labels)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "graph":
-        matrix = pipeline.fuse_sources(config, cache)
-        kgraph.write_assertions(args.out, pipeline.load_graphs(config, matrix, cache))
+        matrix = pipeline.fuse_sources(config, cache, run_labels)
+        kgraph.write_assertions(args.out,
+                                pipeline.load_graphs(config, matrix, cache, run_labels))
     elif args.command == "fuse":
-        matrix = pipeline.fuse_sources(config, cache,
+        matrix = pipeline.fuse_sources(config, cache, run_labels,
                                        singular_values_path=args.singular_values)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "retrofit":
-        matrix = pipeline.ensemble_matrix(config, cache,
+        matrix = pipeline.ensemble_matrix(config, cache, run_labels,
                                           checkpoint_dir=args.checkpoint_dir)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
-    elif args.command == "evaluate":
-        matrix = matrixio.read_native(args.matrix, args.labels)
-        reports = pipeline.evaluate_matrix(config, matrix, cache)
-        print(evaluation.format_report_table(reports))
-        if args.report:
-            evaluation.write_report(reports, args.report)
-    elif args.command == "pipeline":
-        reports = pipeline.run_pipeline(config, cache_dir=args.stage_cache_dir)["reports"]
-        if config.evaluations:
-            print(evaluation.format_report_table(reports))
     return 0
 
 

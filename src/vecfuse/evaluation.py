@@ -131,15 +131,11 @@ class MatrixLookup:
         self.standardizer = standardizer
         self.digit_fallback = digit_fallback
         self._index = matrix.label_index()
-        self._zero = np.zeros(matrix.dims)
-
-    def row_index(self, word: str, language: str = "en"):
-        """The matrix row of a raw word, or None when out of vocabulary."""
-        return self.row_indices([(word, language)])[0]
 
     def row_indices(self, keys) -> list:
-        """`row_index` of each (word, language) in `keys`; the words of one
-        language are standardized by one `Standardizer.uris` call."""
+        """The matrix row of each raw (word, language) in `keys`, or None
+        for one out of vocabulary; the words of one language are
+        standardized by one `Standardizer.uris` call."""
         keys = list(keys)
         index = self._index
         if self.standardizer is None:
@@ -157,28 +153,6 @@ class MatrixLookup:
                     row = index.get(map_digit_runs(uri))
                 rows[i] = row
         return rows
-
-    def row_for(self, word: str, language: str = "en"):
-        """(vector, found) for a raw word; zero vector when out of vocabulary."""
-        row = self.row_index(word, language)
-        if row is None:
-            return self._zero, False
-        return self.matrix.data[row].astype(np.float64), True
-
-    def similarity(self, w1: str, w2: str, language: str = "en") -> float:
-        v1, _ = self.row_for(w1, language)
-        v2, _ = self.row_for(w2, language)
-        return _cosine(v1, v2)
-
-
-def _cosine(v1: np.ndarray, v2: np.ndarray) -> float:
-    n1 = math.sqrt(v1 @ v1)
-    n2 = math.sqrt(v2 @ v2)
-    if n1 <= 0.0 or n2 <= 0.0:
-        return 0.0
-    if np.array_equal(v1, v2):
-        return 1.0  # words sharing a row must tie exactly in the ranking
-    return max(-1.0, min(1.0, float((v1 @ v2) / (n1 * n2))))
 
 
 def average_ranks(values) -> np.ndarray:
@@ -267,9 +241,10 @@ _PAIR_BLOCK = 512
 
 
 def _pair_cosines(matrix: LabeledMatrix, ends) -> np.ndarray:
-    """`_cosine` of the rows `ends[i]` of `matrix` for every pair i, where
-    row -1 is the zero vector. Only the rows the pairs use are widened to
-    float64, each once."""
+    """The cosine of the float64 rows `ends[i]` of `matrix` for every pair
+    i, where row -1 is the zero vector: 0 when either row is zero, else 1
+    when the rows are equal, else clipped to [-1, 1]. Only the rows the
+    pairs use are widened to float64, each once."""
     used, ends = np.unique(ends.ravel(), return_inverse=True)
     ends = ends.reshape(-1, 2)
     vecs = np.zeros((len(used), matrix.dims))
@@ -285,8 +260,8 @@ def _pair_cosines(matrix: LabeledMatrix, ends) -> np.ndarray:
         same[b0:b0 + len(v1)] = (v1 == v2).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = dots / (n1 * n2)
-    # the rules of _cosine in reverse, each overriding the ones before:
-    # min(1.0, x) and max(-1.0, x) as Python evaluates them, NaN included
+    # the rules above in reverse, each overriding the ones before: the
+    # clip as Python's max(-1.0, min(1.0, x)) evaluates it, NaN included
     cos = np.where(cos < 1.0, cos, 1.0)
     cos = np.where(cos > -1.0, cos, -1.0)
     cos[same] = 1.0  # words sharing a row must tie exactly in the ranking

@@ -175,24 +175,6 @@ def _infer_rows(vecs: np.ndarray, have_unit: np.ndarray,
     run_split(part, [*starts, len(vecs)])
 
 
-def svd_factors(m: np.ndarray):
-    """Thin SVD with a deterministic sign convention.
-
-    Each left-singular column is flipped so its largest-magnitude entry
-    is nonnegative. Singular values come back non-increasing.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}")
-    pick = np.argmax(np.abs(u), axis=0)
-    flip = u[pick, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    vt[flip, :] *= -1.0
-    return u, s, vt
-
-
 def svd_discount(m: np.ndarray, out_dims: int):
     """Redundancy-discounted features U·Σ^1/2, truncated to `out_dims`.
 
@@ -209,7 +191,8 @@ def svd_discount(m: np.ndarray, out_dims: int):
     A live direction's σ_j and feature column carry a relative error of
     about eps · (σ_max / σ_j)², where an SVD of M keeps about
     eps · σ_max / σ_j; past a condition number of about 1e4 that exceeds a
-    float32 ulp. Each column's sign is fixed as `svd_factors` fixes it.
+    float32 ulp. Each column's sign is fixed so that its largest-magnitude
+    entry, the first of equal magnitudes, is nonnegative.
     """
     m = np.asarray(m)
     dtype = m.dtype if np.issubdtype(m.dtype, np.floating) else np.dtype(np.float64)
@@ -244,7 +227,7 @@ def svd_discount(m: np.ndarray, out_dims: int):
         rows = (m[start:start + block].astype(np.float64) @ project)[:, :out_dims]
         pick = np.argmax(np.abs(rows), axis=0)
         vals = rows[pick, cols]
-        # strictly larger: the first index wins a tie, as in svd_factors
+        # strictly larger: the first row of equal magnitudes sets the sign
         larger = np.abs(vals) > peak
         peak[larger] = np.abs(vals[larger])
         negative[larger] = vals[larger] < 0

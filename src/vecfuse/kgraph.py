@@ -317,14 +317,6 @@ class AssociationMatrix:
     def size(self) -> int:
         return len(self.vocab)
 
-    def toarray(self) -> np.ndarray:
-        m = self.size
-        out = np.zeros((m, m))
-        for i in range(m):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[i, self.indices[lo:hi]] = self.data[lo:hi]
-        return out
-
 
 def _row_major_order(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
     """The stable permutation that sorts coordinates in [0, m) by (row,

@@ -9,11 +9,12 @@ Each stage's output can be cached to disk and a cached stage is skipped
 on the next run; cached and straight-through runs produce identical bits.
 
 A run reads the configured stopword and exception files once and keeps
-one label memo for all its stages (on `StageCache`): merge, graph and
-evaluate standardize a label that no lemma vocabulary decides once per
-run. Each stage's lemma vocabulary is a `LazyVocabulary`, built only when
-a label needs one; evaluate's extends graph's, so each output label is
-tokenized at most once per run.
+one label memo for all its stages (on `RunLabels`, which the stages that
+standardize are given; `StageCache` only stores artifacts): merge, graph
+and evaluate standardize a label that no lemma vocabulary decides once
+per run. Each stage's lemma vocabulary is a `LazyVocabulary`, built only
+when a label needs one; evaluate's extends graph's, so each output label
+is tokenized at most once per run.
 """
 
 from __future__ import annotations
@@ -47,28 +48,13 @@ def _stage(name):
 
 
 class StageCache:
-    """Optional on-disk cache of intermediate artifacts, plus what the
-    stages of a run share in memory: the configured label rules with their
-    memo, and the last label list given to `output_standardizer` with its
-    lemma vocabulary."""
+    """Optional on-disk cache of intermediate artifacts, named by stage.
+    With no directory nothing is stored and every load misses."""
 
     def __init__(self, directory=None):
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._label_rules = {}
-        self.output_labels = []
-        self.output_vocabulary = None
-
-    def label_rules(self, config: PipelineConfig) -> Standardizer:
-        """The Standardizer of the configured rule files, read on first use;
-        each stage's standardizer is made from it and shares its memo.
-        Other rule files get a Standardizer, and a memo, of their own."""
-        files = (config.stopwords_path, config.exceptions_path)
-        rules = self._label_rules.get(files)
-        if rules is None:
-            rules = self._label_rules[files] = rule_standardizer(config)
-        return rules
 
     def _paths(self, name):
         return (os.path.join(self.directory, name + ".emb1"),
@@ -111,19 +97,6 @@ def token_vocabulary(labels) -> set:
     return vocab
 
 
-def rule_standardizer(config: PipelineConfig) -> Standardizer:
-    """A Standardizer with the configured stopwords and lemma exceptions,
-    read from their files, and no vocabulary."""
-    stopwords = load_stopwords(config.stopwords_path) \
-        if config.stopwords_path else None
-    if config.exceptions_path:
-        rules = LemmaRuleSet(rules=DEFAULT_RULES,
-                             exceptions=load_exceptions(config.exceptions_path))
-    else:
-        rules = default_rules()
-    return Standardizer(rules=rules, stopwords=stopwords)
-
-
 class LazyVocabulary:
     """The lemma vocabulary of a label list: `token_vocabulary(texts)`
     joined with the words of `base`, the LazyVocabulary of a list that
@@ -147,31 +120,55 @@ class LazyVocabulary:
         return self.words
 
 
-def build_standardizer(config: PipelineConfig, texts, cache: StageCache,
-                       base: LazyVocabulary | None = None) -> Standardizer:
-    """The configured Standardizer, sharing the rules and memo of `cache`'s
-    run. With `vocab_check` on, lemma candidates are checked against
-    `LazyVocabulary(texts, base)`."""
-    return cache.label_rules(config).with_vocab(
-        LazyVocabulary(texts, base) if config.vocab_check else None)
+class RunLabels:
+    """The label state the stages of one run share: the Standardizer of
+    the configured rule files, whose memo every stage's standardizer
+    shares, and the last label list given to `output_standardizer` with
+    its lemma vocabulary."""
 
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self._output_labels = []
+        self._output_vocabulary = None
 
-def output_standardizer(config: PipelineConfig, labels, cache: StageCache) -> Standardizer:
-    """`build_standardizer` for the graph and evaluate stages, whose lemma
-    vocabulary is that of the standardized `labels`. With `vocab_check` on,
-    the labels are split as URIs here, which raises on one that is not. The
-    output matrix lists the fused matrix's labels first: a list that starts
-    with the list of the previous call has only the labels it adds split,
-    and extends that call's vocabulary, so each label is tokenized once."""
-    if not config.vocab_check:
-        return build_standardizer(config, (), cache)
-    seen, base = cache.output_labels, cache.output_vocabulary
-    if labels[:len(seen)] != seen:
-        seen, base = [], None
-    standardizer = build_standardizer(
-        config, [split_uri(label)[1] for label in labels[len(seen):]], cache, base)
-    cache.output_labels, cache.output_vocabulary = list(labels), standardizer.vocab
-    return standardizer
+    @functools.cached_property
+    def rules(self) -> Standardizer:
+        """A Standardizer with the configured stopwords and lemma
+        exceptions, read from their files on first use, and no vocabulary."""
+        config = self.config
+        stopwords = load_stopwords(config.stopwords_path) \
+            if config.stopwords_path else None
+        if config.exceptions_path:
+            rules = LemmaRuleSet(rules=DEFAULT_RULES,
+                                 exceptions=load_exceptions(config.exceptions_path))
+        else:
+            rules = default_rules()
+        return Standardizer(rules=rules, stopwords=stopwords)
+
+    def standardizer(self, texts, base: LazyVocabulary | None = None) -> Standardizer:
+        """The configured Standardizer, sharing the memo of `rules`. With
+        `vocab_check` on, lemma candidates are checked against
+        `LazyVocabulary(texts, base)`."""
+        return self.rules.with_vocab(
+            LazyVocabulary(texts, base) if self.config.vocab_check else None)
+
+    def output_standardizer(self, labels) -> Standardizer:
+        """`standardizer` for the graph and evaluate stages, whose lemma
+        vocabulary is that of the standardized `labels`. With `vocab_check`
+        on, the labels are split as URIs here, which raises on one that is
+        not. The output matrix lists the fused matrix's labels first: a list
+        that starts with the list of the previous call has only the labels
+        it adds split, and extends that call's vocabulary, so each label is
+        tokenized once."""
+        if not self.config.vocab_check:
+            return self.standardizer(())
+        seen, base = self._output_labels, self._output_vocabulary
+        if labels[:len(seen)] != seen:
+            seen, base = [], None
+        standardizer = self.standardizer(
+            [split_uri(label)[1] for label in labels[len(seen):]], base)
+        self._output_labels, self._output_vocabulary = list(labels), standardizer.vocab
+        return standardizer
 
 
 @_stage("ingest")
@@ -197,14 +194,14 @@ def ingest_source(source: EmbeddingSource, cache: StageCache) -> LabeledMatrix:
 
 @_stage("merge")
 def prepare_source(config: PipelineConfig, source: EmbeddingSource,
-                   cache: StageCache) -> LabeledMatrix:
+                   cache: StageCache, run_labels: RunLabels) -> LabeledMatrix:
     """Standardize, merge and column-normalize one embedding source."""
     cached = cache.load_matrix(f"prepared_{source.id}")
     if cached is not None:
         return cached
     matrix = ingest_source(source, cache)
     if config.standardize_enabled:
-        standardizer = build_standardizer(config, matrix.labels, cache)
+        standardizer = run_labels.standardizer(matrix.labels)
         plan, kept = rowmerge.build_merge_plan(matrix, standardizer,
                                                language=source.language)
         if len(kept) != len(matrix):
@@ -220,19 +217,19 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
 
 
 @_stage("fuse")
-def fuse_sources(config: PipelineConfig, cache: StageCache,
+def fuse_sources(config: PipelineConfig, cache: StageCache, run_labels: RunLabels,
                  singular_values_path=None) -> LabeledMatrix:
     """Prepare every enabled source and fuse them when there are two. A
     cached fused matrix is used without preparing the sources."""
     sources = config.enabled_embeddings()
     if len(sources) == 1:
-        return prepare_source(config, sources[0], cache)
+        return prepare_source(config, sources[0], cache, run_labels)
     if len(sources) != 2:
         raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(sources)}")
     cached = cache.load_matrix("fused")
     if cached is not None and singular_values_path is None:
         return cached
-    a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache))
+    a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache, run_labels))
             for source in sources)
     out_dims = config.fusion_out_dims
     if config.fusion_discount and out_dims is not None and out_dims > a.dims + b.dims:
@@ -250,7 +247,7 @@ def fuse_sources(config: PipelineConfig, cache: StageCache,
 
 @_stage("graph")
 def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
-                cache: StageCache) -> kgraph.EdgeTable:
+                cache: StageCache, run_labels: RunLabels) -> kgraph.EdgeTable:
     """Load, prune, rescale and term-filter all enabled edge lists,
     standardizing their labels against the vocabulary of `matrix`. A
     cached table is used without building a Standardizer; with no graph
@@ -260,7 +257,7 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
     cached = cache.load_assertions("graph_filtered")
     if cached is not None:
         return cached
-    standardizer = output_standardizer(config, matrix.labels, cache)
+    standardizer = run_labels.output_standardizer(matrix.labels)
     excluded = set(config.excluded_graph_sources)
     filtered, unfiltered = [], []
     for graph in config.enabled_graphs():
@@ -318,12 +315,11 @@ def dataset_splits(ds: EvalDataset) -> list:
 
 @_stage("evaluate")
 def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
-                    cache: StageCache) -> list:
+                    run_labels: RunLabels) -> list:
     """One EvalReport per configured dataset and split, in config order,
-    all through one lookup of `matrix`. `cache` holds the run's label
-    rules and memo, and may hold the vocabulary of a prefix of the
-    labels."""
-    standardizer = output_standardizer(config, matrix.labels, cache) \
+    all through one lookup of `matrix`. `run_labels` may hold the
+    vocabulary of a prefix of the labels."""
+    standardizer = run_labels.output_standardizer(matrix.labels) \
         if config.standardize_enabled else None
     lookup = evaluation.MatrixLookup(
         matrix, standardizer,
@@ -333,12 +329,12 @@ def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
             for ds in config.evaluations for split, pairs in dataset_splits(ds)]
 
 
-def ensemble_matrix(config: PipelineConfig, cache: StageCache,
+def ensemble_matrix(config: PipelineConfig, cache: StageCache, run_labels: RunLabels,
                     checkpoint_dir=None) -> LabeledMatrix:
     """The output matrix: the fused matrix, retrofitted onto the graph
     when any edge survives filtering."""
-    matrix = fuse_sources(config, cache)
-    assertions = load_graphs(config, matrix, cache)
+    matrix = fuse_sources(config, cache, run_labels)
+    assertions = load_graphs(config, matrix, cache, run_labels)
     if not assertions:
         return matrix
     return retrofit_matrix(config, matrix, assertions, cache,
@@ -348,8 +344,8 @@ def ensemble_matrix(config: PipelineConfig, cache: StageCache,
 def run_pipeline(config: PipelineConfig, cache_dir=None) -> dict:
     """Run every configured stage; returns the output artifact paths,
     the final matrix and the evaluation reports."""
-    cache = StageCache(cache_dir)
-    matrix = ensemble_matrix(config, cache)
+    run_labels = RunLabels(config)
+    matrix = ensemble_matrix(config, StageCache(cache_dir), run_labels)
 
     os.makedirs(config.output_dir, exist_ok=True)
     matrix_path = os.path.join(config.output_dir, config.output_matrix)
@@ -359,7 +355,7 @@ def run_pipeline(config: PipelineConfig, cache_dir=None) -> dict:
     reports = []
     report_path = None
     if config.evaluations:
-        reports = evaluate_matrix(config, matrix, cache)
+        reports = evaluate_matrix(config, matrix, run_labels)
         report_path = os.path.join(config.output_dir, config.output_report)
         evaluation.write_report(reports, report_path)
     return {"matrix": matrix, "reports": reports,

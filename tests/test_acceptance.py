@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import Edge, bits_equal, edge_table, make_matrix
-from test_evaluation import brute_force_spearman
+from test_evaluation import brute_force_spearman, reference_similarity
+from test_interpolate import svd_factors
 from test_labels import FUZZ_ALPHABET, random_strings
 from vecfuse.errors import EmptyAfterNormalization
-from vecfuse.evaluation import GoldPair, MatrixLookup, round_robin_split, spearman
-from vecfuse.interpolate import svd_discount, svd_factors
+from vecfuse.evaluation import GoldPair, MatrixLookup, evaluate, round_robin_split, spearman
+from vecfuse.interpolate import svd_discount
 from vecfuse.kgraph import build_association
 from vecfuse.labels import Standardizer, standardize
 from vecfuse.matrixio import (
@@ -288,6 +289,37 @@ def _read_ws353(path):
     return pairs
 
 
+def _lowercase_rho(lookup, pairs):
+    """Criterion 11's scorer: Spearman rho of the gold scores against the
+    cosines of exact lowercase lookups, 0 for a pair with a word out of
+    vocabulary."""
+    gold, predicted = [], []
+    for pair in pairs:
+        gold.append(pair.score)
+        predicted.append(reference_similarity(lookup, pair.word1.lower(),
+                                              pair.word2.lower()))
+    return spearman(gold, predicted)
+
+
+def test_criterion_11_scorer_on_a_toy_matrix():
+    """The large-data scorer on an uncased toy matrix: a cased gold word
+    finds its lowercase row, and an out-of-vocabulary pair scores 0, as in
+    the batched evaluation of the lowercased pairs."""
+    angles = {"cat": 0.0, "dog": 0.3, "fish": 0.9, "stone": 2.2}
+    matrix = make_matrix(list(angles),
+                         [[math.cos(t), math.sin(t)] for t in angles.values()])
+    pairs = [GoldPair("Cat", "DOG", 6.0), GoldPair("dog", "Fish", 5.0),
+             GoldPair("cat", "fish", 4.0), GoldPair("fish", "stone", 3.0),
+             GoldPair("dog", "stone", 2.0), GoldPair("cat", "zyzzyva", 1.0)]
+    lookup = MatrixLookup(matrix, None)
+    rho = _lowercase_rho(lookup, pairs)
+    lowered = [GoldPair(p.word1.lower(), p.word2.lower(), p.score) for p in pairs]
+    assert rho == evaluate(lookup, lowered, "toy", "all").rho
+    # cosines in gold order but for the out-of-vocabulary 0 above dog-stone's
+    want = brute_force_spearman([6, 5, 4, 3, 2, 1], [6, 5, 4, 3, 1, 2])
+    assert rho == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.skipif(not all(os.environ.get(v) for v in LARGE_DATA_VARS),
                     reason="large-data harness needs " + ", ".join(LARGE_DATA_VARS))
 def test_criterion_11_large_data_glove_42b():
@@ -300,18 +332,9 @@ def test_criterion_11_large_data_glove_42b():
     with criterion(11, "GloVe 42B reproduces the published rho values", 3600):
         matrix = read_text_embeddings(os.environ["VECFUSE_GLOVE_42B"], header=False)
         lookup = MatrixLookup(matrix, None)
-
-        def score(pairs):
-            gold, predicted = [], []
-            for pair in pairs:
-                gold.append(pair.score)
-                predicted.append(lookup.similarity(pair.word1.lower(),
-                                                   pair.word2.lower()))
-            return spearman(gold, predicted)
-
-        rho_rw = score(_read_rw(os.environ["VECFUSE_RW"]))
-        rho_men = score(_read_men(os.environ["VECFUSE_MEN"]))
-        rho_ws = score(_read_ws353(os.environ["VECFUSE_WS353"]))
+        rho_rw = _lowercase_rho(lookup, _read_rw(os.environ["VECFUSE_RW"]))
+        rho_men = _lowercase_rho(lookup, _read_men(os.environ["VECFUSE_MEN"]))
+        rho_ws = _lowercase_rho(lookup, _read_ws353(os.environ["VECFUSE_WS353"]))
         print(f"RW(all)={rho_rw:.4f} MEN={rho_men:.4f} WS353={rho_ws:.4f}")
         assert abs(rho_rw - 0.477) <= 0.01
         assert abs(rho_men - 0.814) <= 0.005

@@ -15,7 +15,6 @@ from vecfuse.evaluation import (
     EvalReport,
     GoldPair,
     MatrixLookup,
-    _cosine,
     _pair_cosines,
     average_ranks,
     dev_test_split,
@@ -54,6 +53,33 @@ def brute_force_spearman(gold, predicted):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+# The per-pair lookup and cosine that the batched `evaluate` replaced,
+# kept as references.
+
+def reference_row(lookup, word, language="en"):
+    """(float64 vector, found) for a raw word; the zero vector when out of
+    vocabulary."""
+    row = lookup.row_indices([(word, language)])[0]
+    if row is None:
+        return np.zeros(lookup.matrix.dims), False
+    return lookup.matrix.data[row].astype(np.float64), True
+
+
+def reference_cosine(v1, v2):
+    n1 = math.sqrt(v1 @ v1)
+    n2 = math.sqrt(v2 @ v2)
+    if n1 <= 0.0 or n2 <= 0.0:
+        return 0.0
+    if np.array_equal(v1, v2):
+        return 1.0  # words sharing a row must tie exactly in the ranking
+    return max(-1.0, min(1.0, float((v1 @ v2) / (n1 * n2))))
+
+
+def reference_similarity(lookup, w1, w2, language="en"):
+    return reference_cosine(reference_row(lookup, w1, language)[0],
+                            reference_row(lookup, w2, language)[0])
 
 
 class TestLoadGold:
@@ -133,17 +159,19 @@ class TestRoundRobinSplit:
 class TestSimilarity:
     def test_same_standardized_label(self):
         m = make_matrix(["/c/en/dry"], [[1.0, 2.0]])
-        assert MatrixLookup(m, Standardizer()).similarity("dry", "dried") == 1.0
+        assert reference_similarity(MatrixLookup(m, Standardizer()), "dry", "dried") == 1.0
         m2 = make_matrix(["/c/en/polish"], [[1.0, 2.0]])
-        assert MatrixLookup(m2, Standardizer()).similarity("polish", "Polish") == 1.0
+        assert reference_similarity(MatrixLookup(m2, Standardizer()),
+                                    "polish", "Polish") == 1.0
 
     def test_oov_is_zero(self):
         m = make_matrix(["/c/en/cat"], [[1.0, 0.0]])
-        assert MatrixLookup(m, Standardizer()).similarity("cat", "zyzzyva") == 0.0
+        lookup = MatrixLookup(m, Standardizer())
+        assert reference_similarity(lookup, "cat", "zyzzyva") == 0.0
 
     def test_orthogonal_rows(self):
         m = make_matrix(["/c/en/cat", "/c/en/dog"], [[1.0, 0.0], [0.0, 1.0]])
-        assert MatrixLookup(m, Standardizer()).similarity("cat", "dog") == 0.0
+        assert reference_similarity(MatrixLookup(m, Standardizer()), "cat", "dog") == 0.0
 
     def test_symmetric_and_bounded(self, rng):
         labels = [f"/c/en/w{i}" for i in range(6)]
@@ -152,22 +180,22 @@ class TestSimilarity:
         words = ["w0", "w3", "w5", "unknown"]
         for w1 in words:
             for w2 in words:
-                s12 = lookup.similarity(w1, w2)
-                assert s12 == lookup.similarity(w2, w1)
+                s12 = reference_similarity(lookup, w1, w2)
+                assert s12 == reference_similarity(lookup, w2, w1)
                 assert -1.0 - 1e-12 <= s12 <= 1.0 + 1e-12
 
     def test_digit_fallback(self):
         m = make_matrix(["/c/en/area_#"], [[1.0, 0.0]])
         hit = MatrixLookup(m, Standardizer(), digit_fallback=True)
         miss = MatrixLookup(m, Standardizer(), digit_fallback=False)
-        assert hit.row_for("area 51")[1] is True
-        assert miss.row_for("area 51")[1] is False
+        assert reference_row(hit, "area 51")[1] is True
+        assert reference_row(miss, "area 51")[1] is False
 
     def test_raw_lookup(self):
         m = make_matrix(["Cat"], [[1.0, 0.0]])
         raw = MatrixLookup(m, None)
-        assert raw.row_for("Cat")[1] is True
-        assert raw.row_for("cat")[1] is False
+        assert reference_row(raw, "Cat")[1] is True
+        assert reference_row(raw, "cat")[1] is False
 
 
 class TestSpearman:
@@ -267,7 +295,7 @@ class TestEvaluate:
         pairs = self.gold_pairs()
         lookup = MatrixLookup(matrix, Standardizer())
         manual = spearman([p.score for p in pairs],
-                          [lookup.similarity(p.word1, p.word2) for p in pairs])
+                          [reference_similarity(lookup, p.word1, p.word2) for p in pairs])
         report = evaluate(lookup, pairs, "toy", "all")
         assert (report.dataset, report.split) == ("toy", "all")
         assert report.rho == manual
@@ -341,14 +369,14 @@ def reference_evaluate(matrix, dataset, split="all", num_chunks=3, test_chunk=3,
     lookup = MatrixLookup(matrix, standardizer, digit_fallback=digit_fallback)
     gold, predicted, oov_count = [], [], 0
     for pair in pairs:
-        v1, found1 = lookup.row_for(pair.word1, pair.language)
-        v2, found2 = lookup.row_for(pair.word2, pair.language)
+        v1, found1 = reference_row(lookup, pair.word1, pair.language)
+        v2, found2 = reference_row(lookup, pair.word2, pair.language)
         oov = not (found1 and found2)
         oov_count += oov
         if drop_oov and oov:
             continue
         gold.append(pair.score)
-        predicted.append(_cosine(v1, v2))
+        predicted.append(reference_cosine(v1, v2))
     rho = spearman(gold, predicted)
     ci_low, ci_high = fisher_ci(rho, len(gold)) \
         if abs(rho) < 1.0 and len(gold) >= 4 else (rho, rho)
@@ -436,7 +464,7 @@ class TestBatchedEvaluateMatchesPerPair:
 
         def vec(row):
             return zero if row < 0 else matrix.data[row].astype(np.float64)
-        want = np.array([_cosine(vec(a), vec(b)) for a, b in ends.tolist()])
+        want = np.array([reference_cosine(vec(a), vec(b)) for a, b in ends.tolist()])
         assert _pair_cosines(matrix, ends).tobytes() == want.tobytes()
 
     def test_average_ranks_bitwise(self):

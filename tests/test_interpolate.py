@@ -13,9 +13,27 @@ from vecfuse.interpolate import (
     build_overlap,
     fuse,
     svd_discount,
-    svd_factors,
 )
 from vecfuse.rowmerge import l2_normalize_rows
+
+
+def svd_factors(m):
+    """Thin SVD with a deterministic sign convention, the reference for
+    `svd_discount`.
+
+    Each left-singular column is flipped so its largest-magnitude entry
+    is nonnegative. Singular values come back non-increasing.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    try:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}")
+    pick = np.argmax(np.abs(u), axis=0)
+    flip = u[pick, np.arange(u.shape[1])] < 0
+    u[:, flip] *= -1.0
+    vt[flip, :] *= -1.0
+    return u, s, vt
 
 
 def unit_rows(labels, dims, rng):

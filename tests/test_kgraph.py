@@ -23,6 +23,16 @@ from vecfuse.kgraph import (
 from vecfuse.labels import Standardizer, default_rules, default_stopwords
 
 
+def dense(assoc) -> np.ndarray:
+    """`assoc` as a dense float64 matrix, filled one CSR row at a time."""
+    m = assoc.size
+    out = np.zeros((m, m))
+    for i in range(m):
+        lo, hi = assoc.indptr[i], assoc.indptr[i + 1]
+        out[i, assoc.indices[lo:hi]] = assoc.data[lo:hi]
+    return out
+
+
 def filtered(edges, **kwargs):
     """`filter_terms` of `Edge` tuples, as `Edge` tuples."""
     return edge_rows(filter_terms(edge_table(edges), **kwargs))
@@ -262,7 +272,7 @@ class TestFilterTerms:
 class TestBuildAssociation:
     def test_single_edge_normalizes_to_one(self):
         assoc = build_association(edge_table([Edge("/c/en/a", "/c/en/b", 3.0)]))
-        s = assoc.toarray()
+        s = dense(assoc)
         i, j = assoc.vocab.index("/c/en/a"), assoc.vocab.index("/c/en/b")
         assert s[i, j] == 1.0 and s[j, i] == 1.0
         assert s[i, i] == 1.0 and s[j, j] == 1.0
@@ -273,7 +283,7 @@ class TestBuildAssociation:
             Edge("/c/en/a", "/c/en/b", 1.0),
             Edge("/c/en/a", "/c/en/c", 1.0),
         ]))
-        s = assoc.toarray()
+        s = dense(assoc)
         i = assoc.vocab.index("/c/en/a")
         j = assoc.vocab.index("/c/en/b")
         k = assoc.vocab.index("/c/en/c")
@@ -285,7 +295,7 @@ class TestBuildAssociation:
             Edge("/c/en/i", "/c/en/j", 1.0),
             Edge("/c/en/i", "/c/en/k", 3.0),
         ]))
-        s = assoc.toarray()
+        s = dense(assoc)
         i = assoc.vocab.index("/c/en/i")
         j = assoc.vocab.index("/c/en/j")
         k = assoc.vocab.index("/c/en/k")
@@ -296,14 +306,14 @@ class TestBuildAssociation:
         edges = [Edge(f"/c/en/t{rng.randint(0, 9)}", f"/c/en/t{rng.randint(0, 9)}",
                       float(w)) for w in rng.uniform(0.5, 3.0, size=30)]
         edges = [a for a in edges if a.start != a.end]
-        s = build_association(edge_table(edges)).toarray()
+        s = dense(build_association(edge_table(edges)))
         assert np.array_equal(s > 0, (s > 0).T)
 
     def test_invariants(self, rng):
         edges = [Edge(f"/c/en/t{i}", f"/c/en/t{(i * 3 + 1) % 7}", float(i + 1))
                  for i in range(12)]
         edges = [a for a in edges if a.start != a.end]
-        s = build_association(edge_table(edges)).toarray()
+        s = dense(build_association(edge_table(edges)))
         assert np.all(s >= 0)
         assert np.all(np.diag(s) == 1.0)
         offdiag = s - np.diag(np.diag(s))
@@ -319,7 +329,7 @@ class TestBuildAssociation:
         assert assoc.vocab == plain.vocab
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(assoc, name), getattr(plain, name))
-        s = assoc.toarray()
+        s = dense(assoc)
         i = assoc.vocab.index("/c/en/a")
         assert s[i, i] == 1.0
         assert s[i].sum() - s[i, i] == 1.0
@@ -395,9 +405,8 @@ def reference_write(path, assertions):
 
 
 def reference_load_graphs(config, matrix):
-    standardizer = pipeline.build_standardizer(
-        config, (label.rsplit("/", 1)[-1] for label in matrix.labels),
-        pipeline.StageCache())
+    standardizer = pipeline.RunLabels(config).standardizer(
+        label.rsplit("/", 1)[-1] for label in matrix.labels)
     filtered_pool, unfiltered_pool = [], []
     for graph in config.enabled_graphs():
         assertions = reference_load_assertions(graph.path, standardizer)
@@ -474,10 +483,10 @@ class TestTableMatchesListPath:
     SOURCES = {"conceptnet": -3.0, "wiktionary": 0.0, "ppdb": 3.0, "verbosity": -1.0}
 
     def check(self, tmp_path, config):
-        cache = pipeline.StageCache(None)
-        matrix = pipeline.fuse_sources(config, cache)
+        cache, run_labels = pipeline.StageCache(None), pipeline.RunLabels(config)
+        matrix = pipeline.fuse_sources(config, cache, run_labels)
         want = reference_load_graphs(config, matrix)
-        got = pipeline.load_graphs(config, matrix, cache)
+        got = pipeline.load_graphs(config, matrix, cache, run_labels)
         assert isinstance(got, EdgeTable) and edge_rows(got) == want
         if want:
             assert_same_bits(build_association(got), reference_association(want))

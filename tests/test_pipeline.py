@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import bits_equal, edge_rows
+from test_interpolate import svd_factors
 from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.evaluation import format_report_table
-from vecfuse.interpolate import svd_factors
 from vecfuse.labels import Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
 from vecfuse.pipeline import run_pipeline, token_vocabulary
@@ -187,7 +187,7 @@ class TestFullPipeline:
         first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir))
         # retrofit again, from the cached fused matrix and edge table
         (cache_dir / "retrofitted.emb1").unlink()
-        calls = {"standardize": 0, "uris": 0, "build_standardizer": 0}
+        calls = {"standardize": 0, "uris": 0, "standardizer": 0}
         in_graph = dict(calls)
 
         def counting(owner, name):
@@ -210,10 +210,10 @@ class TestFullPipeline:
 
         counting(Standardizer, "standardize")
         counting(Standardizer, "uris")
-        counting(pipeline, "build_standardizer")
+        counting(pipeline.RunLabels, "standardizer")
         monkeypatch.setattr(pipeline, "load_graphs", graph_stage(pipeline.load_graphs))
         second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir))
-        assert in_graph == {"standardize": 0, "uris": 0, "build_standardizer": 0}
+        assert in_graph == {"standardize": 0, "uris": 0, "standardizer": 0}
         assert calls["uris"] > 0  # evaluation still standardizes
         assert bits_equal(second["matrix"].data, first["matrix"].data)
         assert second["matrix"].labels == first["matrix"].labels
@@ -328,12 +328,13 @@ class TestFullPipeline:
              "dev_path": str(workspace / "gold_dev.txt")},
             {"id": "toy_gold", "path": str(workspace / "gold.txt"),
              "splits": ["test", "all", "dev"]}])
-        matrix = pipeline.ensemble_matrix(config, pipeline.StageCache())
+        matrix = pipeline.ensemble_matrix(config, pipeline.StageCache(),
+                                          pipeline.RunLabels(config))
         indexed = []
         label_index = matrixio.LabeledMatrix.label_index
         monkeypatch.setattr(matrixio.LabeledMatrix, "label_index",
                             lambda self: indexed.append(self) or label_index(self))
-        reports = pipeline.evaluate_matrix(config, matrix, pipeline.StageCache())
+        reports = pipeline.evaluate_matrix(config, matrix, pipeline.RunLabels(config))
         assert [(r.dataset, r.split, r.n) for r in reports] == [
             ("men_like", "dev", 2), ("men_like", "test", 3),
             ("toy_gold", "test", 2), ("toy_gold", "all", 6), ("toy_gold", "dev", 4)]
@@ -376,10 +377,10 @@ class TestSlashInLabelText:
                          "format": "glove_text"}],
             graphs=[{"id": "slash", "path": str(workspace / "slash.tsv")}])
         assert config.vocab_check
-        cache = pipeline.StageCache()
-        matrix = pipeline.fuse_sources(config, cache)
+        cache, run_labels = pipeline.StageCache(), pipeline.RunLabels(config)
+        matrix = pipeline.fuse_sources(config, cache, run_labels)
         assert "/c/en/ac/dc" in matrix.labels
-        edges = pipeline.load_graphs(config, matrix, cache)
+        edges = pipeline.load_graphs(config, matrix, cache, run_labels)
         assert [(a.start, a.end) for a in edge_rows(edges)] == [
             ("/c/en/ac/dc", "/c/en/cat"), ("/c/en/ac/dc", "/c/en/dog")]
 
@@ -412,15 +413,15 @@ def per_stage_labels(m):
     """As before labels were standardized once per run: each stage reads
     the rule files, starts its own memo and builds its lemma vocabulary up
     front, tokenizing every label from scratch."""
-    def standardizer(config, texts):
-        return pipeline.rule_standardizer(config).with_vocab(
+    def standardizer(run_labels, texts, base=None):
+        config = run_labels.config
+        return pipeline.RunLabels(config).rules.with_vocab(
             frozenset(token_vocabulary(texts)) if config.vocab_check else None)
 
-    m.setattr(pipeline, "build_standardizer",
-              lambda config, texts, cache, base=None: standardizer(config, texts))
-    m.setattr(pipeline, "output_standardizer",
-              lambda config, labels, cache: standardizer(
-                  config, [split_uri(label)[1] for label in labels]))
+    m.setattr(pipeline.RunLabels, "standardizer", standardizer)
+    m.setattr(pipeline.RunLabels, "output_standardizer",
+              lambda run_labels, labels: standardizer(
+                  run_labels, [split_uri(label)[1] for label in labels]))
 
 
 class TestLabelsTokenizedOnce:
@@ -569,7 +570,9 @@ class TestLabelsTokenizedOnce:
                               from_scratch=True)
         got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="once"))
         labels = got["matrix"].labels
-        fused = pipeline.fuse_sources(toy_config(workspace), pipeline.StageCache()).labels
+        config = toy_config(workspace)
+        fused = pipeline.fuse_sources(config, pipeline.StageCache(),
+                                      pipeline.RunLabels(config)).labels
         assert len(fused) < len(labels)
         merge, graph, evaluate = vocabs[:2], vocabs[2], vocabs[3]
         assert [v.words for v in merge] == [None, None]
@@ -594,18 +597,18 @@ class TestLabelsTokenizedOnce:
         monkeypatch.setattr(pipeline, "tokenize",
                             lambda text: texts.append(text) or tokenize(text))
         # each vocabulary built as soon as it is made
-        cache, built = pipeline.StageCache(), []
+        run_labels, built = pipeline.RunLabels(config), []
         for labels in runs:
-            vocab = pipeline.output_standardizer(config, labels, cache).vocab
+            vocab = run_labels.output_standardizer(labels).vocab
             assert vocab.words is None
             assert "x" not in vocab
             built.append(vocab)
             assert [v.words for v in built] == words[:len(built)]
         assert texts == ["cat", "big_dog", "chat_noir", "dog", "cat"]
         # an extending vocabulary built first builds the one it extends
-        cache, texts[:] = pipeline.StageCache(), []
-        graph = pipeline.output_standardizer(config, runs[0], cache).vocab
-        evaluate = pipeline.output_standardizer(config, runs[1], cache).vocab
+        run_labels, texts[:] = pipeline.RunLabels(config), []
+        graph = run_labels.output_standardizer(runs[0]).vocab
+        evaluate = run_labels.output_standardizer(runs[1]).vocab
         assert "x" not in evaluate
         assert (graph.words, evaluate.words) == (words[0], words[1])
         assert sorted(texts) == ["big_dog", "cat", "chat_noir"]
@@ -672,8 +675,9 @@ class TestRunWideLabelMemo:
         # beta's vocabulary has no `run`, so merge keeps its `runs` row;
         # the graph stage's has, so the `runs` edge lands on the `run` row
         assert "/c/en/runs" in labels and "/c/en/walked" not in labels
-        cache = pipeline.StageCache()
-        edges = pipeline.load_graphs(config, pipeline.fuse_sources(config, cache), cache)
+        cache, run_labels = pipeline.StageCache(), pipeline.RunLabels(config)
+        matrix = pipeline.fuse_sources(config, cache, run_labels)
+        edges = pipeline.load_graphs(config, matrix, cache, run_labels)
         assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edge_rows(edges)]
 
     def test_non_ascii_labels(self, workspace, monkeypatch):
@@ -692,17 +696,19 @@ class TestRunWideLabelMemo:
             for key in ("matrix_path", "labels_path", "report_path"):
                 assert Path(run[key]).read_bytes() == Path(got[key]).read_bytes(), out
 
-    def test_memo_scoped_to_its_rule_files(self, workspace):
+    def test_each_config_gets_its_own_label_rules(self, workspace):
+        """Configs with different rule files get separate label objects,
+        whose memos give different labels; one object reads its rules once."""
         (workspace / "stop.txt").write_text("big\n", encoding="utf-8")
-        plain = toy_config(workspace)
-        custom = toy_config(workspace, standardize={"stopwords": str(workspace / "stop.txt")})
-        cache = pipeline.StageCache()
-        rules = cache.label_rules(plain)
-        assert cache.label_rules(plain) is rules
-        assert cache.label_rules(custom) is not rules
-        assert cache.label_rules(custom).uri("big dog", "en") == "/c/en/dog"
-        assert rules.uri("big dog", "en") == "/c/en/big_dog"
-        assert pipeline.StageCache().label_rules(plain) is not rules
+        plain = pipeline.RunLabels(toy_config(workspace))
+        custom = pipeline.RunLabels(toy_config(
+            workspace, standardize={"stopwords": str(workspace / "stop.txt")}))
+        assert plain.rules is plain.rules
+        assert custom.rules is not plain.rules
+        assert custom.rules.uri("big dog", "en") == "/c/en/dog"
+        assert plain.rules.uri("big dog", "en") == "/c/en/big_dog"
+        assert custom.standardizer(["big dog"]).uri("big dog", "en") == "/c/en/dog"
+        assert plain.standardizer(["big dog"]).uri("big dog", "en") == "/c/en/big_dog"
 
     def test_rule_files_read_once_per_run(self, workspace, monkeypatch):
         (workspace / "alpha.txt").write_text(ALPHA_TEXT + "big_dog 0.1 0.2 0.3\n",
@@ -799,6 +805,51 @@ class TestCli:
                          "--report", str(workspace / "r.tsv")]) == 0
         assert (workspace / "r.tsv").exists()
         assert "toy_gold" in capsys.readouterr().out
+
+    def test_evaluate_takes_no_stage_cache(self, workspace, capsys):
+        """`evaluate` reads and writes no artifact: its parser rejects
+        --stage-cache-dir, and a run leaves no directory behind."""
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        matrix, labels = str(workspace / "m.emb1"), str(workspace / "m.labels")
+        assert cli.main(["fuse", "--config", config, "--out-matrix", matrix,
+                         "--out-labels", labels]) == 0
+        argv = ["evaluate", "--config", config, "--matrix", matrix, "--labels", labels]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--stage-cache-dir", str(workspace / "cache")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stage-cache-dir" in capsys.readouterr().err
+        before = sorted(workspace.rglob("*"))
+        assert cli.main(argv) == 0
+        assert sorted(workspace.rglob("*")) == before
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, stores", [
+        (["pipeline"], 1),
+        (["retrofit", "--out-matrix", "r.emb1", "--out-labels", "r.labels"], 1),
+        (["evaluate", "--matrix", "r.emb1", "--labels", "r.labels"], 0)],
+        ids=["pipeline", "retrofit", "evaluate"])
+    def test_one_label_object_per_run(self, workspace, monkeypatch, capsys, command,
+                                      stores):
+        """A command builds one label object, and a stage store only when
+        it reads or writes artifacts: `pipeline` through `run_pipeline`."""
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        monkeypatch.chdir(workspace)
+        assert cli.main(["retrofit", "--config", config, "--out-matrix", "r.emb1",
+                         "--out-labels", "r.labels"]) == 0
+        built = []
+
+        def counting(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    built.append(cls.__name__)
+                    super().__init__(*args, **kwargs)
+            monkeypatch.setattr(pipeline, cls.__name__, Counted)
+
+        counting(pipeline.StageCache)
+        counting(pipeline.RunLabels)
+        assert cli.main([command[0], "--config", config] + command[1:]) == 0
+        assert sorted(built) == ["RunLabels"] + ["StageCache"] * stores
+        capsys.readouterr()
 
     def test_singular_values_file_matches_svd_of_concatenation(self, workspace):
         """The --singular-values file holds sqrt of the Gram eigenvalues; the
