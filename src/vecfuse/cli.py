@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages (ingest, merge, graph, fuse,
 retrofit, evaluate) plus the full `pipeline` run. Exit codes: 0 success,
-1 configuration error, 2 data error, 3 numerical failure.
+1 configuration or usage error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,16 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with `EXIT_CONFIG`, not
+    argparse's 2, which is `EXIT_DATA` here. Subparsers are built from the
+    same class; --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _config_flag(parser):
     parser.add_argument("--config", required=True, help="pipeline config (JSON)")
 
@@ -30,7 +40,7 @@ def _common_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vecfuse",
         description="Fuse word embeddings with knowledge-graph edges and "
                     "evaluate word similarity.")

@@ -14,6 +14,17 @@ block's float64 sums. That is the same left-to-right sum per row as a
 segmented reduction, in as many calls per block as its longest row has
 entries. Memory grows with the vocabulary, not with the number of edges;
 the gather plan holds 16 bytes per entry and is built once per problem.
+
+`retrofit` sweeps only the rows that can move. A row whose entries are at
+most its own self-loop, and whose column no other row references, reads
+nothing but itself: most embedding terms that no kept edge touches are
+such rows. One `np.bincount` over the column indices finds them, and the
+step's own code then runs once on them alone. Those it maps to their
+seed, bit for bit, are fixed: every later step would map them there
+again, whatever the self-loop weight or anchor. The other rows are swept
+as a problem restricted to them, numbered in sweep order; the result, and
+every checkpoint iterate, is a copy of the seed matrix with the swept rows
+written in.
 """
 
 from __future__ import annotations
@@ -97,11 +108,18 @@ class RetrofitProblem:
         return plan
 
 
+def _sweep_order(counts: np.ndarray, anchored: np.ndarray) -> np.ndarray:
+    """Anchored rows first, each group by descending entry count; stable,
+    so ties keep row order. A key that fits 16 bits takes numpy's radix
+    sort."""
+    top = int(counts.max(initial=0))
+    key = top - counts + np.where(anchored, 0, top + 1)
+    return np.argsort(key.astype(np.uint16) if 2 * top < 1 << 16 else key, kind="stable")
+
+
 def _build_plan(problem: RetrofitProblem, block_rows: int) -> _SweepPlan:
     counts = np.diff(problem.indptr)
-    # anchored rows first, each group by descending count; stable, so ties
-    # keep row order
-    order = np.lexsort((-counts, ~problem.anchored))
+    order = _sweep_order(counts, problem.anchored)
     n_anchored = int(problem.anchored.sum())
     blocks, positions, block_starts = [], [], [0]
     for anchored, g0, g1 in ((True, 0, n_anchored), (False, n_anchored, problem.size)):
@@ -177,6 +195,12 @@ def retrofit_step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
     each with `_PROD_BYTES` buffers of its own; a block's shape does not
     depend on the worker count, so neither do the output bits.
     """
+    return _step(problem, w)
+
+
+def _step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
+    # retrofit_step's body, which `retrofit` also calls once to find the
+    # fixed rows: that check is not one of the run's steps
     if w.shape != (problem.size, problem.dims):
         raise DimensionMismatch(
             f"state is {w.shape}, problem needs {(problem.size, problem.dims)}")
@@ -213,22 +237,84 @@ def retrofit_step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _restrict(problem: RetrofitProblem, rows: np.ndarray,
+              counts: np.ndarray) -> RetrofitProblem:
+    """`problem` on `rows` alone, numbered in that order; their entries
+    must reference only `rows`. `counts` holds every row's entry count."""
+    counts = counts[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    entries = np.repeat(problem.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+    renumber = np.empty(problem.size, dtype=np.int64)
+    renumber[rows] = np.arange(len(rows))
+    return RetrofitProblem(
+        vocab=[problem.vocab[i] for i in rows.tolist()], indptr=indptr,
+        indices=renumber[problem.indices[entries]], data=problem.data[entries],
+        w0=problem.w0[rows], anchored=problem.anchored[rows])
+
+
+def _fixed_rows(problem: RetrofitProblem, counts: np.ndarray) -> np.ndarray:
+    """The mask of rows that every step maps to their seed, bit for bit:
+    rows with no entry but their own self-loop, if any, that no other row
+    references, and whose seed one step maps to itself."""
+    # rows of at most one entry, referenced exactly as often
+    fixed = (counts <= 1) & (np.bincount(problem.indices, minlength=problem.size) == counts)
+    one = np.flatnonzero(fixed & (counts == 1))
+    # ... unless that entry is not the row's own: then another row references it
+    fixed[one[problem.indices[problem.indptr[one]] != one]] = False
+    if problem.w0.dtype != np.float32:  # a float32 image never equals such a seed
+        fixed[:] = False
+    if fixed.any():
+        candidates = _restrict(problem, np.flatnonzero(fixed), counts)
+        image = _step(candidates, candidates.w0)
+        fixed[fixed] = (image.view(np.uint32) == candidates.w0.view(np.uint32)).all(axis=1)
+    return fixed
+
+
 def retrofit(problem: RetrofitProblem, iterations: int = DEFAULT_ITERATIONS,
              checkpoint_dir=None) -> LabeledMatrix:
     """Run `iterations` update steps starting from the seed matrix.
 
-    With `checkpoint_dir`, every intermediate iterate is written there in
-    the native matrix format (iterate_01.emb1, ...).
+    Only the rows that can move are swept (see the module docstring); the
+    fixed rows keep their seed. With `checkpoint_dir`, every intermediate
+    iterate is written there in the native matrix format (iterate_01.emb1,
+    ...), with every row.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    w = problem.w0
+    counts = np.diff(problem.indptr)
+    fixed = _fixed_rows(problem, counts)
+    swept, rows = problem, None
+    if fixed.any():
+        # numbered in the order a step sweeps them, so that a block's rows
+        # lie together in memory
+        rows = np.flatnonzero(~fixed)
+        rows = rows[_sweep_order(counts[rows], problem.anchored[rows])]
+        swept = _restrict(problem, rows, counts)
+    w, full = swept.w0, None
     for step in range(1, iterations + 1):
-        w = retrofit_step(problem, w)
+        w = retrofit_step(swept, w)
         if checkpoint_dir is not None:
-            write_native(LabeledMatrix(labels=list(problem.vocab), data=w),
+            full = _full_state(problem, rows, w, full)
+            write_native(LabeledMatrix(labels=list(problem.vocab), data=full),
                          os.path.join(checkpoint_dir, f"iterate_{step:02d}.emb1"),
                          os.path.join(checkpoint_dir, f"iterate_{step:02d}.labels"))
-    return LabeledMatrix(labels=list(problem.vocab), data=w)
+    if full is None:
+        # the swept problem, its seeds and its plan are freed first: the
+        # full matrix may then take their memory
+        del swept
+        full = _full_state(problem, rows, w, None)
+    return LabeledMatrix(labels=list(problem.vocab), data=full)
+
+
+def _full_state(problem: RetrofitProblem, rows, w: np.ndarray, full) -> np.ndarray:
+    """`w`, a state of `problem` on `rows` (None: on every row), as a state
+    of the whole problem in which the other rows keep their seed; written
+    into `full` if that holds them already."""
+    if rows is None:
+        return w
+    if full is None:
+        full = problem.w0.copy()
+    full[rows] = w
+    return full

@@ -816,12 +816,38 @@ class TestCli:
         argv = ["evaluate", "--config", config, "--matrix", matrix, "--labels", labels]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--stage-cache-dir", str(workspace / "cache")])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --stage-cache-dir" in capsys.readouterr().err
         before = sorted(workspace.rglob("*"))
         assert cli.main(argv) == 0
         assert sorted(workspace.rglob("*")) == before
         capsys.readouterr()
+
+    def test_usage_error_exits_as_a_configuration_error(self, workspace, capsys):
+        """A command-line usage error exits 1, as a configuration error
+        does, so that a script can tell it from a corrupt input, which
+        still exits 2; --help exits 0."""
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        for argv, message in ((["ingest", "--config", config, "--source", "alpha",
+                                "--out-labels", "x.labels"],
+                               "the following arguments are required: --out-matrix"),
+                              ([], "the following arguments are required: command"),
+                              (["fuse", "--config", config, "--out-matrix", "m",
+                                "--out-labels", "l", "--iterations", "3"],
+                               "unrecognized arguments: --iterations 3")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == cli.EXIT_CONFIG == 1
+            assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["retrofit", "--help"])
+        assert exc.value.code == 0
+        assert "--checkpoint-dir" in capsys.readouterr().out
+        (workspace / "m.emb1").write_bytes(b"EMB1 not a matrix")
+        (workspace / "m.labels").write_text("/c/en/cat\n", encoding="utf-8")
+        assert cli.main(["evaluate", "--config", config, "--matrix", str(workspace / "m.emb1"),
+                         "--labels", str(workspace / "m.labels")]) == cli.EXIT_DATA == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, stores", [
         (["pipeline"], 1),

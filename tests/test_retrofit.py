@@ -11,7 +11,7 @@ from conftest import Edge, bits_equal, edge_table, make_matrix
 from vecfuse import parallel
 from vecfuse.errors import DimensionMismatch
 from vecfuse.kgraph import AssociationMatrix, build_association
-from vecfuse.matrixio import LabeledMatrix
+from vecfuse.matrixio import LabeledMatrix, read_native
 from vecfuse.retrofit import RetrofitProblem, assemble_problem, retrofit, retrofit_step
 from vecfuse.rowmerge import l2_normalize_rows, normalize_rows_inplace
 
@@ -607,3 +607,195 @@ class TestWorkers:
             offsets) or parallel.run_split(part, offsets))
         retrofit_step(problem, problem.w0)
         assert runs == [plan.starts]
+
+
+# The loop that swept every row in every step, kept as a bitwise reference
+# for `retrofit`, which sweeps only the rows that can move.
+
+def reference_iterates(problem, iterations):
+    w, iterates = problem.w0, []
+    for _ in range(iterations):
+        w = retrofit_step(problem, w)
+        iterates.append(w)
+    return iterates
+
+
+def fixed_rows(problem):
+    counts = np.diff(problem.indptr)
+    return np.flatnonzero(retrofit_module._fixed_rows(problem, counts)).tolist()
+
+
+def ring_problem(size, moving, dims):
+    """Rows 0..moving-1 form a ring, each with its two neighbours and its
+    self-loop; every other row has its self-loop alone. Every seed is a
+    unit basis vector, anchored."""
+    counts = np.where(np.arange(size) < moving, 3, 1)
+    indices = [sorted({(i - 1) % moving, i, (i + 1) % moving}) if i < moving else [i]
+               for i in range(size)]
+    data = [[1 / 3] * 3 if i < moving else [1.0] for i in range(size)]
+    w0 = np.zeros((size, dims), dtype=np.float32)
+    w0[np.arange(size), np.arange(size) % dims] = 1.0
+    return RetrofitProblem(vocab=[f"t{i}" for i in range(size)],
+                           indptr=np.concatenate([[0], np.cumsum(counts)]),
+                           indices=np.concatenate(indices), data=np.concatenate(data),
+                           w0=w0, anchored=np.ones(size, dtype=bool))
+
+
+def hand_problem(rows, w0, anchored):
+    """A problem of `rows`: each a list of (column, weight) entries."""
+    return RetrofitProblem(
+        vocab=[f"h{i}" for i in range(len(rows))],
+        indptr=np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64),
+        indices=np.array([j for r in rows for j, _ in r], dtype=np.int64),
+        data=np.array([x for r in rows for _, x in r], dtype=np.float64),
+        w0=np.asarray(w0, dtype=np.float32), anchored=np.asarray(anchored, dtype=bool))
+
+
+class TestSweepMatchesFullSweep:
+    """`retrofit` sweeps only the rows that can move and keeps each fixed
+    row's seed; its result and every checkpoint iterate have the bits of
+    the loop that swept every row, at any block budget and worker count."""
+
+    def check(self, problem, fixed, monkeypatch, tmp_path):
+        assert fixed_rows(problem) == fixed
+        iterates = reference_iterates(problem, 10)
+        for iterations, entries, workers in itertools.product(
+                (1, 10), (1, 7, 10 ** 9), (1, 2, 3)):
+            monkeypatch.setattr(retrofit_module, "_PROD_BYTES", 8 * problem.dims * entries)
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            want = iterates[:iterations]
+            got = retrofit(problem, iterations)
+            assert got.labels == problem.vocab
+            assert got.data.dtype == np.float32
+            assert got.data.tobytes() == want[-1].tobytes(), (iterations, entries, workers)
+            ckpt = tmp_path / f"{iterations}-{entries}-{workers}"
+            assert retrofit(problem, iterations, str(ckpt)).data.tobytes() == want[-1].tobytes()
+            for step, w in enumerate(want, start=1):
+                iterate = read_native(ckpt / f"iterate_{step:02d}.emb1",
+                                      ckpt / f"iterate_{step:02d}.labels")
+                assert iterate.labels == problem.vocab
+                assert iterate.data.tobytes() == w.tobytes(), (iterations, step)
+
+    def test_no_fixed_row(self, monkeypatch, tmp_path):
+        problem = dense_graph_problem(40, 4, degree=3, seed=1)
+        problem = dataclasses.replace(problem, vocab=[f"t{i}" for i in range(40)])
+        self.check(problem, [], monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_every_row_fixed(self, self_loops, monkeypatch, tmp_path):
+        # an empty edge list: each row keeps its self-loop or nothing; a
+        # unit basis seed and a zero seed are their own image either way
+        emb = make_matrix([f"/c/en/w{i}" for i in range(6)], np.eye(6)[:, :4])
+        problem = assemble_problem(emb, build_association(edge_table([])),
+                                   self_loops=self_loops)
+        self.check(problem, list(range(6)), monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_graph_with_isolated_terms(self, seed, monkeypatch, tmp_path):
+        # the embedding terms absent from the graph, with normalized seeds,
+        # are fixed; every term of the graph moves
+        edges, emb = random_graph(seed)
+        problem = assemble_problem(l2_normalize_rows(emb), build_association(edge_table(edges)))
+        isolated = [problem.vocab.index(f"/c/en/emb{i}") for i in range(5)]
+        self.check(problem, sorted(isolated), monkeypatch, tmp_path)
+
+    def test_empty_anchored_rows_fixed_or_not(self, monkeypatch, tmp_path):
+        # without self-loops an anchored row of no entry steps to its
+        # normalized seed: a unit basis seed is fixed, a longer one is not
+        emb = make_matrix(["/c/en/a", "/c/en/b", "/c/en/c", "/c/en/d"],
+                          [unit(3, 0), 3 * unit(3, 1), unit(3, 2), unit(3, 0)])
+        assoc = build_association(edge_table([Edge("/c/en/c", "/c/en/e")]))
+        problem = assemble_problem(emb, assoc, self_loops=False)
+        assert np.diff(problem.indptr)[:2].tolist() == [0, 0]
+        self.check(problem, [0, 3], monkeypatch, tmp_path)
+
+    def test_unanchored_empty_rows(self, monkeypatch, tmp_path):
+        # unanchored rows of zero seed, with no entry or a self-loop alone,
+        # stay zero; row 4 takes its neighbour's direction
+        problem = hand_problem(
+            [[], [(1, 1.0)], [(2, 1.0), (3, 0.5)], [(2, 0.5), (3, 1.0)], [(2, 1.0), (4, 1.0)]],
+            [[0, 0], [0, 0], [0.6, 0.8], [1, 0], [0, 0]],
+            [False, False, True, True, False])
+        self.check(problem, [0, 1], monkeypatch, tmp_path)
+
+    def test_referenced_self_loop_row_is_swept(self, monkeypatch, tmp_path):
+        # an asymmetric CSR: row 1 has its self-loop alone, but row 0 reads
+        # it, so it is swept; row 2 is fixed
+        problem = hand_problem(
+            [[(0, 1.0), (1, 1.0)], [(1, 1.0)], [(2, 1.0)]],
+            [[1, 0], [0, 1], [0.6, 0.8]], [True, True, True])
+        self.check(problem, [2], monkeypatch, tmp_path)
+
+    def test_seed_far_from_unit_norm_is_swept(self, monkeypatch, tmp_path):
+        # rows 0 and 2 have a self-loop alone; row 0's seed is not of unit
+        # norm, so its image differs and it is swept
+        problem = hand_problem(
+            [[(0, 1.0)], [(1, 1.0), (3, 1.0)], [(2, 2.0)], [(1, 1.0), (3, 1.0)]],
+            [[3, 4], [1, 0], [0, 1], [0, 0]], [True, True, True, False])
+        self.check(problem, [2], monkeypatch, tmp_path)
+
+    def test_negative_zero_seed_is_compared_by_bits(self, monkeypatch, tmp_path):
+        # rows 0 and 1 have no entry: a step's sum starts at +0.0, and
+        # +0.0 + -0.0 is +0.0, so row 0's seed steps to a value equal to it
+        # as a number but not as bits, and row 0 is swept
+        problem = hand_problem(
+            [[], [], [(2, 1.0), (3, 1.0)], [(2, 1.0), (3, 1.0)]],
+            [[-0.0, 1], [0, 1], [1, 0], [0, 1]], [True, True, True, True])
+        out = retrofit_step(problem, problem.w0)
+        assert np.signbit(problem.w0[0, 0]) and not np.signbit(out[0, 0])
+        assert np.array_equal(out[0], problem.w0[0])
+        self.check(problem, [1], monkeypatch, tmp_path)
+
+
+class TestSweptRows:
+    def counted_steps(self, monkeypatch):
+        calls = []
+        step = retrofit_module.retrofit_step
+
+        def counted(problem, w):
+            calls.append((problem, w.shape))
+            return step(problem, w)
+
+        monkeypatch.setattr(retrofit_module, "retrofit_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("iterations", [1, 7])
+    def test_steps_get_the_swept_rows_only(self, iterations, monkeypatch):
+        # the module attribute is what a tracer wraps: it runs once per
+        # iteration, on a state of the moving rows alone
+        problem = ring_problem(50, moving=12, dims=5)
+        calls = self.counted_steps(monkeypatch)
+        out = retrofit(problem, iterations)
+        assert len(calls) == iterations
+        assert all(p.size == 12 and shape == (12, 5) for p, shape in calls)
+        assert bits_equal(out.data[12:], problem.w0[12:])
+
+    def test_no_fixed_row_sweeps_the_given_problem(self, monkeypatch):
+        problem = dense_graph_problem(30, 4, degree=3, seed=2)
+        calls = self.counted_steps(monkeypatch)
+        retrofit(problem, 3)
+        assert [p is problem and shape == (30, 4) for p, shape in calls] == [True] * 3
+
+
+def test_peak_memory_with_most_rows_fixed(monkeypatch):
+    # 80% of the rows are fixed. The fixed-row check holds their seeds,
+    # their image and a flag per value; the sweep three swept states; the
+    # end the output and the last swept state. Each phase also holds the
+    # step's two buffers and a few words per entry and per row.
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    size, moving, dims = 5000, 1000, 128
+    problem = ring_problem(size, moving, dims)
+    out_bytes, swept_bytes = 4 * size * dims, 4 * moving * dims
+    fixed_bytes = out_bytes - swept_bytes
+    bound = (max(2.25 * fixed_bytes, 3 * swept_bytes, out_bytes + swept_bytes)
+             + 2 * retrofit_module._PROD_BYTES + 64 * (len(problem.data) + size))
+    # below the three matrices of the loop that swept every row: w0, w, out
+    assert bound < 3 * out_bytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        retrofit(problem, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
