@@ -15,16 +15,16 @@ segmented reduction, in as many calls per block as its longest row has
 entries. Memory grows with the vocabulary, not with the number of edges;
 the gather plan holds 16 bytes per entry and is built once per problem.
 
-`retrofit` sweeps only the rows that can move. A row whose entries are at
-most its own self-loop, and whose column no other row references, reads
-nothing but itself: most embedding terms that no kept edge touches are
-such rows. One `np.bincount` over the column indices finds them, and the
-step's own code then runs once on them alone. Those it maps to their
-seed, bit for bit, are fixed: every later step would map them there
-again, whatever the self-loop weight or anchor. The other rows are swept
-as a problem restricted to them, numbered in sweep order; the result, and
-every checkpoint iterate, is a copy of the seed matrix with the swept rows
-written in.
+`retrofit`'s first step sweeps every row; the later ones sweep only the
+rows that can move. A row whose entries are at most its own self-loop,
+and whose column no other row references, reads nothing but itself: most
+embedding terms that no kept edge touches are such rows. One
+`np.bincount` over the column indices finds them. Those that the first
+step mapped to their seed, bit for bit, are fixed: every later step
+would map them there again, whatever the self-loop weight or anchor. The
+other rows are swept as a problem restricted to them, numbered in sweep
+order; the result, and every later checkpoint iterate, is a copy of the
+seed matrix with the swept rows written in.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class RetrofitProblem:
     S is stored CSR with per-row entries in neighbor-label order; every
     accumulation is therefore identical no matter how the vocabulary was
     enumerated, which makes the update permutation-equivariant down to
-    the bit level.
+    the bit level. `vocab` labels the rows; a problem restricted to some
+    rows of another is labelled by their numbers there (`_restrict`).
     """
 
     vocab: list
@@ -109,12 +110,11 @@ class RetrofitProblem:
 
 
 def _sweep_order(counts: np.ndarray, anchored: np.ndarray) -> np.ndarray:
-    """Anchored rows first, each group by descending entry count; stable,
-    so ties keep row order. A key that fits 16 bits takes numpy's radix
-    sort."""
+    """Anchored rows first, each group by descending entry count, ties in
+    row order: `np.lexsort((-counts, ~anchored))`, as one stable sort of
+    an int64 key."""
     top = int(counts.max(initial=0))
-    key = top - counts + np.where(anchored, 0, top + 1)
-    return np.argsort(key.astype(np.uint16) if 2 * top < 1 << 16 else key, kind="stable")
+    return np.argsort(np.where(anchored, 0, top + 1) + (top - counts), kind="stable")
 
 
 def _build_plan(problem: RetrofitProblem, block_rows: int) -> _SweepPlan:
@@ -195,12 +195,6 @@ def retrofit_step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
     each with `_PROD_BYTES` buffers of its own; a block's shape does not
     depend on the worker count, so neither do the output bits.
     """
-    return _step(problem, w)
-
-
-def _step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
-    # retrofit_step's body, which `retrofit` also calls once to find the
-    # fixed rows: that check is not one of the run's steps
     if w.shape != (problem.size, problem.dims):
         raise DimensionMismatch(
             f"state is {w.shape}, problem needs {(problem.size, problem.dims)}")
@@ -240,22 +234,25 @@ def _step(problem: RetrofitProblem, w: np.ndarray) -> np.ndarray:
 def _restrict(problem: RetrofitProblem, rows: np.ndarray,
               counts: np.ndarray) -> RetrofitProblem:
     """`problem` on `rows` alone, numbered in that order; their entries
-    must reference only `rows`. `counts` holds every row's entry count."""
+    must reference only `rows`. `counts` holds every row's entry count.
+    Its `vocab` is `rows` itself: each row's number in `problem`."""
     counts = counts[rows]
     indptr = np.concatenate([[0], np.cumsum(counts)])
     entries = np.repeat(problem.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
     renumber = np.empty(problem.size, dtype=np.int64)
     renumber[rows] = np.arange(len(rows))
     return RetrofitProblem(
-        vocab=[problem.vocab[i] for i in rows.tolist()], indptr=indptr,
+        vocab=rows, indptr=indptr,
         indices=renumber[problem.indices[entries]], data=problem.data[entries],
         w0=problem.w0[rows], anchored=problem.anchored[rows])
 
 
-def _fixed_rows(problem: RetrofitProblem, counts: np.ndarray) -> np.ndarray:
+def _fixed_rows(problem: RetrofitProblem, counts: np.ndarray,
+                image: np.ndarray) -> np.ndarray:
     """The mask of rows that every step maps to their seed, bit for bit:
     rows with no entry but their own self-loop, if any, that no other row
-    references, and whose seed one step maps to itself."""
+    references, and that `image`, the first step's result, holds at their
+    seed."""
     # rows of at most one entry, referenced exactly as often
     fixed = (counts <= 1) & (np.bincount(problem.indices, minlength=problem.size) == counts)
     one = np.flatnonzero(fixed & (counts == 1))
@@ -263,10 +260,13 @@ def _fixed_rows(problem: RetrofitProblem, counts: np.ndarray) -> np.ndarray:
     fixed[one[problem.indices[problem.indptr[one]] != one]] = False
     if problem.w0.dtype != np.float32:  # a float32 image never equals such a seed
         fixed[:] = False
-    if fixed.any():
-        candidates = _restrict(problem, np.flatnonzero(fixed), counts)
-        image = _step(candidates, candidates.w0)
-        fixed[fixed] = (image.view(np.uint32) == candidates.w0.view(np.uint32)).all(axis=1)
+    # the candidates are compared `_PROD_BYTES` of rows at a time, so that
+    # no copy of them is whole
+    candidates = np.flatnonzero(fixed)
+    chunk = max(1, _PROD_BYTES // (4 * max(1, problem.dims)))
+    for lo in range(0, len(candidates), chunk):
+        rows = candidates[lo:lo + chunk]
+        fixed[rows] = (image[rows].view(np.uint32) == problem.w0[rows].view(np.uint32)).all(axis=1)
     return fixed
 
 
@@ -274,32 +274,33 @@ def retrofit(problem: RetrofitProblem, iterations: int = DEFAULT_ITERATIONS,
              checkpoint_dir=None) -> LabeledMatrix:
     """Run `iterations` update steps starting from the seed matrix.
 
-    Only the rows that can move are swept (see the module docstring); the
-    fixed rows keep their seed. With `checkpoint_dir`, every intermediate
-    iterate is written there in the native matrix format (iterate_01.emb1,
-    ...), with every row.
+    The first step sweeps every row, the later ones only the rows that
+    can move (see the module docstring); the fixed rows keep their seed.
+    With `checkpoint_dir`, every intermediate iterate is written there in
+    the native matrix format (iterate_01.emb1, ...), with every row.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    counts = np.diff(problem.indptr)
-    fixed = _fixed_rows(problem, counts)
+    w = retrofit_step(problem, problem.w0)
+    _checkpoint(checkpoint_dir, problem, 1, w)
     swept, rows = problem, None
-    if fixed.any():
-        # numbered in the order a step sweeps them, so that a block's rows
-        # lie together in memory
-        rows = np.flatnonzero(~fixed)
-        rows = rows[_sweep_order(counts[rows], problem.anchored[rows])]
-        swept = _restrict(problem, rows, counts)
-    w, full = swept.w0, None
-    for step in range(1, iterations + 1):
+    if iterations > 1:
+        counts = np.diff(problem.indptr)
+        fixed = _fixed_rows(problem, counts, w)
+        if fixed.any():
+            # numbered in the order a step sweeps them, so that a block's
+            # rows lie together in memory
+            rows = np.flatnonzero(~fixed)
+            rows = rows[_sweep_order(counts[rows], problem.anchored[rows])]
+            swept, w = _restrict(problem, rows, counts), w[rows]
+    full = None
+    for step in range(2, iterations + 1):
         w = retrofit_step(swept, w)
         if checkpoint_dir is not None:
             full = _full_state(problem, rows, w, full)
-            write_native(LabeledMatrix(labels=list(problem.vocab), data=full),
-                         os.path.join(checkpoint_dir, f"iterate_{step:02d}.emb1"),
-                         os.path.join(checkpoint_dir, f"iterate_{step:02d}.labels"))
+            _checkpoint(checkpoint_dir, problem, step, full)
     if full is None:
         # the swept problem, its seeds and its plan are freed first: the
         # full matrix may then take their memory
@@ -318,3 +319,12 @@ def _full_state(problem: RetrofitProblem, rows, w: np.ndarray, full) -> np.ndarr
         full = problem.w0.copy()
     full[rows] = w
     return full
+
+
+def _checkpoint(directory, problem: RetrofitProblem, step: int, w: np.ndarray) -> None:
+    """Write iterate `step`, a state of the whole problem, into `directory`
+    if there is one."""
+    if directory is not None:
+        write_native(LabeledMatrix(labels=list(problem.vocab), data=w),
+                     os.path.join(directory, f"iterate_{step:02d}.emb1"),
+                     os.path.join(directory, f"iterate_{step:02d}.labels"))

@@ -622,7 +622,8 @@ def reference_iterates(problem, iterations):
 
 def fixed_rows(problem):
     counts = np.diff(problem.indptr)
-    return np.flatnonzero(retrofit_module._fixed_rows(problem, counts)).tolist()
+    image = retrofit_step(problem, problem.w0)
+    return np.flatnonzero(retrofit_module._fixed_rows(problem, counts, image)).tolist()
 
 
 def ring_problem(size, moving, dims):
@@ -649,6 +650,18 @@ def hand_problem(rows, w0, anchored):
         indices=np.array([j for r in rows for j, _ in r], dtype=np.int64),
         data=np.array([x for r in rows for _, x in r], dtype=np.float64),
         w0=np.asarray(w0, dtype=np.float32), anchored=np.asarray(anchored, dtype=bool))
+
+
+@pytest.mark.parametrize("top", [0, 3, 40000, 2 ** 40])
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_order_is_lexsort(top, seed):
+    # many ties: entry counts drawn from a small pool, anchors at random
+    rng = np.random.default_rng(seed)
+    counts = rng.choice(rng.integers(0, top + 1, 20), 3000)
+    anchored = rng.random(3000) < 0.6
+    for n in (0, 1, 3000):
+        assert np.array_equal(retrofit_module._sweep_order(counts[:n], anchored[:n]),
+                              np.lexsort((-counts[:n], ~anchored[:n])))
 
 
 class TestSweepMatchesFullSweep:
@@ -760,14 +773,16 @@ class TestSweptRows:
         return calls
 
     @pytest.mark.parametrize("iterations", [1, 7])
-    def test_steps_get_the_swept_rows_only(self, iterations, monkeypatch):
+    def test_later_steps_get_the_swept_rows_only(self, iterations, monkeypatch):
         # the module attribute is what a tracer wraps: it runs once per
-        # iteration, on a state of the moving rows alone
+        # iteration, first on the whole problem, then on a state of the
+        # moving rows alone
         problem = ring_problem(50, moving=12, dims=5)
         calls = self.counted_steps(monkeypatch)
         out = retrofit(problem, iterations)
         assert len(calls) == iterations
-        assert all(p.size == 12 and shape == (12, 5) for p, shape in calls)
+        assert calls[0] == (problem, (50, 5))
+        assert all(p.size == 12 and shape == (12, 5) for p, shape in calls[1:])
         assert bits_equal(out.data[12:], problem.w0[12:])
 
     def test_no_fixed_row_sweeps_the_given_problem(self, monkeypatch):
@@ -778,16 +793,17 @@ class TestSweptRows:
 
 
 def test_peak_memory_with_most_rows_fixed(monkeypatch):
-    # 80% of the rows are fixed. The fixed-row check holds their seeds,
-    # their image and a flag per value; the sweep three swept states; the
-    # end the output and the last swept state. Each phase also holds the
-    # step's two buffers and a few words per entry and per row.
+    # 80% of the rows are fixed. The first step holds its output; the
+    # fixed-row check that output and `_PROD_BYTES` chunks of rows and
+    # flags; the restriction that output, the swept seeds and the first
+    # swept state; the later steps three swept states; the end the output
+    # and the last swept state. Each phase also holds the step's two
+    # buffers and a few words per entry and per row.
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     size, moving, dims = 5000, 1000, 128
     problem = ring_problem(size, moving, dims)
     out_bytes, swept_bytes = 4 * size * dims, 4 * moving * dims
-    fixed_bytes = out_bytes - swept_bytes
-    bound = (max(2.25 * fixed_bytes, 3 * swept_bytes, out_bytes + swept_bytes)
+    bound = (out_bytes + max(2 * swept_bytes, 3 * retrofit_module._PROD_BYTES)
              + 2 * retrofit_module._PROD_BYTES + 64 * (len(problem.data) + size))
     # below the three matrices of the loop that swept every row: w0, w, out
     assert bound < 3 * out_bytes
