@@ -310,65 +310,31 @@ def map_digit_runs(text: str) -> str:
     return _DIGIT_RUN_RE.sub("#", text)
 
 
-class _Candidates:
-    """The membership test `lemmatize` applies to a rule's candidate: in
-    `vocab`, or with no vocab at least 2 characters long, as `lemmatize`
-    decides without one. `reached` records that a test ran."""
-
-    __slots__ = ("vocab", "reached")
-
-    def __init__(self, vocab):
-        self.vocab = vocab
-        self.reached = False
-
-    def __contains__(self, candidate) -> bool:
-        self.reached = True
-        return len(candidate) >= 2 if self.vocab is None else candidate in self.vocab
-
-
 class Standardizer:
     """Bundles a rule set, stopword list and optional validity vocabulary,
-    and memoises each (text, language) result. Errors are not memoised: a
-    bad input raises on every call.
-
-    A label whose computation never reached lemmatize's vocabulary check
-    (a token ending in a rule suffix, with no exception entry) depends on
-    the rules and stopwords alone. Such results go into a memo shared with
-    every Standardizer made by `with_vocab`, so a pipeline run computes each
-    of them once across its stages; a result that reached the check stays
-    in this instance's own memo, since another vocabulary may change it.
-    """
+    and memoises each (text, language) result in one memo of its own,
+    freed with it: in a pipeline run, each stage's standardizer is freed
+    with its stage. Errors are not memoised: a bad input raises on every
+    call."""
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
                  vocab=None):
         self.rules = rules if rules is not None else default_rules()
         self.stopwords = stopwords if stopwords is not None else default_stopwords()
         self.vocab = vocab
-        self._candidates = _Candidates(vocab)
         self._memo = {}
-        self._shared = {}  # language -> text -> label
 
     def with_vocab(self, vocab) -> "Standardizer":
-        """A Standardizer with these rules and stopwords, `vocab`, and this
-        one's shared memo."""
-        other = type(self)(self.rules, self.stopwords, vocab=vocab)
-        other._shared = self._shared
-        return other
+        """A Standardizer with these rules and stopwords, `vocab` and an
+        empty memo."""
+        return type(self)(self.rules, self.stopwords, vocab=vocab)
 
     def standardize(self, text: str, language: str) -> StandardLabel:
-        shared = self._shared.get(language)
-        label = shared.get(text) if shared is not None else None
+        label = self._memo.get((text, language))
         if label is None:
-            label = self._memo.get((text, language))
-        if label is None:
-            candidates = self._candidates
-            candidates.reached = False
-            label = standardize(text, language, rules=self.rules,
-                                stopwords=self.stopwords, vocab=candidates)
-            if candidates.reached:
-                self._memo[text, language] = label
-            else:
-                self._shared.setdefault(language, {})[text] = label
+            label = self._memo[text, language] = standardize(
+                text, language, rules=self.rules, stopwords=self.stopwords,
+                vocab=self.vocab)
         return label
 
     def uri(self, text: str, language: str) -> str:

@@ -8,13 +8,13 @@ builds the output matrix for both `run_pipeline` and the CLI.
 Each stage's output can be cached to disk and a cached stage is skipped
 on the next run; cached and straight-through runs produce identical bits.
 
-A run reads the configured stopword and exception files once and keeps
-one label memo for all its stages (on `RunLabels`, which the stages that
-standardize are given; `StageCache` only stores artifacts): merge, graph
-and evaluate standardize a label that no lemma vocabulary decides once
-per run. Each stage's lemma vocabulary is a `LazyVocabulary`, built only
-when a label needs one; evaluate's extends graph's, so each output label
-is tokenized at most once per run.
+A run reads the configured stopword and exception files once (on
+`RunLabels`, which the stages that standardize are given; `StageCache`
+only stores artifacts). Each stage that standardizes gets a standardizer
+of its own: one memo per standardizer, freed with its stage. Each stage's
+lemma vocabulary is a `LazyVocabulary`, built only when a label needs
+one; evaluate's extends graph's, so each output label is tokenized at
+most once per run.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ class LazyVocabulary:
 
 class RunLabels:
     """The label state the stages of one run share: the Standardizer of
-    the configured rule files, whose memo every stage's standardizer
-    shares, and the last label list given to `output_standardizer` with
-    its lemma vocabulary."""
+    the configured rule files, from which each stage's standardizer is
+    made with a memo of its own, and the last label list given to
+    `output_standardizer` with its lemma vocabulary. It holds no label:
+    one memo per standardizer, freed with its stage."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -146,7 +147,7 @@ class RunLabels:
         return Standardizer(rules=rules, stopwords=stopwords)
 
     def standardizer(self, texts, base: LazyVocabulary | None = None) -> Standardizer:
-        """The configured Standardizer, sharing the memo of `rules`. With
+        """The configured Standardizer, with an empty memo. With
         `vocab_check` on, lemma candidates are checked against
         `LazyVocabulary(texts, base)`."""
         return self.rules.with_vocab(

@@ -316,20 +316,10 @@ class TestStandardizerMemo:
             with pytest.raises(EmptyAfterNormalization):
                 std.standardize("!!!", "en")
         assert calls == [("!!!", "en"), ("!!!", "en")]
-        shared = std.with_vocab(set())
         for _ in range(2):
             with pytest.raises(InvalidLanguage):
-                shared.standardize("dog", "EN")
+                std.standardize("dog", "EN")
         assert len(calls) == 4
-
-    def test_results_no_vocabulary_decides_are_shared(self, calls):
-        rules = Standardizer()
-        for vocab in ({"cat"}, set(), None):
-            std = rules.with_vocab(vocab)
-            assert std.uri("Big Dogs", "fr") == "/c/fr/big_dogs"
-            assert std.uri("dog", "en") == "/c/en/dog"
-            assert std.uri("went", "en") == "/c/en/go"  # an exception entry
-        assert calls == [("Big Dogs", "fr"), ("dog", "en"), ("went", "en")]
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_vocabulary_boundary(self, calls, order):
@@ -343,35 +333,6 @@ class TestStandardizerMemo:
                 assert stds[i].uri("cats", "en") == cases[i][1]
                 assert stds[i].uri("Cats!", "en") == cases[i][1]
         assert len(calls) == 6  # two texts per standardizer, each once
-
-    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-    def test_uri_memo_keeps_the_vocabulary_boundary(self, monkeypatch, order):
-        """A URI comes from the label memo: shared with `with_vocab` siblings
-        exactly when its label is, never when a lemma vocabulary decided it."""
-        seen = []
-        real = labels.standardize
-
-        def counting(text, language, vocab=None, **kwargs):
-            seen.append((vocab.vocab, text))
-            return real(text, language, vocab=vocab, **kwargs)
-
-        monkeypatch.setattr(labels, "standardize", counting)
-        rules = Standardizer()
-        cases = [({"cat"}, "/c/en/cat"), (set(), "/c/en/cats"), (None, "/c/en/cat")]
-        stds = [rules.with_vocab(vocab) for vocab, _want in cases]
-        for _ in range(2):
-            for i in order:
-                assert stds[i].uri("cats", "en") == cases[i][1]
-                assert stds[i].standardize("cats", "en").uri == cases[i][1]
-                assert stds[i].uri("dogma", "en") == "/c/en/dogma"
-                assert stds[i].uri("went", "en") == "/c/en/go"
-        # each standardizer computes "cats" once; "dogma" and "went" are
-        # computed once in all, and come from the shared memo after that
-        for std in stds:
-            assert sum(vocab is std.vocab and text == "cats"
-                       for vocab, text in seen) == 1
-        assert sum(text == "dogma" for _vocab, text in seen) == 1
-        assert sum(text == "went" for _vocab, text in seen) == 1
 
 
 # Reference versions of the label checks, tokenizer and lemmatizer as they
@@ -486,24 +447,17 @@ class TestAsciiFastPaths:
 
     @pytest.mark.parametrize("text", TRICKY)
     def test_same_memo_as_reference(self, text, monkeypatch):
-        """A text lands in the shared memo exactly when the one-path
-        computation reaches no lemma vocabulary check."""
-        def memos():
-            std = Standardizer(vocab={"cat", "bus", "box", "city", "walk", "tall"})
-            found = []
-            for lang in ("en", "fr"):
-                try:
-                    label = std.standardize(text, lang)
-                except (ValueError, EmptyAfterNormalization):
-                    found.append(None)
-                    continue
-                found.append((label.uri, text in std._shared.get(lang, {}),
-                              (text, lang) in std._memo))
-            return found
-
-        got = memos()
+        """A Standardizer's memoised label, on its first call and from its
+        memo, is the one-path computation's label."""
+        vocab = {"cat", "bus", "box", "city", "walk", "tall"}
+        std = Standardizer(vocab=vocab)
+        languages = ("en", "fr")
+        got = [[outcome(lambda: std.standardize(text, lang).uri) for lang in languages]
+               for _ in range(2)]
         self.one_path(monkeypatch)
-        assert got == memos()
+        want = [outcome(lambda: standardize(text, lang, vocab=vocab).uri)
+                for lang in languages]
+        assert got == [want, want]
 
     @pytest.mark.parametrize("vocab", [None, {"cat", "bus", "walk", "tall"}])
     def test_bulk_uris_match_uri(self, vocab):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ from test_interpolate import svd_factors
 from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.evaluation import format_report_table
-from vecfuse.labels import Standardizer, split_uri
+from vecfuse.labels import StandardLabel, Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
 from vecfuse.pipeline import run_pipeline, token_vocabulary
 from vecfuse.rowmerge import build_merge_plan, l1_normalize_columns, merge_standardized
@@ -410,9 +411,9 @@ def add_suffixed_words(workspace):
 
 
 def per_stage_labels(m):
-    """As before labels were standardized once per run: each stage reads
-    the rule files, starts its own memo and builds its lemma vocabulary up
-    front, tokenizing every label from scratch."""
+    """Each stage reads the rule files and builds its lemma vocabulary up
+    front, tokenizing every label from scratch, as before a run read the
+    files once and built its vocabularies lazily."""
     def standardizer(run_labels, texts, base=None):
         config = run_labels.config
         return pipeline.RunLabels(config).rules.with_vocab(
@@ -652,16 +653,16 @@ NON_ASCII = {"alpha.txt": "café 0.3 0.1 0.2\ncafe\u0301 0.1 0.3 0.2\ncafés 0.2
                          "naïveté stone 0.5\n"}
 
 
-class TestRunWideLabelMemo:
-    """One run reads its rule files once and shares one label memo across
-    merge, graph and evaluate; its output bytes are those of reading the
-    files, keeping a memo and building a vocabulary per stage."""
+class TestLazyStageVocabularies:
+    """One run reads its rule files once and builds each stage's lemma
+    vocabulary only when a label needs it; its output bytes are those of
+    reading the files and building every stage's vocabulary up front."""
 
     def run_both(self, monkeypatch, config_of):
         with monkeypatch.context() as m:
             per_stage_labels(m)
-            want = run_pipeline(config_of("per_stage"))
-        got = run_pipeline(config_of("run_wide"))
+            want = run_pipeline(config_of("eager"))
+        got = run_pipeline(config_of("lazy"))
         for key in ("matrix_path", "labels_path", "report_path"):
             assert Path(got[key]).read_bytes() == Path(want[key]).read_bytes()
         return got
@@ -733,6 +734,67 @@ class TestRunWideLabelMemo:
         # merge twice, graph and evaluate: each per-stage run read both 4 times
         assert opened.count(str(stop)) == opened.count(str(exc)) == 5
         assert "/c/en/big_dog" not in got["matrix"].labels
+
+
+def reachable_labels(root):
+    """The StandardLabel objects reachable from `root`'s attributes
+    through containers and the attributes of vecfuse objects."""
+    seen, stack, found = {id(root)}, gc.get_referents(root), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, StandardLabel):
+            found.append(obj)
+        elif isinstance(obj, (dict, list, tuple, set, frozenset)) \
+                or type(obj).__module__.startswith("vecfuse."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestNoLabelMemoOutlivesItsStage:
+    """Each stage standardizes with a memo of its own, freed with the
+    stage: the run's RunLabels holds no label a stage computed."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        seen = []
+        real = labels.standardize
+
+        def counting(text, language, **kwargs):
+            seen.append(text)
+            return real(text, language, **kwargs)
+
+        monkeypatch.setattr(labels, "standardize", counting)
+        return seen
+
+    def test_after_prepare_source(self, workspace, computed):
+        config = toy_config(workspace)
+        run_labels = pipeline.RunLabels(config)
+        matrix = pipeline.prepare_source(config, config.enabled_embeddings()[0],
+                                         pipeline.StageCache(), run_labels)
+        # `Cat` and `running` reach the memo; no lemma vocabulary decides either
+        assert {"Cat", "running"} <= set(computed)
+        assert "/c/en/run" in matrix.labels
+        assert reachable_labels(run_labels) == []
+
+    def test_after_a_run(self, workspace, monkeypatch, computed):
+        add_suffixed_words(workspace)
+        runs = []
+
+        class Recording(pipeline.RunLabels):
+            def __init__(self, config):
+                super().__init__(config)
+                runs.append(self)
+
+        monkeypatch.setattr(pipeline, "RunLabels", Recording)
+        result = run_pipeline(toy_config(workspace))
+        assert result["reports"] and len(runs) == 1
+        # merge, graph and evaluate each computed labels
+        assert {"Cat", "walked", "cats", "runs"} <= set(computed)
+        assert runs[0]._output_vocabulary is not None
+        assert reachable_labels(runs[0]) == []
 
 
 class TestCli:
