@@ -67,12 +67,6 @@ class LabeledMatrix:
     def label_index(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}
 
-    def take(self, indices) -> "LabeledMatrix":
-        """The rows at `indices`, in that order."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return LabeledMatrix(labels=[self.labels[i] for i in indices],
-                             data=self.data[indices])
-
 
 def _check_field_count(fields, dims, path, lineno):
     if not fields:
@@ -186,6 +180,20 @@ def _first_nonfinite_row(data: np.ndarray):
     return None if finite.all() else int(np.argmin(finite))
 
 
+def _parse_header(head, path):
+    """(rows, dims) of a word2vec header line, text or bytes: exactly two
+    integers, rows >= 0 and dims >= 1, or a `ParseError` naming line 1."""
+    try:
+        rows, dims = map(int, head.split())
+    except ValueError:
+        raise ParseError(f"bad header {head!r}", path=path, line=1) from None
+    if rows < 0:
+        raise ParseError(f"header declares {rows} rows", path=path, line=1)
+    if dims < 1:
+        raise ParseError(f"header declares {dims} dimensions", path=path, line=1)
+    return rows, dims
+
+
 def read_text_embeddings(path, header: bool = False,
                          on_duplicate: str = "error") -> LabeledMatrix:
     """Read GloVe-style (no header) or word2vec text (header) vectors.
@@ -193,10 +201,11 @@ def read_text_embeddings(path, header: bool = False,
     The token is everything before the first U+0020; no other whitespace is
     treated as a separator, so messy tokens survive verbatim and are cleaned
     later by label standardization. `on_duplicate` is one of `ON_DUPLICATE`.
-    A header's row count must match the vector lines, duplicates included;
-    a vector line without values, a header declaring fewer than one
-    dimension, bytes that are not UTF-8, and a nan or inf anywhere, in a
-    skipped duplicate too, are each a `ParseError` naming its line.
+    A header must hold two integers, rows >= 0 and dims >= 1, and its row
+    count must match the vector lines, duplicates included; a bad header,
+    a vector line without values, bytes that are not UTF-8, and a nan or
+    inf anywhere, in a skipped duplicate too, are each a `ParseError`
+    naming its line.
 
     The file is read `_TEXT_CHUNK_CHARS` at a time. Each chunk's values
     are parsed as doubles by one call of numpy's C parser, or, where that
@@ -219,18 +228,8 @@ def read_text_embeddings(path, header: bool = False,
         # values past float32 range become inf and fail the finite check
         lineno = 0
         if header:
-            head = f.readline()
+            declared_rows, dims = _parse_header(f.readline(), path_str)
             lineno += 1
-            parts = head.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad header {head!r}", path=path_str, line=lineno)
-            try:
-                declared_rows, dims = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad header {head!r}", path=path_str, line=lineno)
-            if dims < 1:
-                raise ParseError(f"header declares {dims} dimensions",
-                                 path=path_str, line=lineno)
         while lines := f.readlines(_TEXT_CHUNK_CHARS):
             parsed = _parse_chunk(lines, dims)
             if parsed is not None:
@@ -274,26 +273,15 @@ def read_text_embeddings(path, header: bool = False,
 def read_word2vec_binary(path) -> LabeledMatrix:
     """Read the word2vec binary format (Google News distribution style).
 
-    The header's counts are checked against the file size before anything
-    is allocated; a nan or inf, and a token that still holds a line break
-    once the newlines before it are stripped, are each a `ParseError`
-    naming its vector, and a repeated token is a `DuplicateLabel` naming
-    its vector. Tokens are scanned in chunks of `_BINARY_CHUNK_BYTES`,
-    never the whole file.
+    The header is checked as `read_text_embeddings` checks one, and its
+    counts against the file size before anything is allocated; a nan or
+    inf, and a token that still holds a line break once the newlines
+    before it are stripped, are each a `ParseError` naming its vector,
+    and a repeated token is a `DuplicateLabel` naming its vector. Tokens
+    are scanned in chunks of `_BINARY_CHUNK_BYTES`, never the whole file.
     """
     with open(path, "rb") as f:
-        header = f.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad binary header {header!r}", path=str(path))
-        try:
-            rows, dims = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad binary header {header!r}", path=str(path))
-        if rows < 0:
-            raise ParseError(f"negative counts in header {header!r}", path=str(path))
-        if dims < 1:
-            raise ParseError(f"header declares {dims} dimensions", path=str(path), line=1)
+        rows, dims = _parse_header(f.readline(), str(path))
         vec_bytes = 4 * dims
         remaining = os.fstat(f.fileno()).st_size - f.tell()
         if remaining < rows * (vec_bytes + 1):
@@ -363,7 +351,7 @@ def write_native(matrix: LabeledMatrix, matrix_path, labels_path) -> None:
     with open(matrix_path, "wb") as f:
         f.write(NATIVE_MAGIC)
         f.write(struct.pack("<II", rows, dims))
-        f.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(matrix.data, dtype="<f4"))
     with open(labels_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 

@@ -203,10 +203,7 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
     matrix = ingest_source(source, cache)
     if config.standardize_enabled:
         standardizer = run_labels.standardizer(matrix.labels)
-        plan, kept = rowmerge.build_merge_plan(matrix, standardizer,
-                                               language=source.language)
-        if len(kept) != len(matrix):
-            matrix = matrix.take(kept)
+        plan = rowmerge.build_merge_plan(matrix, standardizer, language=source.language)
         matrix = rowmerge.merge_standardized(matrix, plan,
                                              strategy=config.merge_strategy)
     if config.column_norm == "l1":

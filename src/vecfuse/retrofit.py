@@ -275,7 +275,8 @@ def retrofit(problem: RetrofitProblem, iterations: int = DEFAULT_ITERATIONS,
     """Run `iterations` update steps starting from the seed matrix.
 
     The first step sweeps every row, the later ones only the rows that
-    can move (see the module docstring); the fixed rows keep their seed.
+    can move (see the module docstring); the fixed rows keep their seed,
+    and the sweep plan `problem` caches is dropped once they are found.
     With `checkpoint_dir`, every intermediate iterate is written there in
     the native matrix format (iterate_01.emb1, ...), with every row.
     """
@@ -295,6 +296,9 @@ def retrofit(problem: RetrofitProblem, iterations: int = DEFAULT_ITERATIONS,
             rows = np.flatnonzero(~fixed)
             rows = rows[_sweep_order(counts[rows], problem.anchored[rows])]
             swept, w = _restrict(problem, rows, counts), w[rows]
+            # the later steps sweep `swept` alone: the whole problem's
+            # plan, 16 bytes per entry, is not read again
+            problem._plans.clear()
     full = None
     for step in range(2, iterations + 1):
         w = retrofit_step(swept, w)

@@ -46,45 +46,41 @@ def zipf_weight(rank):
 
 @dataclass
 class MergePlan:
-    """Maps each output label to the raw rows that collapse into it.
+    """Maps each output label to the rows of a matrix that collapse into it.
 
-    groups: label -> non-empty list of (raw row index, source rank), in
-    ascending rank.
+    groups: label -> non-empty list of (row index, source rank), in
+    ascending rank. A row that no group names is dropped.
     """
 
     groups: dict
 
 
 def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
-                     language: str = "en"):
-    """Group matrix rows by standardized label.
+                     language: str = "en") -> MergePlan:
+    """Group the rows of `matrix` by standardized label.
 
-    Returns (plan, kept) where `kept` lists the row indices whose labels
-    standardized successfully; the plan indexes rows of matrix.take(kept).
-    Rows whose labels normalize to nothing (pure punctuation) are dropped.
-    Row `idx` of `matrix` has rank `idx + 1`, whether or not rows before
-    it are dropped; rows join their group in ascending rank.
+    Row `idx` has rank `idx + 1` and joins its label's group as
+    `(idx, idx + 1)`, so rows join their group in ascending rank. A row
+    whose label normalizes to nothing (pure punctuation) is in no group.
     """
     groups: dict = {}
-    kept = []
     for idx, uri in enumerate(standardizer.uris(matrix.labels, language)):
-        if uri is None:  # the label does not standardize
-            continue
-        groups.setdefault(uri, []).append((len(kept), idx + 1))
-        kept.append(idx)
-    return MergePlan(groups=groups), np.asarray(kept, dtype=np.int64)
+        if uri is not None:  # else the label does not standardize
+            groups.setdefault(uri, []).append((idx, idx + 1))
+    return MergePlan(groups=groups)
 
 
 def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
                        strategy: str = "zipf") -> LabeledMatrix:
-    """Collapse each plan group into one row.
+    """Collapse each plan group into one row; rows that no group names
+    are dropped.
 
     zipf: average weighted by 1/rank; first: keep the lowest-rank row;
     unweighted: plain mean. Output rows are ordered by ascending group
     minimum rank, ties broken lexicographically by label.
 
-    Raises PlanMismatch unless the plan covers each row once, in
-    non-empty groups of ascending rank.
+    Raises PlanMismatch on an empty group, on ranks not ascending within
+    a group, and on a row named twice or outside `matrix`.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(f"unknown merge strategy {strategy!r}")
@@ -96,9 +92,14 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
         members for _label, members in ordered)), dtype=np.int64).reshape(-1, 2)
     rows, ranks = flat[:, 0], flat[:, 1]
     n_rows = len(matrix)
-    if not np.array_equal(np.sort(rows), np.arange(n_rows)):
-        raise PlanMismatch(
-            f"plan covers {len(rows)} row references for a {n_rows}-row matrix")
+    if ((rows < 0) | (rows >= n_rows)).any():
+        raise PlanMismatch(f"plan names a row outside the {n_rows}-row matrix")
+    # a mask, not `np.unique`, whose hash table in numpy 2 takes about
+    # 150 bytes per row
+    named = np.zeros(n_rows, dtype=bool)
+    named[rows] = True
+    if np.count_nonzero(named) != len(rows):
+        raise PlanMismatch("plan names a row twice")
     group_of = np.repeat(np.arange(len(sizes)), sizes)
     if ((np.diff(ranks) < 0) & (np.diff(group_of) == 0)).any():
         raise PlanMismatch("plan group ranks are not ascending")

@@ -112,6 +112,20 @@ class TestLoadGold:
         with pytest.raises(ParseError):
             load_gold(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_names_its_line(self, tmp_path, score):
+        path = tmp_path / "gold.txt"
+        path.write_text(f"tiger cat 7.0\nbook paper {score}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite score") as err:
+            load_gold(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "gold.txt"
+        path.write_text("tiger cat 7.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown gold format 'simlex'"):
+            load_gold(path, format="simlex")
+
     def test_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "gold.txt"
         path.write_bytes(b"tiger cat 7.0\r\ncaf\xe9 tea 5.0\r\n")

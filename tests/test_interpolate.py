@@ -592,8 +592,10 @@ class TestFuse:
         a = unit_rows([f"w{i}" for i in range(50)], 6, rng)
         b = unit_rows([f"w{i}" for i in range(20, 75)], 5, rng)
         pa, pb = rng.permutation(len(a)), rng.permutation(len(b))
+        a_perm = make_matrix([a.labels[i] for i in pa], a.data[pa])
+        b_perm = make_matrix([b.labels[i] for i in pb], b.data[pb])
         base = fuse(a, b, k=3, discount=False).matrix
-        perm = fuse(a.take(pa), b.take(pb), k=3, discount=False).matrix
+        perm = fuse(a_perm, b_perm, k=3, discount=False).matrix
         assert sorted(perm.labels) == sorted(base.labels)
         rows = perm.label_index()
         for i, lab in enumerate(base.labels):

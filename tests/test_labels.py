@@ -260,6 +260,14 @@ class TestRuleFiles:
         with pytest.raises(ParseError):
             load_exceptions(path)
 
+    @pytest.mark.parametrize("lemma", ["mouse trap", "mouse_trap"])
+    def test_load_exceptions_rejects_a_multi_token_lemma(self, tmp_path, lemma):
+        path = tmp_path / "exc.txt"
+        path.write_text(f"ran\trun\nmice\t{lemma}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not a single token") as err:
+            load_exceptions(path)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+
     @pytest.mark.parametrize("load, content", [
         (load_stopwords, b"# comment\rfoo\n\xff\n"),
         (load_exceptions, b"# comment\nran\trun\nmice\tmo\xc3use\n"),

@@ -35,12 +35,6 @@ class TestLabeledMatrix:
         with pytest.raises(DimensionMismatch):
             LabeledMatrix(labels=["a"], data=np.zeros((2, 2)))
 
-    def test_take_keeps_the_given_order(self):
-        m = make_matrix(["a", "b", "c"], np.eye(3))
-        sub = m.take([2, 0])
-        assert sub.labels == ["c", "a"]
-        assert sub.data.tolist() == [[0, 0, 1], [1, 0, 0]]
-
 
 class TestTextReader:
     def test_glove_style(self, tmp_path):
@@ -109,6 +103,12 @@ class TestTextReader:
             read_text_embeddings(path, header=True)
         assert err.value.line == 1
         assert str(path) in str(err.value)
+
+    def test_unknown_on_duplicate(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="on_duplicate must be one of"):
+            read_text_embeddings(path, on_duplicate="last")
 
     def test_header_counts_skipped_duplicates(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -341,6 +341,23 @@ class TestErrorsNameTheirLocation:
         with pytest.raises(DuplicateLabel, match=r"m\.labels:3: repeated label 'a'"):
             read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
 
+    @pytest.mark.parametrize("head, match", [
+        ("1 2 3", "bad header"), ("2", "bad header"), ("", "bad header"),
+        ("two 2", "bad header"), ("2 2.0", "bad header"),
+        ("-1 2", "declares -1 rows"), ("2 0", "declares 0 dimensions")])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_bad_word2vec_header(self, tmp_path, head, match, binary):
+        # both word2vec readers check the header alike, before any vector:
+        # line 3's bad field is not reached
+        path = tmp_path / "v.txt"
+        path.write_text(f"{head}\na 1 2\nb x 4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=match) as err:
+            if binary:
+                read_word2vec_binary(path)
+            else:
+                read_text_embeddings(path, header=True)
+        assert (err.value.path, err.value.line) == (str(path), 1)
+
     def test_binary_repeated_token(self, tmp_path):
         path = tmp_path / "v.bin"
         path.write_bytes(b"3 1\n" + b"".join(token + struct.pack("<f", 1.0)
@@ -365,6 +382,14 @@ class TestNativeFormat:
         back = read_native(tmp_path / "m.emb1", tmp_path / "m.labels")
         assert len(back) == 0
         assert back.dims == 300
+
+    @pytest.mark.parametrize("rows, dims", [(0, 3), (3, 0), (0, 0), (4, 5)])
+    def test_file_is_header_and_payload(self, tmp_path, rows, dims):
+        data = np.arange(rows * dims, dtype=np.float32).reshape(rows, dims) - 2.5
+        m = LabeledMatrix(labels=[f"w{i}" for i in range(rows)], data=data)
+        write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
+        assert (tmp_path / "m.emb1").read_bytes() == (
+            b"EMB1" + struct.pack("<II", rows, dims) + data.astype("<f4").tobytes())
 
     def test_round_trip_random_bits(self, tmp_path, rng):
         for trial in range(10):

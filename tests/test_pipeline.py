@@ -9,6 +9,7 @@ import pytest
 
 from conftest import bits_equal, edge_rows
 from test_interpolate import svd_factors
+from test_rowmerge import reference_merge
 from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
 from vecfuse.evaluation import format_report_table
@@ -111,7 +112,7 @@ class TestMinimalPath:
 
         raw = read_text_embeddings(workspace / "alpha.txt", header=False)
         vocab = token_vocabulary(raw.labels)
-        plan, kept = build_merge_plan(raw, Standardizer(vocab=vocab))
+        plan = build_merge_plan(raw, Standardizer(vocab=vocab))
         manual = l1_normalize_columns(merge_standardized(raw, plan))
 
         assert result["matrix"].labels == manual.labels
@@ -120,6 +121,27 @@ class TestMinimalPath:
         assert "/c/en/cat" in manual.labels
         assert "running" not in " ".join(manual.labels)
         assert len(manual) == len(raw) - 2
+
+    @pytest.mark.parametrize("strategy", rowmerge.MERGE_STRATEGIES)
+    def test_rows_that_standardize_to_nothing_are_dropped(self, workspace, strategy):
+        # `...`, `!!` and `--` standardize to nothing, before and between
+        # the rows of the `cat` group; the other rows keep their raw ranks,
+        # 3 and 5, whose Zipf weights differ in ratio from those of 1 and 2
+        (workspace / "punct.txt").write_text(
+            "... 9 9\n!! 8 8\nCat 0.3 0.7\n-- 7 7\ncat 0.9 0.1\ndog 0.5 0.25\n",
+            encoding="utf-8")
+        config = toy_config(
+            workspace, embeddings=[{"id": "punct", "path": str(workspace / "punct.txt"),
+                                    "format": "glove_text"}],
+            merge={"strategy": strategy}, normalize={"columns": "none"})
+        merged = pipeline.prepare_source(config, config.enabled_embeddings()[0],
+                                         pipeline.StageCache(), pipeline.RunLabels(config))
+        raw = read_text_embeddings(workspace / "punct.txt")
+        plan = rowmerge.MergePlan(groups={"/c/en/cat": [(2, 3), (4, 5)],
+                                          "/c/en/dog": [(5, 6)]})
+        labels, data = reference_merge(raw, plan, strategy)
+        assert merged.labels == labels == ["/c/en/cat", "/c/en/dog"]
+        assert bits_equal(merged.data, data)
 
     def test_written_artifacts_round_trip(self, workspace):
         config = toy_config(workspace, graphs=[], evaluations=[])
@@ -361,6 +383,111 @@ class TestFullPipeline:
         assert len(result["matrix"]) == 8
         report = result["reports"][0]
         assert report.n == 6
+
+
+def single_source(root, out="out", **overrides):
+    return toy_config(root, out, embeddings=[
+        {"id": "alpha", "path": str(root / "alpha.txt"), "format": "glove_text"}],
+        **overrides)
+
+
+def same_artifacts(first, second):
+    return all(Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
+               for key in ("matrix_path", "labels_path", "report_path"))
+
+
+class TestStageBranches:
+    """Cache hits, source formats and settings that the other tests do
+    not reach; each compares its bytes with a run that takes another way."""
+
+    def test_warm_prepared_cache_of_one_source(self, workspace, monkeypatch):
+        plain = run_pipeline(single_source(workspace, out="plain", graphs=[]))
+        cache_dir = str(workspace / "cache")
+        run_pipeline(single_source(workspace, out="cold", graphs=[]), cache_dir=cache_dir)
+        read = []
+
+        def recording_read_native(matrix_path, labels_path):
+            read.append(os.path.basename(matrix_path))
+            return read_native(matrix_path, labels_path)
+
+        monkeypatch.setattr(matrixio, "read_native", recording_read_native)
+        monkeypatch.setattr(rowmerge, "build_merge_plan", None)  # never called
+        warm = run_pipeline(single_source(workspace, out="warm", graphs=[]),
+                            cache_dir=cache_dir)
+        assert read == ["prepared_alpha.emb1"]
+        assert same_artifacts(warm, plain)
+
+    def test_warm_ingest_cache_after_the_ingest_subcommand(self, workspace, monkeypatch):
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps(toy_raw(workspace)), encoding="utf-8")
+        config, cache = str(config_path), str(workspace / "cache")
+
+        def merge(name, *flags):
+            assert cli.main(["merge", "--config", config, "--source", "alpha", *flags,
+                             "--out-matrix", str(workspace / f"{name}.emb1"),
+                             "--out-labels", str(workspace / f"{name}.labels")]) == 0
+            return [(workspace / f"{name}.{ext}").read_bytes() for ext in ("emb1", "labels")]
+
+        plain = merge("plain")
+        assert cli.main(["ingest", "--config", config, "--source", "alpha",
+                         "--stage-cache-dir", cache,
+                         "--out-matrix", str(workspace / "raw.emb1"),
+                         "--out-labels", str(workspace / "raw.labels")]) == 0
+        assert sorted(os.listdir(cache)) == ["ingest_alpha.emb1", "ingest_alpha.labels"]
+        monkeypatch.setattr(matrixio, "read_text_embeddings", None)  # never called
+        assert merge("warm", "--stage-cache-dir", cache) == plain
+
+    def test_native_source_matches_its_text_source(self, workspace):
+        matrixio.write_native(read_text_embeddings(workspace / "alpha.txt"),
+                              workspace / "alpha.emb1", workspace / "alpha.labels")
+        raw = toy_raw(workspace, out="native")
+        raw["embeddings"][0] = {"id": "alpha", "path": str(workspace / "alpha.emb1"),
+                                "format": "native",
+                                "labels_path": str(workspace / "alpha.labels")}
+        native = run_pipeline(config_from_dict(raw))
+        assert same_artifacts(native, run_pipeline(toy_config(workspace, out="text")))
+
+    def test_l2_columns(self, workspace):
+        def run(out, columns):
+            return run_pipeline(single_source(workspace, out, graphs=[], evaluations=[],
+                                              normalize={"columns": columns}))["matrix"]
+
+        l2 = run("l2", "l2")
+        want = rowmerge.l2_normalize_columns(run("none", "none"))
+        assert l2.labels == want.labels
+        assert bits_equal(l2.data, want.data)
+        norms = np.sqrt((l2.data.astype(np.float64) ** 2).sum(axis=0))
+        assert np.all(np.abs(norms - 1.0) < 1e-6)
+
+    def test_vocab_check_off_with_graph_and_evaluation(self, workspace, monkeypatch):
+        built = []
+        standardizer = pipeline.RunLabels.standardizer
+
+        def recording(self, texts, base=None):
+            built.append(standardizer(self, texts, base))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline.RunLabels, "standardizer", recording)
+        config = dict(standardize={"vocab_check": False})
+        straight = run_pipeline(toy_config(workspace, out="straight", **config))
+        # merge (two sources), graph and evaluate: none checks a vocabulary
+        assert len(built) == 4 and all(s.vocab is None for s in built)
+        assert straight["reports"] and "/c/fr/chat" in straight["matrix"].labels
+        cache_dir = str(workspace / "cache")
+        for out in ("cold", "warm"):
+            cached = run_pipeline(toy_config(workspace, out=out, **config),
+                                  cache_dir=cache_dir)
+            assert same_artifacts(cached, straight)
+
+    def test_three_enabled_sources_exit_1(self, workspace, capsys):
+        raw = toy_raw(workspace)
+        raw["embeddings"].append({"id": "gamma", "path": str(workspace / "alpha.txt"),
+                                  "format": "glove_text"})
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config_path)]) == cli.EXIT_CONFIG
+        assert "fusion needs exactly 2 enabled sources, got 3" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
 
 class TestSlashInLabelText:
@@ -839,6 +966,14 @@ class TestCli:
                          "--out-labels", str(workspace / "merged.labels")]) == 0
         merged = read_native(workspace / "merged.emb1", workspace / "merged.labels")
         assert "/c/en/cat" in merged.labels
+
+    def test_merge_of_an_unknown_source_exits_1(self, workspace, capsys):
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        assert cli.main(["merge", "--config", config, "--source", "gamma",
+                         "--out-matrix", str(workspace / "merged.emb1"),
+                         "--out-labels", str(workspace / "merged.labels")]) == cli.EXIT_CONFIG
+        assert "no enabled embedding source with id 'gamma'" in capsys.readouterr().err
+        assert not (workspace / "merged.emb1").exists()
 
     def test_graph_subcommand(self, workspace):
         config = self.write_config(workspace, self.raw_toy_dict(workspace))

@@ -791,6 +791,30 @@ class TestSweptRows:
         retrofit(problem, 3)
         assert [p is problem and shape == (30, 4) for p, shape in calls] == [True] * 3
 
+    def test_float64_seed_fixes_no_row(self, monkeypatch):
+        # a float32 step image never equals a float64 seed bit for bit, so
+        # every step sweeps the whole problem, with the bits of the loop
+        problem = ring_problem(50, moving=12, dims=5)
+        problem = dataclasses.replace(problem, w0=problem.w0.astype(np.float64) / 3)
+        calls = self.counted_steps(monkeypatch)
+        out = retrofit(problem, 10)
+        assert [p is problem for p, _shape in calls] == [True] * 10
+        assert out.data.tobytes() == reference_iterates(problem, 10)[-1].tobytes()
+
+    def test_whole_problem_plan_dropped_once_rows_are_fixed(self):
+        # the later steps sweep a restricted problem and never read the
+        # given problem's plan again; with no fixed row they read it
+        block_rows = retrofit_module._PROD_BYTES // (8 * 5)
+        problem = ring_problem(50, moving=12, dims=5)
+        retrofit(problem, 3)
+        assert problem._plans == {}
+        problem = ring_problem(50, moving=12, dims=5)
+        retrofit(problem, 1)
+        assert list(problem._plans) == [block_rows]
+        problem = dense_graph_problem(30, 5, degree=3, seed=2)
+        retrofit(problem, 3)
+        assert list(problem._plans) == [block_rows]
+
 
 def test_peak_memory_with_most_rows_fixed(monkeypatch):
     # 80% of the rows are fixed. The first step holds its output; the

@@ -31,24 +31,23 @@ class TestZipfWeight:
 class TestBuildMergePlan:
     def test_groups_by_standardized_label(self):
         m = make_matrix(["Cat", "cat", "dog"], np.eye(3))
-        plan, kept = build_merge_plan(m, Standardizer())
-        assert list(kept) == [0, 1, 2]
-        assert plan.groups["/c/en/cat"] == [(0, 1), (1, 2)]
-        assert plan.groups["/c/en/dog"] == [(2, 3)]
+        plan = build_merge_plan(m, Standardizer())
+        assert plan.groups == {"/c/en/cat": [(0, 1), (1, 2)], "/c/en/dog": [(2, 3)]}
 
     def test_drops_unstandardizable_rows(self):
         m = make_matrix(["cat", "...", "dog"], np.eye(3))
-        plan, kept = build_merge_plan(m, Standardizer())
-        assert list(kept) == [0, 2]
-        # plan indexes rows of the kept subset
-        assert plan.groups["/c/en/dog"] == [(1, 3)]
+        plan = build_merge_plan(m, Standardizer())
+        # the plan names rows of `m`; row 1 is in no group
+        assert plan.groups == {"/c/en/cat": [(0, 1)], "/c/en/dog": [(2, 3)]}
+        merged = merge_standardized(m, plan)
+        assert merged.labels == ["/c/en/cat", "/c/en/dog"]
+        assert bits_equal(merged.data, m.data[[0, 2]])
 
     def test_rank_is_the_row_position_before_rows_are_dropped(self):
         m = make_matrix(["!!", "Cat", "cat"], [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]])
-        plan, kept = build_merge_plan(m, Standardizer())
-        assert list(kept) == [1, 2]
-        assert plan.groups == {"/c/en/cat": [(0, 2), (1, 3)]}
-        merged = merge_standardized(m.take(kept), plan)
+        plan = build_merge_plan(m, Standardizer())
+        assert plan.groups == {"/c/en/cat": [(1, 2), (2, 3)]}
+        merged = merge_standardized(m, plan)
         # Zipf weights 1/2 and 1/3 (0.6 and 0.4), not 1/1 and 1/2
         w1, w2 = 1 / 2, 1 / 3
         assert bits_equal(merged.data, [[w1 / (w1 + w2), w2 / (w1 + w2)]])
@@ -118,16 +117,29 @@ class TestMergeStandardized:
         assert np.allclose(first, [1.0, 0.0])
         assert np.allclose(unweighted, [0.5, 0.5])
 
+    def test_rows_in_no_group_are_dropped(self):
+        m = make_matrix(["a", "b", "c"], np.eye(3))
+        merged = merge_standardized(m, MergePlan(groups={"/c/en/c": [(2, 3)]}))
+        assert merged.labels == ["/c/en/c"]
+        assert bits_equal(merged.data, m.data[2:])
+        empty = merge_standardized(m, MergePlan(groups={}))
+        assert empty.labels == [] and empty.data.shape == (0, 3)
+
     def test_plan_mismatch(self):
         m = make_matrix(["a", "b"], np.eye(2))
-        with pytest.raises(PlanMismatch):
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1)]}))
-        with pytest.raises(PlanMismatch):
+        with pytest.raises(PlanMismatch, match="outside"):  # past the last row
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (5, 2)]}))
-        with pytest.raises(PlanMismatch):  # an empty group
+        with pytest.raises(PlanMismatch, match="outside"):  # a negative row
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(-1, 1)]}))
+        with pytest.raises(PlanMismatch, match="twice"):  # a row in two groups
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1)],
+                                                    "/c/en/b": [(0, 1), (1, 2)]}))
+        with pytest.raises(PlanMismatch, match="twice"):  # a row twice in one group
+            merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (1, 2)]}))
+        with pytest.raises(PlanMismatch, match="empty"):  # an empty group
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (1, 2)],
                                                     "/c/en/b": []}))
-        with pytest.raises(PlanMismatch):  # ranks not ascending
+        with pytest.raises(PlanMismatch, match="ascending"):  # ranks not ascending
             merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (0, 1)]}))
 
     def test_equal_ranks_in_a_group_accepted(self):
@@ -195,12 +207,13 @@ class TestMergeMatchesGroupLoop:
 
     def test_pipeline_plan(self, rng):
         words = ["Cat", "cat", "CAT", "dog", "Dog", "cats", "bird"] * 3
-        m = make_matrix([w + "!" * (i // 7) for i, w in enumerate(words)],
-                        rng.randn(len(words), 5).astype(np.float32))
-        plan, kept = build_merge_plan(m, Standardizer())
+        labels = [w + "!" * (i // 7) for i, w in enumerate(words)]
+        labels[0], labels[10] = "...", "!!"  # rows in no group, among grouped ones
+        m = make_matrix(labels, rng.randn(len(words), 5).astype(np.float32))
+        plan = build_merge_plan(m, Standardizer())
         for strategy in MERGE_STRATEGIES:
-            merged = merge_standardized(m.take(kept), plan, strategy=strategy)
-            labels, data = reference_merge(m.take(kept), plan, strategy)
+            merged = merge_standardized(m, plan, strategy=strategy)
+            labels, data = reference_merge(m, plan, strategy)
             assert merged.labels == labels
             assert bits_equal(merged.data, data)
 
