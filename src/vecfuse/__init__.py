@@ -5,7 +5,7 @@ from .errors import VecfuseError, ConfigError, DataError, NumericalError
 from .labels import StandardLabel, LemmaRuleSet, Standardizer, lemmatize, standardize
 from .matrixio import LabeledMatrix, read_native, read_text_embeddings, \
     read_word2vec_binary, write_native
-from .rowmerge import MergePlan, build_merge_plan, l1_normalize_columns, \
+from .rowmerge import build_merge_plan, l1_normalize_columns, \
     l2_normalize_columns, l2_normalize_rows, merge_standardized, zipf_weight
 from .kgraph import AssociationMatrix, EdgeTable, build_association, \
     filter_terms, load_assertions, rescale_by_source

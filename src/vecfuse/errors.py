@@ -108,7 +108,7 @@ class InvalidRank(DataError):
 
 
 class PlanMismatch(DataError):
-    """Merge plan does not cover exactly the rows of the matrix."""
+    """Merge plan does not hold one label per row of the matrix."""
 
 
 class NonPositiveWeight(DataError):

@@ -345,10 +345,12 @@ class Standardizer:
         no language, of each `/c/<language>/<text>` URI in `texts`
         standardized in its own language. A text that fails with
         `EmptyAfterNormalization` or `ValueError` gives None; an invalid
-        language raises. A text that is its own label is answered here;
-        every other one goes to `standardize`."""
+        language raises, a given `language` even with no texts. A text
+        that is its own label is answered here; every other one goes to
+        `standardize`."""
         rules = self.rules
-        valid = set()  # languages already checked
+        # languages already checked
+        valid = set() if language is None else {validate_language(language)}
         out = []
         for raw in texts:
             if language is None:

@@ -205,7 +205,8 @@ def read_text_embeddings(path, header: bool = False,
     count must match the vector lines, duplicates included; a bad header,
     a vector line without values, bytes that are not UTF-8, and a nan or
     inf anywhere, in a skipped duplicate too, are each a `ParseError`
-    naming its line.
+    naming its line. A file with neither a header nor a vector line
+    declares no dimension: a `ParseError` naming the file.
 
     The file is read `_TEXT_CHUNK_CHARS` at a time. Each chunk's values
     are parsed as doubles by one call of numpy's C parser, or, where that
@@ -262,11 +263,13 @@ def read_text_embeddings(path, header: bool = False,
     if nonfinite_line is not None:
         raise ParseError("non-finite value (nan, inf or past float32 range)",
                          path=path_str, line=nonfinite_line)
+    if dims is None:
+        raise ParseError("no header and no vector line, so no dimension", path=path_str)
     if blocks:
         data = np.concatenate(blocks)
         del blocks  # freed before the labels are checked
     else:
-        data = np.zeros((0, dims or 0), dtype=np.float32)
+        data = np.zeros((0, dims), dtype=np.float32)
     return LabeledMatrix(labels=labels, data=data)
 
 

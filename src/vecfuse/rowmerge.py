@@ -13,9 +13,6 @@ Every column and row norm of the package lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 
 from .errors import InvalidRank, PlanMismatch
@@ -44,66 +41,35 @@ def zipf_weight(rank):
     return 1.0 / rank
 
 
-@dataclass
-class MergePlan:
-    """Maps each output label to the rows of a matrix that collapse into it.
-
-    groups: label -> non-empty list of (row index, source rank), in
-    ascending rank. A row that no group names is dropped.
-    """
-
-    groups: dict
-
-
 def build_merge_plan(matrix: LabeledMatrix, standardizer: Standardizer,
-                     language: str = "en") -> MergePlan:
-    """Group the rows of `matrix` by standardized label.
-
-    Row `idx` has rank `idx + 1` and joins its label's group as
-    `(idx, idx + 1)`, so rows join their group in ascending rank. A row
-    whose label normalizes to nothing (pure punctuation) is in no group.
-    """
-    groups: dict = {}
-    for idx, uri in enumerate(standardizer.uris(matrix.labels, language)):
-        if uri is not None:  # else the label does not standardize
-            groups.setdefault(uri, []).append((idx, idx + 1))
-    return MergePlan(groups=groups)
+                     language: str = "en") -> list:
+    """The merge plan of `matrix`: the standardized label of each of its
+    rows, in row order, or None for a row whose label normalizes to
+    nothing (pure punctuation)."""
+    return standardizer.uris(matrix.labels, language)
 
 
-def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
+def merge_standardized(matrix: LabeledMatrix, plan: list,
                        strategy: str = "zipf") -> LabeledMatrix:
-    """Collapse each plan group into one row; rows that no group names
-    are dropped.
+    """Collapse the rows of `matrix` that `plan`, one label per row, gives
+    the same label into one row; a row labelled None is dropped.
 
-    zipf: average weighted by 1/rank; first: keep the lowest-rank row;
-    unweighted: plain mean. Output rows are ordered by ascending group
-    minimum rank, ties broken lexicographically by label.
+    A row's rank is its position plus one. zipf: average weighted by
+    1/rank; first: keep the lowest-rank row; unweighted: plain mean.
+    Output rows come in order of each label's first row.
 
-    Raises PlanMismatch on an empty group, on ranks not ascending within
-    a group, and on a row named twice or outside `matrix`.
+    Raises PlanMismatch when `plan` does not hold one label per row.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(f"unknown merge strategy {strategy!r}")
-    if not all(plan.groups.values()):
-        raise PlanMismatch("plan has an empty group")
-    ordered = sorted(plan.groups.items(), key=lambda kv: (kv[1][0][1], kv[0]))
-    sizes = np.array([len(members) for _label, members in ordered], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
-        members for _label, members in ordered)), dtype=np.int64).reshape(-1, 2)
-    rows, ranks = flat[:, 0], flat[:, 1]
-    n_rows = len(matrix)
-    if ((rows < 0) | (rows >= n_rows)).any():
-        raise PlanMismatch(f"plan names a row outside the {n_rows}-row matrix")
-    # a mask, not `np.unique`, whose hash table in numpy 2 takes about
-    # 150 bytes per row
-    named = np.zeros(n_rows, dtype=bool)
-    named[rows] = True
-    if np.count_nonzero(named) != len(rows):
-        raise PlanMismatch("plan names a row twice")
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
-    if ((np.diff(ranks) < 0) & (np.diff(group_of) == 0)).any():
-        raise PlanMismatch("plan group ranks are not ascending")
-
+    if len(plan) != len(matrix):
+        raise PlanMismatch(f"plan has {len(plan)} labels for {len(matrix)} rows")
+    number = {}  # label -> its number, in order of first appearance
+    ids = np.fromiter((-1 if label is None else number.setdefault(label, len(number))
+                       for label in plan), dtype=np.int64, count=len(plan))
+    # grouped by number, each group in row order; None rows sort first
+    rows = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
+    sizes = np.bincount(ids[rows])
     starts = np.cumsum(sizes) - sizes
     # every group's lowest-rank row in one gather: the whole of a one-row
     # group, and of every group under "first"
@@ -116,12 +82,12 @@ def merge_standardized(matrix: LabeledMatrix, plan: MergePlan,
                 members = starts[at, None] + np.arange(size)
                 group = matrix.data[rows[members]].astype(np.float64)
                 if strategy == "zipf":
-                    weights = zipf_weight(ranks[members])
+                    weights = zipf_weight(rows[members] + 1)  # rank = row + 1
                     out[at] = ((weights[:, :, None] * group).sum(axis=1)
                                / weights.sum(axis=1)[:, None])
                 else:
                     out[at] = group.mean(axis=1)
-    return LabeledMatrix(labels=[label for label, _members in ordered], data=out)
+    return LabeledMatrix(labels=list(number), data=out)
 
 
 def _divide(data: np.ndarray, norms: np.ndarray) -> None:

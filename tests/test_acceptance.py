@@ -31,7 +31,7 @@ from vecfuse.matrixio import (
     write_native,
 )
 from vecfuse.retrofit import assemble_problem, retrofit, retrofit_step
-from vecfuse.rowmerge import MergePlan, l2_normalize_rows, merge_standardized
+from vecfuse.rowmerge import l2_normalize_rows, merge_standardized
 
 
 @contextmanager
@@ -171,9 +171,14 @@ def test_criterion_07_merge_arithmetic():
             dims = rng.randint(1, 12)
             vectors = rng.randn(size, dims).astype(np.float32)
             ranks = np.sort(rng.choice(np.arange(1, 400), size=size, replace=False))
-            matrix = make_matrix([f"raw{i}" for i in range(size)], vectors)
-            plan = MergePlan(groups={
-                "/c/en/term": [(i, int(ranks[i])) for i in range(size)]})
+            # a row's rank is its position plus one: each vector sits at
+            # row rank - 1, and every other row is dropped
+            data = np.full((ranks[-1], dims), 100.0, dtype=np.float32)
+            data[ranks - 1] = vectors
+            matrix = make_matrix([f"raw{i}" for i in range(ranks[-1])], data)
+            plan = [None] * ranks[-1]
+            for rank in ranks:
+                plan[rank - 1] = "/c/en/term"
             merged = merge_standardized(matrix, plan, strategy="zipf").data[0]
             weights = 1.0 / ranks.astype(np.float64)
             acc = np.zeros(dims)
@@ -183,8 +188,8 @@ def test_criterion_07_merge_arithmetic():
             assert np.abs(merged.astype(np.float64)
                           - oracle.astype(np.float64)).max() <= 1e-12
 
-        fixture = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]])
-        plan = MergePlan(groups={"/c/en/a": [(0, 1), (1, 3)]})
+        fixture = make_matrix(["A", "?", "a"], [[1.0, 0.0], [9.0, 9.0], [0.0, 1.0]])
+        plan = ["/c/en/a", None, "/c/en/a"]  # ranks 1 and 3
         outs = {strategy: tuple(merge_standardized(fixture, plan, strategy).data[0])
                 for strategy in ("zipf", "first", "unweighted")}
         assert outs["zipf"] == (0.75, 0.25)

@@ -557,6 +557,16 @@ class TestFuse:
         top_feature_norm = np.sqrt((result.matrix.data[:, 0].astype(np.float64) ** 2).sum())
         assert abs(top_feature_norm - np.sqrt(s[0])) < 1e-6
 
+    def test_default_out_dims_keeps_every_column(self, rng):
+        a = unit_rows([f"w{i}" for i in range(40)], 5, rng)
+        b = unit_rows([f"w{i}" for i in range(20, 70)], 4, rng)
+        default = fuse(a, b, k=3)
+        full = fuse(a, b, k=3, out_dims=a.dims + b.dims)
+        assert default.matrix.labels == full.matrix.labels
+        assert default.matrix.dims == 9
+        assert bits_equal(default.matrix.data, full.matrix.data)
+        assert np.array_equal(default.singular_values, full.singular_values)
+
     def test_union_ordering_and_inference(self, rng):
         a = unit_rows(["s1", "xa", "s2"], 3, rng)
         b = unit_rows(["s2", "s1", "xb"], 4, rng)

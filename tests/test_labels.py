@@ -506,6 +506,9 @@ class TestAsciiFastPaths:
             Standardizer().uris(["cat"], "EN")
         with pytest.raises(InvalidLanguage):
             Standardizer().uris(["/c/en/cat", "/c/english/cat"])
+        with pytest.raises(InvalidLanguage):  # a given language, with no text
+            Standardizer().uris([], "EN")
+        assert Standardizer().uris([], "en") == []
 
     def test_whitespace_regex_is_isspace_on_every_code_point(self):
         # the label check relies on this for non-ASCII text too

@@ -110,6 +110,21 @@ class TestTextReader:
         with pytest.raises(ValueError, match="on_duplicate must be one of"):
             read_text_embeddings(path, on_duplicate="last")
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff"])
+    def test_no_header_and_no_vector_line(self, tmp_path, text):
+        # such a file declares no dimension
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="no header and no vector line") as err:
+            read_text_embeddings(path, header=False)
+        assert err.value.path == str(path) and err.value.line is None
+
+    def test_header_with_no_rows(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("0 3\n", encoding="utf-8")
+        m = read_text_embeddings(path, header=True)
+        assert m.labels == [] and m.data.shape == (0, 3)
+
     def test_header_counts_skipped_duplicates(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1 2\n\na 3 4\nb 5 6\n", encoding="utf-8")

@@ -137,8 +137,7 @@ class TestMinimalPath:
         merged = pipeline.prepare_source(config, config.enabled_embeddings()[0],
                                          pipeline.StageCache(), pipeline.RunLabels(config))
         raw = read_text_embeddings(workspace / "punct.txt")
-        plan = rowmerge.MergePlan(groups={"/c/en/cat": [(2, 3), (4, 5)],
-                                          "/c/en/dog": [(5, 6)]})
+        plan = [None, None, "/c/en/cat", None, "/c/en/cat", "/c/en/dog"]
         labels, data = reference_merge(raw, plan, strategy)
         assert merged.labels == labels == ["/c/en/cat", "/c/en/dog"]
         assert bits_equal(merged.data, data)
@@ -763,6 +762,25 @@ def test_label_with_a_line_break_fails_cold_and_warm_alike(workspace, capsys, st
         assert "v.bin: token of vector 2 holds a line break: b'a\\rb'" \
             in capsys.readouterr().err, run
     assert os.listdir(workspace / "cache") == []
+
+
+def test_empty_headerless_source_fails_cold_and_warm_alike(workspace, capsys):
+    """An empty GloVe file declares no dimension: a data error on every
+    run, with a stage cache or without one, and no output is written."""
+    (workspace / "empty.txt").write_text("", encoding="utf-8")
+    config_path = workspace / "config.json"
+    config_path.write_text(json.dumps({
+        "schema_version": 1,
+        "embeddings": [{"id": "g", "path": str(workspace / "empty.txt"),
+                        "format": "glove_text"}],
+        "output": {"dir": str(workspace / "out")}}), encoding="utf-8")
+    argv = ["pipeline", "--config", str(config_path)]
+    cached = argv + ["--stage-cache-dir", str(workspace / "cache")]
+    for run, args in (("uncached", argv), ("cold", cached), ("warm", cached)):
+        assert cli.main(args) == 2, run
+        assert "empty.txt: no header and no vector line" in capsys.readouterr().err, run
+    assert os.listdir(workspace / "cache") == []
+    assert not (workspace / "out" / "ensemble.emb1").exists()
 
 
 # Non-ASCII words in every input: accented Latin, Cyrillic and Greek, the

@@ -1,10 +1,13 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and its CLI block matches the parser."""
 
+import argparse
 import itertools
 import re
 from pathlib import Path
 
 import numpy as np
+
+from vecfuse import cli
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -53,3 +56,24 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     assert [r.n for r in reports] == [5, 2, 7]
     # only `tree` is missing
     assert reports[-1].oov_fraction == 1 / 7
+
+
+def test_cli_block_matches_the_parser():
+    """Each line of the README's CLI block parses with and without its
+    optional `[...]` parts, and names a subcommand; each subcommand of the
+    parser has exactly one line."""
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"## CLI\n\n```\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    parser = cli.build_parser()
+    commands = []
+    for line in blocks[0].splitlines():
+        program, *required = re.sub(r"\[[^]]*\]", " ", line).split()
+        optional = " ".join(re.findall(r"\[([^]]*)\]", line)).split()
+        assert program == "vecfuse", line
+        for argv in (required, required + optional):
+            assert parser.parse_args(argv).command == required[0], line
+        commands.append(required[0])
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(subcommands)

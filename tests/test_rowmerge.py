@@ -7,7 +7,6 @@ from vecfuse.errors import InvalidLanguage, InvalidRank, PlanMismatch
 from vecfuse.labels import Standardizer
 from vecfuse.rowmerge import (
     MERGE_STRATEGIES,
-    MergePlan,
     build_merge_plan,
     l1_normalize_columns,
     l2_normalize_columns,
@@ -32,13 +31,13 @@ class TestBuildMergePlan:
     def test_groups_by_standardized_label(self):
         m = make_matrix(["Cat", "cat", "dog"], np.eye(3))
         plan = build_merge_plan(m, Standardizer())
-        assert plan.groups == {"/c/en/cat": [(0, 1), (1, 2)], "/c/en/dog": [(2, 3)]}
+        assert plan == ["/c/en/cat", "/c/en/cat", "/c/en/dog"]
 
     def test_drops_unstandardizable_rows(self):
         m = make_matrix(["cat", "...", "dog"], np.eye(3))
         plan = build_merge_plan(m, Standardizer())
-        # the plan names rows of `m`; row 1 is in no group
-        assert plan.groups == {"/c/en/cat": [(0, 1)], "/c/en/dog": [(2, 3)]}
+        # one label per row of `m`; row 1 has none
+        assert plan == ["/c/en/cat", None, "/c/en/dog"]
         merged = merge_standardized(m, plan)
         assert merged.labels == ["/c/en/cat", "/c/en/dog"]
         assert bits_equal(merged.data, m.data[[0, 2]])
@@ -46,36 +45,48 @@ class TestBuildMergePlan:
     def test_rank_is_the_row_position_before_rows_are_dropped(self):
         m = make_matrix(["!!", "Cat", "cat"], [[9.0, 9.0], [1.0, 0.0], [0.0, 1.0]])
         plan = build_merge_plan(m, Standardizer())
-        assert plan.groups == {"/c/en/cat": [(1, 2), (2, 3)]}
+        assert plan == [None, "/c/en/cat", "/c/en/cat"]
         merged = merge_standardized(m, plan)
         # Zipf weights 1/2 and 1/3 (0.6 and 0.4), not 1/1 and 1/2
         w1, w2 = 1 / 2, 1 / 3
         assert bits_equal(merged.data, [[w1 / (w1 + w2), w2 / (w1 + w2)]])
 
     def test_bad_language_raises(self):
-        m = make_matrix(["cat", "dog"], np.eye(2))
-        with pytest.raises(InvalidLanguage):
-            build_merge_plan(m, Standardizer(), language="EN")
+        # with rows, and with none: the language is checked before any row
+        for m in (make_matrix(["cat", "dog"], np.eye(2)),
+                  make_matrix([], np.zeros((0, 2)))):
+            with pytest.raises(InvalidLanguage):
+                build_merge_plan(m, Standardizer(), language="EN")
+
+
+def ranked(rows_by_rank, dims, filler=100.0):
+    """A matrix and its merge plan holding each `rank: (label, vector)` of
+    `rows_by_rank` at row `rank - 1`; every other row is `filler` and
+    labelled None, so it is dropped."""
+    n = max(rows_by_rank)
+    data = np.full((n, dims), filler, dtype=np.float32)
+    plan = [None] * n
+    for rank, (label, vector) in rows_by_rank.items():
+        plan[rank - 1] = label
+        data[rank - 1] = vector
+    return make_matrix([f"raw{i}" for i in range(n)], data), plan
 
 
 class TestMergeStandardized:
     def test_zipf_weighted_example(self):
-        m = make_matrix(["Cat", "cat"], [[1.0, 0.0], [0.0, 1.0]])
-        plan = MergePlan(groups={"/c/en/cat": [(0, 1), (1, 3)]})
+        m, plan = ranked({1: ("/c/en/cat", [1.0, 0.0]), 3: ("/c/en/cat", [0.0, 1.0])}, 2)
         merged = merge_standardized(m, plan)
         assert merged.labels == ["/c/en/cat"]
         assert np.allclose(merged.data, [[0.75, 0.25]], atol=1e-7)
 
     def test_singleton_group_unchanged_bits(self):
         m = make_matrix(["cat"], [[0.1, 0.7]])
-        plan = MergePlan(groups={"/c/en/cat": [(0, 1)]})
-        merged = merge_standardized(m, plan)
+        merged = merge_standardized(m, ["/c/en/cat"])
         assert bits_equal(merged.data, m.data)
 
     def test_identical_vectors_are_fixed_point(self):
         v = [0.3, -0.4, 0.5]
-        m = make_matrix(["A", "a"], [v, v])
-        plan = MergePlan(groups={"/c/en/a": [(0, 2), (1, 9)]})
+        m, plan = ranked({2: ("/c/en/a", v), 9: ("/c/en/a", v)}, 3)
         merged = merge_standardized(m, plan)
         assert np.allclose(merged.data[0], v, atol=1e-7)
 
@@ -84,32 +95,20 @@ class TestMergeStandardized:
             g = rng.randint(2, 6)
             rows = rng.randn(g, 4).astype(np.float32)
             ranks = sorted(rng.choice(np.arange(1, 100), size=g, replace=False))
-            m = make_matrix([f"w{i}" for i in range(g)], rows)
-            plan = MergePlan(groups={"/c/en/w": [(i, int(ranks[i])) for i in range(g)]})
+            m, plan = ranked({int(r): ("/c/en/w", row) for r, row in zip(ranks, rows)}, 4)
             merged = merge_standardized(m, plan).data[0]
             lo = rows.min(axis=0) - 1e-6
             hi = rows.max(axis=0) + 1e-6
             assert np.all(merged >= lo) and np.all(merged <= hi)
 
-    def test_group_processing_order_irrelevant(self):
-        m = make_matrix(["b", "B", "a"], [[1, 0], [3, 0], [0, 2]])
-        g1 = {"/c/en/b": [(0, 1), (1, 2)], "/c/en/a": [(2, 3)]}
-        g2 = {"/c/en/a": [(2, 3)], "/c/en/b": [(0, 1), (1, 2)]}
-        m1 = merge_standardized(m, MergePlan(groups=g1))
-        m2 = merge_standardized(m, MergePlan(groups=g2))
-        assert m1.labels == m2.labels
-        assert bits_equal(m1.data, m2.data)
-
-    def test_output_order_by_min_rank_then_label(self):
-        m = make_matrix(["x", "y", "z"], np.eye(3))
-        plan = MergePlan(groups={"/c/en/x": [(0, 5)], "/c/en/y": [(1, 2)],
-                                 "/c/en/a": [(2, 5)]})
+    def test_output_order_by_first_row(self):
+        m = make_matrix(["p", "y", "x", "Y", "a"], np.eye(5))
+        plan = [None, "/c/en/y", "/c/en/x", "/c/en/y", "/c/en/a"]
         merged = merge_standardized(m, plan)
-        assert merged.labels == ["/c/en/y", "/c/en/a", "/c/en/x"]
+        assert merged.labels == ["/c/en/y", "/c/en/x", "/c/en/a"]
 
     def test_strategies_differ_on_fixture(self):
-        m = make_matrix(["A", "a"], [[1.0, 0.0], [0.0, 1.0]])
-        plan = MergePlan(groups={"/c/en/a": [(0, 1), (1, 3)]})
+        m, plan = ranked({1: ("/c/en/a", [1.0, 0.0]), 3: ("/c/en/a", [0.0, 1.0])}, 2)
         zipf = merge_standardized(m, plan, strategy="zipf").data[0]
         first = merge_standardized(m, plan, strategy="first").data[0]
         unweighted = merge_standardized(m, plan, strategy="unweighted").data[0]
@@ -119,57 +118,40 @@ class TestMergeStandardized:
 
     def test_rows_in_no_group_are_dropped(self):
         m = make_matrix(["a", "b", "c"], np.eye(3))
-        merged = merge_standardized(m, MergePlan(groups={"/c/en/c": [(2, 3)]}))
+        merged = merge_standardized(m, [None, None, "/c/en/c"])
         assert merged.labels == ["/c/en/c"]
         assert bits_equal(merged.data, m.data[2:])
-        empty = merge_standardized(m, MergePlan(groups={}))
+        empty = merge_standardized(m, [None, None, None])
         assert empty.labels == [] and empty.data.shape == (0, 3)
 
     def test_plan_mismatch(self):
         m = make_matrix(["a", "b"], np.eye(2))
-        with pytest.raises(PlanMismatch, match="outside"):  # past the last row
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (5, 2)]}))
-        with pytest.raises(PlanMismatch, match="outside"):  # a negative row
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(-1, 1)]}))
-        with pytest.raises(PlanMismatch, match="twice"):  # a row in two groups
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1)],
-                                                    "/c/en/b": [(0, 1), (1, 2)]}))
-        with pytest.raises(PlanMismatch, match="twice"):  # a row twice in one group
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (1, 2)]}))
-        with pytest.raises(PlanMismatch, match="empty"):  # an empty group
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 1), (1, 2)],
-                                                    "/c/en/b": []}))
-        with pytest.raises(PlanMismatch, match="ascending"):  # ranks not ascending
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(1, 2), (0, 1)]}))
-
-    def test_equal_ranks_in_a_group_accepted(self):
-        m = make_matrix(["a", "A"], [[1.0], [3.0]])
-        plan = MergePlan(groups={"/c/en/a": [(1, 2), (0, 2)]})
-        assert merge_standardized(m, plan, strategy="first").data.tolist() == [[3.0]]
-
-    def test_zipf_rank_below_one_in_a_merged_group(self):
-        m = make_matrix(["a", "A"], np.eye(2))
-        with pytest.raises(InvalidRank):
-            merge_standardized(m, MergePlan(groups={"/c/en/a": [(0, 0), (1, 1)]}))
+        with pytest.raises(PlanMismatch, match="plan has 1 labels for 2 rows"):
+            merge_standardized(m, ["/c/en/a"])
+        with pytest.raises(PlanMismatch, match="plan has 3 labels for 2 rows"):
+            merge_standardized(m, ["/c/en/a", "/c/en/b", "/c/en/a"])
 
 
 def reference_merge(matrix, plan, strategy):
     """`merge_standardized` as it was before it averaged the groups of one
-    size together: a loop of numpy calls per group."""
-    ordered = sorted(plan.groups.items(), key=lambda kv: (kv[1][0][1], kv[0]))
-    out = matrix.data[np.array([members[0][0] for _label, members in ordered],
-                               dtype=np.int64)]
-    for gi, (_label, members) in enumerate(ordered):
+    size together: a loop of numpy calls per group, over the groups in
+    order of first row."""
+    groups = {}
+    for row, label in enumerate(plan):
+        if label is not None:
+            groups.setdefault(label, []).append(row)
+    out = matrix.data[np.array([rows[0] for rows in groups.values()], dtype=np.int64)]
+    for gi, members in enumerate(groups.values()):
         if len(members) == 1 or strategy == "first":
             continue
-        rows = matrix.data[[m[0] for m in members]].astype(np.float64)
+        rows = matrix.data[members].astype(np.float64)
         if strategy == "zipf":
-            weights = np.array([zipf_weight(r) for _i, r in members])
+            weights = np.array([zipf_weight(row + 1) for row in members])
             merged = (weights[:, None] * rows).sum(axis=0) / weights.sum()
         else:
             merged = rows.mean(axis=0)
         out[gi] = merged
-    return [label for label, _members in ordered], out
+    return list(groups), out
 
 
 class TestMergeMatchesGroupLoop:
@@ -182,24 +164,22 @@ class TestMergeMatchesGroupLoop:
     def test_group_sizes_one_to_twelve(self, rng, monkeypatch, strategy, dims,
                                        rows_per_call):
         # sizes past 8 cross numpy's pairwise-sum block; three groups of
-        # each size, shuffled rows, scattered ranks with some equal ones.
-        # A budget of 2 rows averages one group per call; 13 rows splits
-        # the groups of sizes 5 and 6 into a call of two and one of one
+        # each size, their rows spread over the matrix by a permutation,
+        # so each group's ranks are scattered. A budget of 2 rows averages
+        # one group per call; 13 rows splits the groups of sizes 5 and 6
+        # into a call of two and one of one
         if rows_per_call is not None:
             monkeypatch.setattr(rowmerge, "_MERGE_BYTES", 8 * dims * rows_per_call)
         sizes = [size for size in range(1, 13) for _ in range(3)]
         n = sum(sizes)
         rows = (rng.randn(n, dims) * rng.uniform(0.01, 100, size=(n, 1))).astype(np.float32)
-        ranks = rng.randint(1, 40, size=n)
         m = make_matrix([f"w{i}" for i in range(n)], rows)
         order = rng.permutation(n)
-        groups, at = {}, 0
+        plan, at = [None] * n, 0
         for gi, size in enumerate(sizes):
-            members = sorted(((int(i), int(ranks[i])) for i in order[at:at + size]),
-                             key=lambda mr: mr[1])
-            groups[f"/c/en/g{gi}"] = members
+            for i in order[at:at + size]:
+                plan[i] = f"/c/en/g{gi}"
             at += size
-        plan = MergePlan(groups=groups)
         merged = merge_standardized(m, plan, strategy=strategy)
         labels, data = reference_merge(m, plan, strategy)
         assert merged.labels == labels
