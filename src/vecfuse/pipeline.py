@@ -5,8 +5,9 @@ column-normalize; fuse when two sources are enabled; load, rescale and
 filter the graph edges; build the association matrix; retrofit; evaluate.
 This module is the only one that knows that order: `ensemble_matrix`
 builds the output matrix for both `run_pipeline` and the CLI.
-Each stage's output can be cached to disk and a cached stage is skipped
-on the next run; cached and straight-through runs produce identical bits.
+Each stage function only computes: `StageCache.artifact`, the one place
+that loads and stores a stage's output, skips a stage cached on disk;
+cached and straight-through runs produce identical bits.
 
 A run reads the configured stopword and exception files once (on
 `RunLabels`, which the stages that standardize are given; `StageCache`
@@ -87,6 +88,18 @@ class StageCache:
         if self.directory:
             kgraph.write_assertions(os.path.join(self.directory, name + ".tsv"),
                                     assertions)
+
+    def artifact(self, name, build, edges=False, use=True):
+        """The artifact `name`, an edge table if `edges` else a matrix: the
+        cached one on a hit, else `build()`, stored. `use=False` skips the load."""
+        load, store = (self.load_assertions, self.store_assertions) if edges \
+            else (self.load_matrix, self.store_matrix)
+        cached = load(name) if use else None
+        if cached is not None:
+            return cached
+        result = build()
+        store(name, result)
+        return result
 
 
 def token_vocabulary(labels) -> set:
@@ -174,44 +187,36 @@ class RunLabels:
 
 @_stage("ingest")
 def ingest_source(source: EmbeddingSource, cache: StageCache) -> LabeledMatrix:
-    cached = cache.load_matrix(f"ingest_{source.id}")
-    if cached is not None:
-        return cached
-    if source.format == "glove_text":
-        matrix = matrixio.read_text_embeddings(source.path, header=False,
-                                               on_duplicate=source.on_duplicate)
-    elif source.format == "word2vec_text":
-        matrix = matrixio.read_text_embeddings(source.path, header=True,
-                                               on_duplicate=source.on_duplicate)
-    elif source.format == "word2vec_binary":
-        matrix = matrixio.read_word2vec_binary(source.path)
-    elif source.format == "native":
-        matrix = matrixio.read_native(source.path, source.labels_path)
-    else:
+    def build():
+        if source.format in ("glove_text", "word2vec_text"):
+            return matrixio.read_text_embeddings(
+                source.path, header=source.format == "word2vec_text",
+                on_duplicate=source.on_duplicate)
+        if source.format == "word2vec_binary":
+            return matrixio.read_word2vec_binary(source.path)
+        if source.format == "native":
+            return matrixio.read_native(source.path, source.labels_path)
         raise ConfigError(f"unknown embedding format {source.format!r}")
-    cache.store_matrix(f"ingest_{source.id}", matrix)
-    return matrix
+    return cache.artifact(f"ingest_{source.id}", build)
 
 
 @_stage("merge")
 def prepare_source(config: PipelineConfig, source: EmbeddingSource,
                    cache: StageCache, run_labels: RunLabels) -> LabeledMatrix:
     """Standardize, merge and column-normalize one embedding source."""
-    cached = cache.load_matrix(f"prepared_{source.id}")
-    if cached is not None:
-        return cached
-    matrix = ingest_source(source, cache)
-    if config.standardize_enabled:
-        standardizer = run_labels.standardizer(matrix.labels)
-        plan = rowmerge.build_merge_plan(matrix, standardizer, language=source.language)
-        matrix = rowmerge.merge_standardized(matrix, plan,
-                                             strategy=config.merge_strategy)
-    if config.column_norm == "l1":
-        matrix = rowmerge.l1_normalize_columns(matrix)
-    elif config.column_norm == "l2":
-        matrix = rowmerge.l2_normalize_columns(matrix)
-    cache.store_matrix(f"prepared_{source.id}", matrix)
-    return matrix
+    def build():
+        matrix = ingest_source(source, cache)
+        if config.standardize_enabled:
+            standardizer = run_labels.standardizer(matrix.labels)
+            plan = rowmerge.build_merge_plan(matrix, standardizer, language=source.language)
+            matrix = rowmerge.merge_standardized(matrix, plan,
+                                                 strategy=config.merge_strategy)
+        if config.column_norm == "l1":
+            return rowmerge.l1_normalize_columns(matrix)
+        if config.column_norm == "l2":
+            return rowmerge.l2_normalize_columns(matrix)
+        return matrix
+    return cache.artifact(f"prepared_{source.id}", build)
 
 
 @_stage("fuse")
@@ -224,23 +229,21 @@ def fuse_sources(config: PipelineConfig, cache: StageCache, run_labels: RunLabel
         return prepare_source(config, sources[0], cache, run_labels)
     if len(sources) != 2:
         raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(sources)}")
-    cached = cache.load_matrix("fused")
-    if cached is not None and singular_values_path is None:
-        return cached
-    a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache, run_labels))
-            for source in sources)
-    out_dims = config.fusion_out_dims
-    if config.fusion_discount and out_dims is not None and out_dims > a.dims + b.dims:
-        raise ConfigError(f"out_dims {out_dims} exceeds {a.dims + b.dims} "
-                          "concatenated dimensions")
-    result = interpolate.fuse(a, b, k=config.fusion_k, out_dims=out_dims,
-                              discount=config.fusion_discount)
-    if singular_values_path is not None:
-        with open(singular_values_path, "w", encoding="utf-8", newline="\n") as f:
-            for value in result.singular_values:
-                f.write(f"{float(value)!r}\n")
-    cache.store_matrix("fused", result.matrix)
-    return result.matrix
+    def build():
+        a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache, run_labels))
+                for source in sources)
+        out_dims = config.fusion_out_dims
+        if config.fusion_discount and out_dims is not None and out_dims > a.dims + b.dims:
+            raise ConfigError(f"out_dims {out_dims} exceeds {a.dims + b.dims} "
+                              "concatenated dimensions")
+        result = interpolate.fuse(a, b, k=config.fusion_k, out_dims=out_dims,
+                                  discount=config.fusion_discount)
+        if singular_values_path is not None:
+            with open(singular_values_path, "w", encoding="utf-8", newline="\n") as f:
+                for value in result.singular_values:
+                    f.write(f"{float(value)!r}\n")
+        return result.matrix
+    return cache.artifact("fused", build, use=singular_values_path is None)
 
 
 @_stage("graph")
@@ -252,46 +255,41 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
     enabled the table is empty and the cache is not read."""
     if not config.enabled_graphs():
         return kgraph.EdgeTable.concat([])
-    cached = cache.load_assertions("graph_filtered")
-    if cached is not None:
-        return cached
-    standardizer = run_labels.output_standardizer(matrix.labels)
-    excluded = set(config.excluded_graph_sources)
-    filtered, unfiltered = [], []
-    for graph in config.enabled_graphs():
-        table = kgraph.load_assertions(graph.path, standardizer=standardizer)
-        if excluded:
-            table = table.without_sources(excluded)
-        (filtered if graph.apply_term_filter else unfiltered).append(table)
-    kept = kgraph.EdgeTable.concat(filtered + unfiltered)
-    if kept:
+    def build():
+        standardizer = run_labels.output_standardizer(matrix.labels)
+        excluded = set(config.excluded_graph_sources)
+        filtered, unfiltered = [], []
+        for graph in config.enabled_graphs():
+            table = kgraph.load_assertions(graph.path, standardizer=standardizer)
+            if excluded:
+                table = table.without_sources(excluded)
+            (filtered if graph.apply_term_filter else unfiltered).append(table)
+        kept = kgraph.EdgeTable.concat(filtered + unfiltered)
+        if not kept:
+            return kept
         kept = kgraph.rescale_by_source(kept)
         n_filtered = sum(len(table) for table in filtered)
-        kept = kgraph.EdgeTable.concat([
+        return kgraph.EdgeTable.concat([
             kgraph.filter_terms(kept.take(slice(None, n_filtered)),
                                 min_count=config.filter_min_count,
                                 max_words=config.filter_max_words),
             kept.take(slice(n_filtered, None))])
-    cache.store_assertions("graph_filtered", kept)
-    return kept
+    return cache.artifact("graph_filtered", build, edges=True)
 
 
 @_stage("retrofit")
 def retrofit_matrix(config: PipelineConfig, matrix: LabeledMatrix,
                     assertions: kgraph.EdgeTable, cache: StageCache,
                     checkpoint_dir=None) -> LabeledMatrix:
-    cached = cache.load_matrix("retrofitted")
-    if cached is not None and checkpoint_dir is None:
-        return cached
-    # assemble_problem adds the embedding terms to the graph's vocabulary;
-    # it copies the normalized rows, which are not held past it
-    problem = assemble_problem(rowmerge.l2_normalize_rows(matrix),
-                               kgraph.build_association(assertions),
-                               self_loops=config.retrofit_self_loops)
-    result = retrofit(problem, iterations=config.retrofit_iterations,
-                      checkpoint_dir=checkpoint_dir)
-    cache.store_matrix("retrofitted", result)
-    return result
+    def build():
+        # assemble_problem adds the embedding terms to the graph's vocabulary;
+        # it copies the normalized rows, which are not held past it
+        problem = assemble_problem(rowmerge.l2_normalize_rows(matrix),
+                                   kgraph.build_association(assertions),
+                                   self_loops=config.retrofit_self_loops)
+        return retrofit(problem, iterations=config.retrofit_iterations,
+                        checkpoint_dir=checkpoint_dir)
+    return cache.artifact("retrofitted", build, use=checkpoint_dir is None)
 
 
 def dataset_splits(ds: EvalDataset) -> list:

@@ -12,6 +12,7 @@ labels and bits, or the same error type, message and line.
 import importlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -431,7 +432,8 @@ class TestByteOrderMark:
 
     def test_native_write_rejects_a_first_label_read_back_as_one(self, tmp_path):
         m = make_matrix([BOM + "a", "b"], [[1, 2], [3, 4]])
-        with pytest.raises(DataError, match="label of row 1 starts with a byte order mark"):
+        with pytest.raises(DataError, match="label of row 1 starts with a byte order mark: "
+                           + re.escape(repr(BOM + "a"))):
             write_native(m, tmp_path / "m.emb1", tmp_path / "m.labels")
         assert not (tmp_path / "m.emb1").exists()
         m = make_matrix(["a", BOM + "b", "c" + BOM], [[1, 2], [3, 4], [5, 6]])

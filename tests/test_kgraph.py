@@ -209,6 +209,10 @@ class TestRescaleBySource:
                                             Edge("/c/en/c", "/c/en/d", 7.0)]))
         assert got.weight.tolist() == [1.0, 1.0]
 
+    def test_empty_table_is_rejected(self):
+        with pytest.raises(ValueError, match="cannot rescale an empty edge table"):
+            rescale_by_source(edge_table([]))
+
     def test_sources_independent(self):
         got = rescale_by_source(edge_table([
             Edge("/c/en/a", "/c/en/b", 2.0, "A"),

@@ -34,6 +34,8 @@ class TestLabeledMatrix:
     def test_rejects_label_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
             LabeledMatrix(labels=["a"], data=np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch, match="matrix must be 2-d, got 1-d"):
+            LabeledMatrix(labels=["a", "b"], data=np.zeros(2))
 
 
 class TestTextReader:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -12,6 +13,7 @@ from test_interpolate import svd_factors
 from test_rowmerge import reference_merge
 from vecfuse import cli, kgraph, labels, matrixio, pipeline, rowmerge
 from vecfuse.config import config_from_dict
+from vecfuse.errors import ConfigError, StageError
 from vecfuse.evaluation import format_report_table
 from vecfuse.labels import StandardLabel, Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
@@ -445,6 +447,15 @@ class TestStageBranches:
                                 "labels_path": str(workspace / "alpha.labels")}
         native = run_pipeline(config_from_dict(raw))
         assert same_artifacts(native, run_pipeline(toy_config(workspace, out="text")))
+
+    def test_unknown_source_format_is_an_ingest_config_error(self, workspace):
+        """The config rejects an unknown format, so only a source built by
+        hand reaches ingest's own check."""
+        source = dataclasses.replace(single_source(workspace).enabled_embeddings()[0],
+                                     format="fasttext")
+        with pytest.raises(StageError, match="unknown embedding format 'fasttext'") as exc:
+            pipeline.ingest_source(source, pipeline.StageCache())
+        assert exc.value.stage == "ingest" and isinstance(exc.value.cause, ConfigError)
 
     def test_l2_columns(self, workspace):
         def run(out, columns):
@@ -1020,6 +1031,43 @@ class TestCli:
                          "--report", str(workspace / "r.tsv")]) == 0
         assert (workspace / "r.tsv").exists()
         assert "toy_gold" in capsys.readouterr().out
+
+    def test_spectrum_and_iterates_rebuild_their_stage_on_a_warm_cache(self, workspace,
+                                                                       monkeypatch):
+        """On a warm cache, `fuse --singular-values` and `retrofit
+        --checkpoint-dir` build their stage again, without reading its cached
+        artifact: they write the cold run's spectrum, iterates and bits."""
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        cache = str(workspace / "cache")
+
+        def run(run_name, command, flag, extra):
+            out = workspace / run_name
+            out.mkdir()
+            assert cli.main([command, "--config", config, "--stage-cache-dir", cache,
+                             "--out-matrix", str(out / "m.emb1"),
+                             "--out-labels", str(out / "m.labels"),
+                             flag, str(out / extra)]) == 0
+            return {path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()}
+
+        def runs(run_name):
+            return (run(run_name + "_fuse", "fuse", "--singular-values", "sv.txt"),
+                    run(run_name + "_retrofit", "retrofit", "--checkpoint-dir", "ckpt"))
+
+        cold_fuse, cold_retrofit = runs("cold")
+        assert len(cold_fuse[Path("sv.txt")].split()) > 0
+        assert {path for path in cold_retrofit if path.parts[0] == "ckpt"} == \
+            {Path("ckpt", f"iterate_{step:02d}.{ext}")
+             for step in range(1, 11) for ext in ("emb1", "labels")}
+        read = []
+
+        def recording_read_native(matrix_path, labels_path):
+            read.append(os.path.basename(matrix_path))
+            return read_native(matrix_path, labels_path)
+
+        monkeypatch.setattr(matrixio, "read_native", recording_read_native)
+        assert runs("warm") == (cold_fuse, cold_retrofit)
+        assert read == ["prepared_alpha.emb1", "prepared_beta.emb1", "fused.emb1"]
 
     def test_evaluate_takes_no_stage_cache(self, workspace, capsys):
         """`evaluate` reads and writes no artifact: its parser rejects

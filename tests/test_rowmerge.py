@@ -130,6 +130,8 @@ class TestMergeStandardized:
             merge_standardized(m, ["/c/en/a"])
         with pytest.raises(PlanMismatch, match="plan has 3 labels for 2 rows"):
             merge_standardized(m, ["/c/en/a", "/c/en/b", "/c/en/a"])
+        with pytest.raises(ValueError, match="unknown merge strategy 'mean'"):
+            merge_standardized(m, ["/c/en/a", "/c/en/b"], strategy="mean")
 
 
 def reference_merge(matrix, plan, strategy):
