@@ -280,6 +280,8 @@ def load_config(path) -> PipelineConfig:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     except ParseError as exc:

@@ -13,9 +13,8 @@ A run reads the configured stopword and exception files once (on
 `RunLabels`, which the stages that standardize are given; `StageCache`
 only stores artifacts). Each stage that standardizes gets a standardizer
 of its own: one memo per standardizer, freed with its stage. Each stage's
-lemma vocabulary is a `LazyVocabulary`, built only when a label needs
-one; evaluate's extends graph's, so each output label is tokenized at
-most once per run.
+lemma vocabulary is a `LazyVocabulary` of that stage's labels, built
+only when a label needs one and freed with its stage.
 """
 
 from __future__ import annotations
@@ -111,14 +110,11 @@ def token_vocabulary(labels) -> set:
 
 
 class LazyVocabulary:
-    """The lemma vocabulary of a label list: `token_vocabulary(texts)`
-    joined with the words of `base`, the LazyVocabulary of a list that
-    this one extends. It is built on its first membership test, which
-    drops `texts` and `base`."""
+    """The lemma vocabulary of a label list, `token_vocabulary(texts)`,
+    built on its first membership test, which drops `texts`."""
 
-    def __init__(self, texts, base=None):
+    def __init__(self, texts):
         self.texts = texts
-        self.base = base
         self.words = None
 
     def __contains__(self, word) -> bool:
@@ -126,24 +122,18 @@ class LazyVocabulary:
 
     def build(self) -> set:
         if self.words is None:
-            words = token_vocabulary(self.texts)
-            if self.base is not None:
-                words |= self.base.build()
-            self.words, self.texts, self.base = words, None, None
+            self.words, self.texts = token_vocabulary(self.texts), None
         return self.words
 
 
 class RunLabels:
     """The label state the stages of one run share: the Standardizer of
     the configured rule files, from which each stage's standardizer is
-    made with a memo of its own, and the last label list given to
-    `output_standardizer` with its lemma vocabulary. It holds no label:
-    one memo per standardizer, freed with its stage."""
+    made with a memo and a vocabulary of its own. It holds no label: each
+    stage's label state is freed with its stage."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self._output_labels = []
-        self._output_vocabulary = None
 
     @functools.cached_property
     def rules(self) -> Standardizer:
@@ -159,30 +149,21 @@ class RunLabels:
             rules = default_rules()
         return Standardizer(rules=rules, stopwords=stopwords)
 
-    def standardizer(self, texts, base: LazyVocabulary | None = None) -> Standardizer:
+    def standardizer(self, texts) -> Standardizer:
         """The configured Standardizer, with an empty memo. With
         `vocab_check` on, lemma candidates are checked against
-        `LazyVocabulary(texts, base)`."""
+        `LazyVocabulary(texts)`."""
         return self.rules.with_vocab(
-            LazyVocabulary(texts, base) if self.config.vocab_check else None)
+            LazyVocabulary(texts) if self.config.vocab_check else None)
 
     def output_standardizer(self, labels) -> Standardizer:
         """`standardizer` for the graph and evaluate stages, whose lemma
         vocabulary is that of the standardized `labels`. With `vocab_check`
         on, the labels are split as URIs here, which raises on one that is
-        not. The output matrix lists the fused matrix's labels first: a list
-        that starts with the list of the previous call has only the labels
-        it adds split, and extends that call's vocabulary, so each label is
-        tokenized once."""
+        not."""
         if not self.config.vocab_check:
             return self.standardizer(())
-        seen, base = self._output_labels, self._output_vocabulary
-        if labels[:len(seen)] != seen:
-            seen, base = [], None
-        standardizer = self.standardizer(
-            [split_uri(label)[1] for label in labels[len(seen):]], base)
-        self._output_labels, self._output_vocabulary = list(labels), standardizer.vocab
-        return standardizer
+        return self.standardizer([split_uri(label)[1] for label in labels])
 
 
 @_stage("ingest")
@@ -226,7 +207,10 @@ def fuse_sources(config: PipelineConfig, cache: StageCache, run_labels: RunLabel
     cached fused matrix is used without preparing the sources."""
     sources = config.enabled_embeddings()
     if len(sources) == 1:
-        return prepare_source(config, sources[0], cache, run_labels)
+        matrix = prepare_source(config, sources[0], cache, run_labels)
+        if singular_values_path is not None:  # one source has no spectrum
+            open(singular_values_path, "w", encoding="utf-8").close()
+        return matrix
     if len(sources) != 2:
         raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(sources)}")
     def build():
@@ -313,8 +297,7 @@ def dataset_splits(ds: EvalDataset) -> list:
 def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
                     run_labels: RunLabels) -> list:
     """One EvalReport per configured dataset and split, in config order,
-    all through one lookup of `matrix`. `run_labels` may hold the
-    vocabulary of a prefix of the labels."""
+    all through one lookup of `matrix`."""
     standardizer = run_labels.output_standardizer(matrix.labels) \
         if config.standardize_enabled else None
     lookup = evaluation.MatrixLookup(

@@ -319,8 +319,14 @@ class TestLoadConfig:
         assert load_config(path).enabled_embeddings()[0].id == "alpha"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config file not found: "):
             load_config(tmp_path / "nope.json")
+
+    def test_directory_exits_1_naming_it(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(f"config file {tmp_path}: ")):
+            load_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"cannot read config file {tmp_path}: " in capsys.readouterr().err
 
     def test_not_utf8_exits_1_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -246,6 +246,8 @@ class TestSpearman:
             spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
         with pytest.raises(DegenerateInput):
             spearman([1.0], [1.0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            spearman([1, 2, 3], [1, 2])
 
     def test_against_brute_force(self, rng):
         for _ in range(100):

@@ -251,8 +251,14 @@ class TestRuleFiles:
 
     def test_load_exceptions(self, tmp_path):
         path = tmp_path / "exc.txt"
-        path.write_text("# comment\nran\trun\nmice\tmouse\n", encoding="utf-8")
-        assert load_exceptions(path) == {"ran": "run", "mice": "mouse"}
+        path.write_text("# comment\nran\trun\nmice\tmouse\nxx\t!!\n", encoding="utf-8")
+        exceptions = load_exceptions(path)
+        assert exceptions == {"ran": "run", "mice": "mouse", "xx": "!!"}
+        # a lemma of punctuation only leaves nothing of its word
+        rules = LemmaRuleSet(rules=default_rules().rules, exceptions=exceptions)
+        with pytest.raises(EmptyAfterNormalization, match="nothing remains of 'xx'"):
+            standardize("xx", "en", rules=rules)
+        assert Standardizer(rules=rules).uris(["xx", "ran"], "en") == [None, "/c/en/run"]
 
     def test_load_exceptions_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "exc.txt"

@@ -473,8 +473,8 @@ class TestStageBranches:
         built = []
         standardizer = pipeline.RunLabels.standardizer
 
-        def recording(self, texts, base=None):
-            built.append(standardizer(self, texts, base))
+        def recording(self, texts):
+            built.append(standardizer(self, texts))
             return built[-1]
 
         monkeypatch.setattr(pipeline.RunLabels, "standardizer", recording)
@@ -551,7 +551,7 @@ def per_stage_labels(m):
     """Each stage reads the rule files and builds its lemma vocabulary up
     front, tokenizing every label from scratch, as before a run read the
     files once and built its vocabularies lazily."""
-    def standardizer(run_labels, texts, base=None):
+    def standardizer(run_labels, texts):
         config = run_labels.config
         return pipeline.RunLabels(config).rules.with_vocab(
             frozenset(token_vocabulary(texts)) if config.vocab_check else None)
@@ -563,16 +563,18 @@ def per_stage_labels(m):
 
 
 class TestLabelsTokenizedOnce:
-    """The graph and evaluate stages of one run share a token vocabulary,
-    built only when a label reaches a lemma rule: each label is tokenized
-    at most once, a vocabulary, when built, holds the tokens of exactly
-    the labels of its stage, and the output bytes are those of tokenizing
-    from scratch in every stage."""
+    """Each stage's token vocabulary is its own, built only when a label
+    reaches a lemma rule: a stage tokenizes each of its labels at most
+    once, a vocabulary, when built, holds the tokens of exactly the labels
+    of its stage, and the output bytes are those of tokenizing from
+    scratch in every stage."""
 
     RAW_LABELS = 8 + 6  # lines of alpha.txt and beta.txt, tokenized by merge
     RAW_SUFFIXED = RAW_LABELS + 3
 
     def run(self, monkeypatch, config, cache_dir=None, from_scratch=False):
+        """The run's result, its number of tokenized texts, and its
+        vocabularies, each with `given`: the texts it was made with."""
         texts, vocabs = [], []
         tokenize = pipeline.tokenize
 
@@ -583,6 +585,8 @@ class TestLabelsTokenizedOnce:
         class Recording(Standardizer):
             def __init__(self, *args, vocab=None, **kwargs):
                 if vocab is not None:
+                    if isinstance(vocab, pipeline.LazyVocabulary):
+                        vocab.given = list(vocab.texts)
                     vocabs.append(vocab)
                 super().__init__(*args, vocab=vocab, **kwargs)
 
@@ -613,9 +617,14 @@ class TestLabelsTokenizedOnce:
         labels = got["matrix"].labels
         built = [v.words for v in vocabs if v.words is not None]
         if suffixed:
-            # every stage's vocabulary is needed, and each label tokenized once
+            # every stage's vocabulary is needed: merge tokenizes the raw
+            # labels, graph the fused ones and evaluate the output ones
             assert len(built) == len(vocabs) == 3 + (graphs is None)
-            assert calls == self.RAW_SUFFIXED + len(labels)
+            fused = vocabs[2].given if graphs is None else []
+            assert calls == self.RAW_SUFFIXED + len(fused) + len(labels)
+            if graphs is None:
+                assert len(fused) < len(labels)
+                assert vocabs[2].words == token_vocabulary(fused)
         else:
             # no word reaches a lemma rule (`running` has an exception entry)
             assert built == [] and calls == 0
@@ -633,13 +642,16 @@ class TestLabelsTokenizedOnce:
         if suffixed:
             add_suffixed_words(workspace)
         cache_dir = str(workspace / "cache")
-        want, _, _ = self.run(monkeypatch, toy_config(workspace, out="warm"),
-                              cache_dir=cache_dir)
+        want, _, cold = self.run(monkeypatch, toy_config(workspace, out="warm"),
+                                 cache_dir=cache_dir)
         # every stage, the graph stage included, is read from the cache
         got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="cached"),
                                       cache_dir=cache_dir)
         labels = got["matrix"].labels
         assert len(vocabs) == 1
+        # evaluate is given the same texts with a cold and a warm cache
+        assert cold[-1].given == vocabs[0].given == [split_uri(label)[1]
+                                                     for label in labels]
         if suffixed:
             assert calls == len(labels)
             assert vocabs[0].words == text_vocabulary(labels)
@@ -699,9 +711,8 @@ class TestLabelsTokenizedOnce:
         assert "not a /c/<language>/<text> uri: 'cat'" in capsys.readouterr().err
 
     def test_suffixed_gold_word_only(self, workspace, monkeypatch):
-        """Only evaluate reaches a lemma rule. Building its vocabulary
-        builds graph's, which it extends: each output label is tokenized
-        once, and graph's vocabulary keeps the fused labels' tokens."""
+        """Only evaluate reaches a lemma rule, so only its vocabulary is
+        built: each output label is tokenized once, and no fused one."""
         with open(workspace / "gold.txt", "a", encoding="utf-8") as f:
             f.write("cats dog 2.0\n")
         want, _, _ = self.run(monkeypatch, toy_config(workspace, out="scratch"),
@@ -714,42 +725,11 @@ class TestLabelsTokenizedOnce:
         assert len(fused) < len(labels)
         merge, graph, evaluate = vocabs[:2], vocabs[2], vocabs[3]
         assert [v.words for v in merge] == [None, None]
+        assert graph.given == [split_uri(label)[1] for label in fused]
+        assert graph.words is None
         assert calls == len(labels)
-        assert graph.words == text_vocabulary(fused)
         assert evaluate.words == text_vocabulary(labels)
         assert self.output_bytes(got) == self.output_bytes(want)
-
-    def test_output_vocabulary_extends_or_restarts(self, workspace, monkeypatch):
-        """A list that starts with the list before it tokenizes only the
-        labels it adds; any other list starts over. A vocabulary holds the
-        tokens of its own list, before and after a later one extends it."""
-        config = toy_config(workspace)
-        runs = [["/c/en/cat", "/c/en/big_dog"],
-                ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
-                ["/c/en/cat", "/c/en/big_dog", "/c/fr/chat_noir"],
-                ["/c/en/dog", "/c/en/cat"],
-                []]
-        words = [text_vocabulary(labels) for labels in runs]
-        texts = []
-        tokenize = pipeline.tokenize
-        monkeypatch.setattr(pipeline, "tokenize",
-                            lambda text: texts.append(text) or tokenize(text))
-        # each vocabulary built as soon as it is made
-        run_labels, built = pipeline.RunLabels(config), []
-        for labels in runs:
-            vocab = run_labels.output_standardizer(labels).vocab
-            assert vocab.words is None
-            assert "x" not in vocab
-            built.append(vocab)
-            assert [v.words for v in built] == words[:len(built)]
-        assert texts == ["cat", "big_dog", "chat_noir", "dog", "cat"]
-        # an extending vocabulary built first builds the one it extends
-        run_labels, texts[:] = pipeline.RunLabels(config), []
-        graph = run_labels.output_standardizer(runs[0]).vocab
-        evaluate = run_labels.output_standardizer(runs[1]).vocab
-        assert "x" not in evaluate
-        assert (graph.words, evaluate.words) == (words[0], words[1])
-        assert sorted(texts) == ["big_dog", "cat", "chat_noir"]
 
 
 @pytest.mark.parametrize("standardize", [False, True])
@@ -892,26 +872,31 @@ class TestLazyStageVocabularies:
         assert "/c/en/big_dog" not in got["matrix"].labels
 
 
-def reachable_labels(root):
-    """The StandardLabel objects reachable from `root`'s attributes
-    through containers and the attributes of vecfuse objects."""
+def reachable(root, kinds):
+    """The objects of `kinds` reachable from `root`'s attributes through
+    containers and the attributes of vecfuse objects."""
     seen, stack, found = {id(root)}, gc.get_referents(root), []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, StandardLabel):
+        if isinstance(obj, kinds):
             found.append(obj)
-        elif isinstance(obj, (dict, list, tuple, set, frozenset)) \
+        if isinstance(obj, (dict, list, tuple, set, frozenset)) \
                 or type(obj).__module__.startswith("vecfuse."):
             stack.extend(gc.get_referents(obj))
     return found
 
 
+def reachable_labels(root):
+    return reachable(root, StandardLabel)
+
+
 class TestNoLabelMemoOutlivesItsStage:
-    """Each stage standardizes with a memo of its own, freed with the
-    stage: the run's RunLabels holds no label a stage computed."""
+    """Each stage standardizes with a memo and a vocabulary of its own,
+    freed with the stage: the run's RunLabels holds no label a stage
+    computed and no vocabulary a stage built."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
@@ -949,8 +934,33 @@ class TestNoLabelMemoOutlivesItsStage:
         assert result["reports"] and len(runs) == 1
         # merge, graph and evaluate each computed labels
         assert {"Cat", "walked", "cats", "runs"} <= set(computed)
-        assert runs[0]._output_vocabulary is not None
         assert reachable_labels(runs[0]) == []
+
+    def test_no_vocabulary_after_a_run(self, workspace, monkeypatch):
+        """Every stage builds its lemma vocabulary; none is reachable from
+        the run's RunLabels, which holds only the config and rule files."""
+        add_suffixed_words(workspace)
+        runs, built = [], []
+        token_vocabulary = pipeline.token_vocabulary
+
+        class Recording(pipeline.RunLabels):
+            def __init__(self, config):
+                super().__init__(config)
+                runs.append(self)
+
+        monkeypatch.setattr(pipeline, "RunLabels", Recording)
+        monkeypatch.setattr(pipeline, "token_vocabulary",
+                            lambda texts: built.append(token_vocabulary(texts)) or built[-1])
+        result = run_pipeline(toy_config(workspace))
+        assert result["reports"] and len(runs) == 1
+        # merge (two sources), graph and evaluate
+        assert len(built) == 4
+        run_labels = runs[0]
+        assert set(vars(run_labels)) == {"config", "rules"}
+        assert reachable(run_labels, pipeline.LazyVocabulary) == []
+        tokens = set().union(*built)
+        assert [s for s in reachable(run_labels, (set, frozenset))
+                if s is not run_labels.rules.stopwords and s & tokens] == []
 
 
 class TestCli:
@@ -1164,6 +1174,22 @@ class TestCli:
         null = np.sqrt(concat.shape[1] * np.finfo(np.float64).eps) * s[0]
         assert np.abs(spectrum - s).max() <= max(1e-12 * s[0], null)
         assert np.all((spectrum > 0) | (s <= null))
+
+    @pytest.mark.parametrize("one_source", [True, False],
+                             ids=["one_source", "no_discount"])
+    def test_singular_values_file_is_empty_without_a_spectrum(self, workspace,
+                                                              one_source):
+        """One enabled source, or two with the discount off, have no
+        spectrum: `fuse --singular-values` writes an empty file."""
+        raw = self.raw_toy_dict(workspace, fusion={"k": 2, "discount": False})
+        if one_source:
+            raw["embeddings"] = raw["embeddings"][:1]
+        sv = workspace / "sv.txt"
+        assert cli.main(["fuse", "--config", self.write_config(workspace, raw),
+                         "--out-matrix", str(workspace / "m.emb1"),
+                         "--out-labels", str(workspace / "m.labels"),
+                         "--singular-values", str(sv)]) == 0
+        assert sv.read_bytes() == b""
 
     def test_out_dims_unchecked_without_discount(self, workspace, capsys):
         """With the discount off, an out_dims wider than the 5 concatenated
