@@ -101,10 +101,9 @@ def run(args) -> int:
         if config.evaluations:
             print(evaluation.format_report_table(reports))
         return 0
-    run_labels = pipeline.RunLabels(config)
     if args.command == "evaluate":
         matrix = matrixio.read_native(args.matrix, args.labels)
-        reports = pipeline.evaluate_matrix(config, matrix, run_labels)
+        reports = pipeline.evaluate_matrix(config, matrix)
         print(evaluation.format_report_table(reports))
         if args.report:
             evaluation.write_report(reports, args.report)
@@ -115,20 +114,17 @@ def run(args) -> int:
         matrix = pipeline.ingest_source(_find_source(config, args.source), cache)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "merge":
-        matrix = pipeline.prepare_source(config, _find_source(config, args.source),
-                                         cache, run_labels)
+        matrix = pipeline.prepare_source(config, _find_source(config, args.source), cache)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "graph":
-        matrix = pipeline.fuse_sources(config, cache, run_labels)
-        kgraph.write_assertions(args.out,
-                                pipeline.load_graphs(config, matrix, cache, run_labels))
+        matrix = pipeline.fuse_sources(config, cache)
+        kgraph.write_assertions(args.out, pipeline.load_graphs(config, matrix, cache))
     elif args.command == "fuse":
-        matrix = pipeline.fuse_sources(config, cache, run_labels,
+        matrix = pipeline.fuse_sources(config, cache,
                                        singular_values_path=args.singular_values)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     elif args.command == "retrofit":
-        matrix = pipeline.ensemble_matrix(config, cache, run_labels,
-                                          checkpoint_dir=args.checkpoint_dir)
+        matrix = pipeline.ensemble_matrix(config, cache, checkpoint_dir=args.checkpoint_dir)
         matrixio.write_native(matrix, args.out_matrix, args.out_labels)
     return 0
 

@@ -313,9 +313,9 @@ def map_digit_runs(text: str) -> str:
 class Standardizer:
     """Bundles a rule set, stopword list and optional validity vocabulary,
     and memoises each (text, language) result in one memo of its own,
-    freed with it: in a pipeline run, each stage's standardizer is freed
-    with its stage. Errors are not memoised: a bad input raises on every
-    call."""
+    freed with it: in a pipeline run, each stage that standardizes builds
+    one (`pipeline.stage_standardizer`) and frees it with the stage.
+    Errors are not memoised: a bad input raises on every call."""
 
     def __init__(self, rules: LemmaRuleSet | None = None, stopwords=None,
                  vocab=None):
@@ -323,11 +323,6 @@ class Standardizer:
         self.stopwords = stopwords if stopwords is not None else default_stopwords()
         self.vocab = vocab
         self._memo = {}
-
-    def with_vocab(self, vocab) -> "Standardizer":
-        """A Standardizer with these rules and stopwords, `vocab` and an
-        empty memo."""
-        return type(self)(self.rules, self.stopwords, vocab=vocab)
 
     def standardize(self, text: str, language: str) -> StandardLabel:
         label = self._memo.get((text, language))

@@ -9,12 +9,11 @@ Each stage function only computes: `StageCache.artifact`, the one place
 that loads and stores a stage's output, skips a stage cached on disk;
 cached and straight-through runs produce identical bits.
 
-A run reads the configured stopword and exception files once (on
-`RunLabels`, which the stages that standardize are given; `StageCache`
-only stores artifacts). Each stage that standardizes gets a standardizer
-of its own: one memo per standardizer, freed with its stage. Each stage's
-lemma vocabulary is a `LazyVocabulary` of that stage's labels, built
-only when a label needs one and freed with its stage.
+Each stage that standardizes (merge, graph and evaluate) builds its own
+standardizer from the config, with `stage_standardizer`: it reads the
+configured stopword and exception files itself, and its memo and lemma
+vocabulary are freed with the stage. A vocabulary is a `LazyVocabulary`
+of that stage's labels, built only when a label needs one.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from . import evaluation, interpolate, kgraph, matrixio, rowmerge
 from .config import EmbeddingSource, EvalDataset, PipelineConfig
 from .errors import ConfigError, DegenerateInput, StageError, VecfuseError
 from .labels import LemmaRuleSet, DEFAULT_RULES, Standardizer, \
-    default_rules, load_exceptions, load_stopwords, split_uri, tokenize
+    load_exceptions, load_stopwords, split_uri, tokenize
 from .matrixio import LabeledMatrix
 from .retrofit import assemble_problem, retrofit
 
@@ -126,44 +125,23 @@ class LazyVocabulary:
         return self.words
 
 
-class RunLabels:
-    """The label state the stages of one run share: the Standardizer of
-    the configured rule files, from which each stage's standardizer is
-    made with a memo and a vocabulary of its own. It holds no label: each
-    stage's label state is freed with its stage."""
+def stage_standardizer(config: PipelineConfig, texts) -> Standardizer:
+    """A stage's Standardizer: the stopwords and lemma exceptions of the
+    files `config` names (else the bundled ones), an empty memo and, with
+    `vocab_check` on, the lemma vocabulary `LazyVocabulary(texts)`."""
+    stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else None
+    rules = LemmaRuleSet(rules=DEFAULT_RULES,
+                         exceptions=load_exceptions(config.exceptions_path)) \
+        if config.exceptions_path else None
+    return Standardizer(rules=rules, stopwords=stopwords,
+                        vocab=LazyVocabulary(texts) if config.vocab_check else None)
 
-    def __init__(self, config: PipelineConfig):
-        self.config = config
 
-    @functools.cached_property
-    def rules(self) -> Standardizer:
-        """A Standardizer with the configured stopwords and lemma
-        exceptions, read from their files on first use, and no vocabulary."""
-        config = self.config
-        stopwords = load_stopwords(config.stopwords_path) \
-            if config.stopwords_path else None
-        if config.exceptions_path:
-            rules = LemmaRuleSet(rules=DEFAULT_RULES,
-                                 exceptions=load_exceptions(config.exceptions_path))
-        else:
-            rules = default_rules()
-        return Standardizer(rules=rules, stopwords=stopwords)
-
-    def standardizer(self, texts) -> Standardizer:
-        """The configured Standardizer, with an empty memo. With
-        `vocab_check` on, lemma candidates are checked against
-        `LazyVocabulary(texts)`."""
-        return self.rules.with_vocab(
-            LazyVocabulary(texts) if self.config.vocab_check else None)
-
-    def output_standardizer(self, labels) -> Standardizer:
-        """`standardizer` for the graph and evaluate stages, whose lemma
-        vocabulary is that of the standardized `labels`. With `vocab_check`
-        on, the labels are split as URIs here, which raises on one that is
-        not."""
-        if not self.config.vocab_check:
-            return self.standardizer(())
-        return self.standardizer([split_uri(label)[1] for label in labels])
+def output_standardizer(config: PipelineConfig, labels) -> Standardizer:
+    """`stage_standardizer` for the graph and evaluate stages, whose lemma
+    vocabulary is that of the standardized `labels`. Every label is split
+    as a URI here, which raises on one that is not."""
+    return stage_standardizer(config, [split_uri(label)[1] for label in labels])
 
 
 @_stage("ingest")
@@ -183,12 +161,12 @@ def ingest_source(source: EmbeddingSource, cache: StageCache) -> LabeledMatrix:
 
 @_stage("merge")
 def prepare_source(config: PipelineConfig, source: EmbeddingSource,
-                   cache: StageCache, run_labels: RunLabels) -> LabeledMatrix:
+                   cache: StageCache) -> LabeledMatrix:
     """Standardize, merge and column-normalize one embedding source."""
     def build():
         matrix = ingest_source(source, cache)
         if config.standardize_enabled:
-            standardizer = run_labels.standardizer(matrix.labels)
+            standardizer = stage_standardizer(config, matrix.labels)
             plan = rowmerge.build_merge_plan(matrix, standardizer, language=source.language)
             matrix = rowmerge.merge_standardized(matrix, plan,
                                                  strategy=config.merge_strategy)
@@ -201,20 +179,20 @@ def prepare_source(config: PipelineConfig, source: EmbeddingSource,
 
 
 @_stage("fuse")
-def fuse_sources(config: PipelineConfig, cache: StageCache, run_labels: RunLabels,
+def fuse_sources(config: PipelineConfig, cache: StageCache,
                  singular_values_path=None) -> LabeledMatrix:
     """Prepare every enabled source and fuse them when there are two. A
     cached fused matrix is used without preparing the sources."""
     sources = config.enabled_embeddings()
     if len(sources) == 1:
-        matrix = prepare_source(config, sources[0], cache, run_labels)
+        matrix = prepare_source(config, sources[0], cache)
         if singular_values_path is not None:  # one source has no spectrum
             open(singular_values_path, "w", encoding="utf-8").close()
         return matrix
     if len(sources) != 2:
         raise ConfigError(f"fusion needs exactly 2 enabled sources, got {len(sources)}")
     def build():
-        a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache, run_labels))
+        a, b = (rowmerge.l2_normalize_rows(prepare_source(config, source, cache))
                 for source in sources)
         out_dims = config.fusion_out_dims
         if config.fusion_discount and out_dims is not None and out_dims > a.dims + b.dims:
@@ -232,7 +210,7 @@ def fuse_sources(config: PipelineConfig, cache: StageCache, run_labels: RunLabel
 
 @_stage("graph")
 def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
-                cache: StageCache, run_labels: RunLabels) -> kgraph.EdgeTable:
+                cache: StageCache) -> kgraph.EdgeTable:
     """Load, prune, rescale and term-filter all enabled edge lists,
     standardizing their labels against the vocabulary of `matrix`. A
     cached table is used without building a Standardizer; with no graph
@@ -240,7 +218,7 @@ def load_graphs(config: PipelineConfig, matrix: LabeledMatrix,
     if not config.enabled_graphs():
         return kgraph.EdgeTable.concat([])
     def build():
-        standardizer = run_labels.output_standardizer(matrix.labels)
+        standardizer = output_standardizer(config, matrix.labels)
         excluded = set(config.excluded_graph_sources)
         filtered, unfiltered = [], []
         for graph in config.enabled_graphs():
@@ -294,11 +272,10 @@ def dataset_splits(ds: EvalDataset) -> list:
 
 
 @_stage("evaluate")
-def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
-                    run_labels: RunLabels) -> list:
+def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix) -> list:
     """One EvalReport per configured dataset and split, in config order,
     all through one lookup of `matrix`."""
-    standardizer = run_labels.output_standardizer(matrix.labels) \
+    standardizer = output_standardizer(config, matrix.labels) \
         if config.standardize_enabled else None
     lookup = evaluation.MatrixLookup(
         matrix, standardizer,
@@ -308,12 +285,12 @@ def evaluate_matrix(config: PipelineConfig, matrix: LabeledMatrix,
             for ds in config.evaluations for split, pairs in dataset_splits(ds)]
 
 
-def ensemble_matrix(config: PipelineConfig, cache: StageCache, run_labels: RunLabels,
+def ensemble_matrix(config: PipelineConfig, cache: StageCache,
                     checkpoint_dir=None) -> LabeledMatrix:
     """The output matrix: the fused matrix, retrofitted onto the graph
     when any edge survives filtering."""
-    matrix = fuse_sources(config, cache, run_labels)
-    assertions = load_graphs(config, matrix, cache, run_labels)
+    matrix = fuse_sources(config, cache)
+    assertions = load_graphs(config, matrix, cache)
     if not assertions:
         return matrix
     return retrofit_matrix(config, matrix, assertions, cache,
@@ -323,8 +300,7 @@ def ensemble_matrix(config: PipelineConfig, cache: StageCache, run_labels: RunLa
 def run_pipeline(config: PipelineConfig, cache_dir=None) -> dict:
     """Run every configured stage; returns the output artifact paths,
     the final matrix and the evaluation reports."""
-    run_labels = RunLabels(config)
-    matrix = ensemble_matrix(config, StageCache(cache_dir), run_labels)
+    matrix = ensemble_matrix(config, StageCache(cache_dir))
 
     os.makedirs(config.output_dir, exist_ok=True)
     matrix_path = os.path.join(config.output_dir, config.output_matrix)
@@ -334,7 +310,7 @@ def run_pipeline(config: PipelineConfig, cache_dir=None) -> dict:
     reports = []
     report_path = None
     if config.evaluations:
-        reports = evaluate_matrix(config, matrix, run_labels)
+        reports = evaluate_matrix(config, matrix)
         report_path = os.path.join(config.output_dir, config.output_report)
         evaluation.write_report(reports, report_path)
     return {"matrix": matrix, "reports": reports,

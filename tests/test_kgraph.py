@@ -409,8 +409,8 @@ def reference_write(path, assertions):
 
 
 def reference_load_graphs(config, matrix):
-    standardizer = pipeline.RunLabels(config).standardizer(
-        label.rsplit("/", 1)[-1] for label in matrix.labels)
+    standardizer = pipeline.stage_standardizer(
+        config, [label.rsplit("/", 1)[-1] for label in matrix.labels])
     filtered_pool, unfiltered_pool = [], []
     for graph in config.enabled_graphs():
         assertions = reference_load_assertions(graph.path, standardizer)
@@ -487,10 +487,10 @@ class TestTableMatchesListPath:
     SOURCES = {"conceptnet": -3.0, "wiktionary": 0.0, "ppdb": 3.0, "verbosity": -1.0}
 
     def check(self, tmp_path, config):
-        cache, run_labels = pipeline.StageCache(None), pipeline.RunLabels(config)
-        matrix = pipeline.fuse_sources(config, cache, run_labels)
+        cache = pipeline.StageCache(None)
+        matrix = pipeline.fuse_sources(config, cache)
         want = reference_load_graphs(config, matrix)
-        got = pipeline.load_graphs(config, matrix, cache, run_labels)
+        got = pipeline.load_graphs(config, matrix, cache)
         assert isinstance(got, EdgeTable) and edge_rows(got) == want
         if want:
             assert_same_bits(build_association(got), reference_association(want))

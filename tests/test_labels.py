@@ -339,9 +339,8 @@ class TestStandardizerMemo:
     def test_vocabulary_boundary(self, calls, order):
         """`cats` reaches the vocabulary check, so each vocabulary decides
         its own result, in whichever order the standardizers run."""
-        rules = Standardizer()
         cases = [({"cat"}, "/c/en/cat"), (set(), "/c/en/cats"), (None, "/c/en/cat")]
-        stds = [rules.with_vocab(vocab) for vocab, _want in cases]
+        stds = [Standardizer(vocab=vocab) for vocab, _want in cases]
         for _ in range(2):
             for i in order:
                 assert stds[i].uri("cats", "en") == cases[i][1]

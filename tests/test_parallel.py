@@ -30,6 +30,17 @@ def test_worker_count_is_the_cpus_allowed_up_to_the_cap():
     assert worker_count() == min(parallel._MAX_WORKERS, len(os.sched_getaffinity(0)))
 
 
+@pytest.mark.parametrize("cpus, want", [(None, 1), (1, 1), (2, 2),
+                                        (parallel._MAX_WORKERS + 3, parallel._MAX_WORKERS)])
+def test_worker_count_without_affinity_is_the_cpu_count_up_to_the_cap(monkeypatch, cpus,
+                                                                       want):
+    """Where `os.sched_getaffinity` is missing, the count is
+    `os.cpu_count()`, or 1 when that is unknown, up to the cap."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert worker_count() == want
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("offsets", [[0, 4], [0, 1, 2, 3, 4, 5, 6, 7],
                                      [0, 10, 11, 12, 13, 14, 24], [0, 0, 0, 5], [0, 0, 0]])

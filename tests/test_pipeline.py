@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from vecfuse.errors import ConfigError, StageError
 from vecfuse.evaluation import format_report_table
 from vecfuse.labels import StandardLabel, Standardizer, split_uri
 from vecfuse.matrixio import read_native, read_text_embeddings
-from vecfuse.pipeline import run_pipeline, token_vocabulary
+from vecfuse.pipeline import LazyVocabulary, run_pipeline, token_vocabulary
 from vecfuse.rowmerge import build_merge_plan, l1_normalize_columns, merge_standardized
 
 ALPHA_TEXT = """\
@@ -137,7 +138,7 @@ class TestMinimalPath:
                                     "format": "glove_text"}],
             merge={"strategy": strategy}, normalize={"columns": "none"})
         merged = pipeline.prepare_source(config, config.enabled_embeddings()[0],
-                                         pipeline.StageCache(), pipeline.RunLabels(config))
+                                         pipeline.StageCache())
         raw = read_text_embeddings(workspace / "punct.txt")
         plan = [None, None, "/c/en/cat", None, "/c/en/cat", "/c/en/dog"]
         labels, data = reference_merge(raw, plan, strategy)
@@ -211,7 +212,7 @@ class TestFullPipeline:
         first = run_pipeline(toy_config(workspace, out="warm"), cache_dir=str(cache_dir))
         # retrofit again, from the cached fused matrix and edge table
         (cache_dir / "retrofitted.emb1").unlink()
-        calls = {"standardize": 0, "uris": 0, "standardizer": 0}
+        calls = {"standardize": 0, "uris": 0, "stage_standardizer": 0}
         in_graph = dict(calls)
 
         def counting(owner, name):
@@ -234,10 +235,10 @@ class TestFullPipeline:
 
         counting(Standardizer, "standardize")
         counting(Standardizer, "uris")
-        counting(pipeline.RunLabels, "standardizer")
+        counting(pipeline, "stage_standardizer")
         monkeypatch.setattr(pipeline, "load_graphs", graph_stage(pipeline.load_graphs))
         second = run_pipeline(toy_config(workspace, out="cached"), cache_dir=str(cache_dir))
-        assert in_graph == {"standardize": 0, "uris": 0, "standardizer": 0}
+        assert in_graph == {"standardize": 0, "uris": 0, "stage_standardizer": 0}
         assert calls["uris"] > 0  # evaluation still standardizes
         assert bits_equal(second["matrix"].data, first["matrix"].data)
         assert second["matrix"].labels == first["matrix"].labels
@@ -352,13 +353,12 @@ class TestFullPipeline:
              "dev_path": str(workspace / "gold_dev.txt")},
             {"id": "toy_gold", "path": str(workspace / "gold.txt"),
              "splits": ["test", "all", "dev"]}])
-        matrix = pipeline.ensemble_matrix(config, pipeline.StageCache(),
-                                          pipeline.RunLabels(config))
+        matrix = pipeline.ensemble_matrix(config, pipeline.StageCache())
         indexed = []
         label_index = matrixio.LabeledMatrix.label_index
         monkeypatch.setattr(matrixio.LabeledMatrix, "label_index",
                             lambda self: indexed.append(self) or label_index(self))
-        reports = pipeline.evaluate_matrix(config, matrix, pipeline.RunLabels(config))
+        reports = pipeline.evaluate_matrix(config, matrix)
         assert [(r.dataset, r.split, r.n) for r in reports] == [
             ("men_like", "dev", 2), ("men_like", "test", 3),
             ("toy_gold", "test", 2), ("toy_gold", "all", 6), ("toy_gold", "dev", 4)]
@@ -471,13 +471,13 @@ class TestStageBranches:
 
     def test_vocab_check_off_with_graph_and_evaluation(self, workspace, monkeypatch):
         built = []
-        standardizer = pipeline.RunLabels.standardizer
+        stage_standardizer = pipeline.stage_standardizer
 
-        def recording(self, texts):
-            built.append(standardizer(self, texts))
+        def recording(config, texts):
+            built.append(stage_standardizer(config, texts))
             return built[-1]
 
-        monkeypatch.setattr(pipeline.RunLabels, "standardizer", recording)
+        monkeypatch.setattr(pipeline, "stage_standardizer", recording)
         config = dict(standardize={"vocab_check": False})
         straight = run_pipeline(toy_config(workspace, out="straight", **config))
         # merge (two sources), graph and evaluate: none checks a vocabulary
@@ -515,10 +515,10 @@ class TestSlashInLabelText:
                          "format": "glove_text"}],
             graphs=[{"id": "slash", "path": str(workspace / "slash.tsv")}])
         assert config.vocab_check
-        cache, run_labels = pipeline.StageCache(), pipeline.RunLabels(config)
-        matrix = pipeline.fuse_sources(config, cache, run_labels)
+        cache = pipeline.StageCache()
+        matrix = pipeline.fuse_sources(config, cache)
         assert "/c/en/ac/dc" in matrix.labels
-        edges = pipeline.load_graphs(config, matrix, cache, run_labels)
+        edges = pipeline.load_graphs(config, matrix, cache)
         assert [(a.start, a.end) for a in edge_rows(edges)] == [
             ("/c/en/ac/dc", "/c/en/cat"), ("/c/en/ac/dc", "/c/en/dog")]
 
@@ -548,18 +548,9 @@ def add_suffixed_words(workspace):
 
 
 def per_stage_labels(m):
-    """Each stage reads the rule files and builds its lemma vocabulary up
-    front, tokenizing every label from scratch, as before a run read the
-    files once and built its vocabularies lazily."""
-    def standardizer(run_labels, texts):
-        config = run_labels.config
-        return pipeline.RunLabels(config).rules.with_vocab(
-            frozenset(token_vocabulary(texts)) if config.vocab_check else None)
-
-    m.setattr(pipeline.RunLabels, "standardizer", standardizer)
-    m.setattr(pipeline.RunLabels, "output_standardizer",
-              lambda run_labels, labels: standardizer(
-                  run_labels, [split_uri(label)[1] for label in labels]))
+    """Each stage builds its lemma vocabulary up front, tokenizing every
+    label from scratch, as before vocabularies were built lazily."""
+    m.setattr(pipeline, "LazyVocabulary", lambda texts: frozenset(token_vocabulary(texts)))
 
 
 class TestLabelsTokenizedOnce:
@@ -585,7 +576,7 @@ class TestLabelsTokenizedOnce:
         class Recording(Standardizer):
             def __init__(self, *args, vocab=None, **kwargs):
                 if vocab is not None:
-                    if isinstance(vocab, pipeline.LazyVocabulary):
+                    if isinstance(vocab, LazyVocabulary):
                         vocab.given = list(vocab.texts)
                     vocabs.append(vocab)
                 super().__init__(*args, vocab=vocab, **kwargs)
@@ -710,6 +701,28 @@ class TestLabelsTokenizedOnce:
                          "--labels", str(workspace / "m.labels")]) == 2
         assert "not a /c/<language>/<text> uri: 'cat'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["graph", "evaluate"])
+    def test_label_that_is_not_a_uri_with_vocab_check_off(self, workspace, capsys,
+                                                          command):
+        """With `vocab_check` off as well, graph and evaluate split every
+        label as a URI: a stale fused cache or an outside matrix with one
+        that is not is a data error that names it."""
+        cache = workspace / "cache"
+        cache.mkdir()
+        fused = [str(cache / "fused.emb1"), str(cache / "fused.labels")]
+        matrixio.write_native(
+            matrixio.LabeledMatrix(["/c/en/cat", "plainword"], np.eye(2, dtype=np.float32)),
+            *fused)
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps(toy_raw(workspace, standardize={
+            "vocab_check": False})), encoding="utf-8")
+        argv = {"graph": ["--stage-cache-dir", str(cache), "--out", str(workspace / "g.tsv")],
+                "evaluate": ["--matrix", fused[0], "--labels", fused[1]]}[command]
+        assert cli.main([command, "--config", str(config_path)] + argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"stage '{command}' failed" in err
+        assert "not a /c/<language>/<text> uri: 'plainword'" in err
+
     def test_suffixed_gold_word_only(self, workspace, monkeypatch):
         """Only evaluate reaches a lemma rule, so only its vocabulary is
         built: each output label is tokenized once, and no fused one."""
@@ -720,8 +733,7 @@ class TestLabelsTokenizedOnce:
         got, calls, vocabs = self.run(monkeypatch, toy_config(workspace, out="once"))
         labels = got["matrix"].labels
         config = toy_config(workspace)
-        fused = pipeline.fuse_sources(config, pipeline.StageCache(),
-                                      pipeline.RunLabels(config)).labels
+        fused = pipeline.fuse_sources(config, pipeline.StageCache()).labels
         assert len(fused) < len(labels)
         merge, graph, evaluate = vocabs[:2], vocabs[2], vocabs[3]
         assert [v.words for v in merge] == [None, None]
@@ -790,9 +802,9 @@ NON_ASCII = {"alpha.txt": "café 0.3 0.1 0.2\ncafe\u0301 0.1 0.3 0.2\ncafés 0.2
 
 
 class TestLazyStageVocabularies:
-    """One run reads its rule files once and builds each stage's lemma
-    vocabulary only when a label needs it; its output bytes are those of
-    reading the files and building every stage's vocabulary up front."""
+    """A run builds each stage's lemma vocabulary only when a label needs
+    it; its output bytes are those of building every stage's vocabulary
+    up front."""
 
     def run_both(self, monkeypatch, config_of):
         with monkeypatch.context() as m:
@@ -812,9 +824,9 @@ class TestLazyStageVocabularies:
         # beta's vocabulary has no `run`, so merge keeps its `runs` row;
         # the graph stage's has, so the `runs` edge lands on the `run` row
         assert "/c/en/runs" in labels and "/c/en/walked" not in labels
-        cache, run_labels = pipeline.StageCache(), pipeline.RunLabels(config)
-        matrix = pipeline.fuse_sources(config, cache, run_labels)
-        edges = pipeline.load_graphs(config, matrix, cache, run_labels)
+        cache = pipeline.StageCache()
+        matrix = pipeline.fuse_sources(config, cache)
+        edges = pipeline.load_graphs(config, matrix, cache)
         assert ("/c/en/run", "/c/en/fish") in [(a.start, a.end) for a in edge_rows(edges)]
 
     def test_non_ascii_labels(self, workspace, monkeypatch):
@@ -834,25 +846,42 @@ class TestLazyStageVocabularies:
                 assert Path(run[key]).read_bytes() == Path(got[key]).read_bytes(), out
 
     def test_each_config_gets_its_own_label_rules(self, workspace):
-        """Configs with different rule files get separate label objects,
-        whose memos give different labels; one object reads its rules once."""
+        """A stage's standardizer has the rules of the files its config
+        names, else the bundled ones, and a memo of its own."""
         (workspace / "stop.txt").write_text("big\n", encoding="utf-8")
-        plain = pipeline.RunLabels(toy_config(workspace))
-        custom = pipeline.RunLabels(toy_config(
-            workspace, standardize={"stopwords": str(workspace / "stop.txt")}))
-        assert plain.rules is plain.rules
-        assert custom.rules is not plain.rules
-        assert custom.rules.uri("big dog", "en") == "/c/en/dog"
-        assert plain.rules.uri("big dog", "en") == "/c/en/big_dog"
-        assert custom.standardizer(["big dog"]).uri("big dog", "en") == "/c/en/dog"
-        assert plain.standardizer(["big dog"]).uri("big dog", "en") == "/c/en/big_dog"
+        (workspace / "exc.txt").write_text("wugs\twug\n", encoding="utf-8")
+        plain = toy_config(workspace)
+        custom = toy_config(workspace, standardize={
+            "stopwords": str(workspace / "stop.txt"),
+            "exceptions": str(workspace / "exc.txt")})
+        bundled = pipeline.stage_standardizer(plain, ["big dog"])
+        assert bundled.rules is labels.default_rules()
+        assert bundled.stopwords is labels.default_stopwords()
+        assert pipeline.stage_standardizer(plain, ["big dog"])._memo is not bundled._memo
+        for standardize in (lambda config: pipeline.stage_standardizer(config, ["big dog"]),
+                            lambda config: pipeline.output_standardizer(
+                                config, ["/c/en/big_dog"])):
+            assert standardize(custom).uri("big dog", "en") == "/c/en/dog"
+            assert standardize(plain).uri("big dog", "en") == "/c/en/big_dog"
+            assert standardize(custom).uri("wugs", "en") == "/c/en/wug"
+            assert standardize(plain).uri("wugs", "en") == "/c/en/wugs"
 
-    def test_rule_files_read_once_per_run(self, workspace, monkeypatch):
+    def test_rule_files_read_by_each_standardizing_stage(self, workspace, monkeypatch):
+        """Merge (once per source), graph and evaluate each read both rule
+        files, so a run reads each at most four times; a warm cache leaves
+        only evaluate to read them."""
         (workspace / "alpha.txt").write_text(ALPHA_TEXT + "big_dog 0.1 0.2 0.3\n",
                                              encoding="utf-8")
         stop, exc = workspace / "stop.txt", workspace / "exc.txt"
         stop.write_text("big\n", encoding="utf-8")
         exc.write_text("stones\tstone\n", encoding="utf-8")
+
+        def config(out):
+            return toy_config(workspace, out=out, standardize={
+                "stopwords": str(stop), "exceptions": str(exc)})
+
+        got = self.run_both(monkeypatch, config)
+        assert "/c/en/big_dog" not in got["matrix"].labels
         opened = []
         real_open = labels.open_utf8
 
@@ -861,106 +890,99 @@ class TestLazyStageVocabularies:
             return real_open(path)
 
         monkeypatch.setattr(labels, "open_utf8", counting_open)
-
-        def config(out):
-            return toy_config(workspace, out=out, standardize={
-                "stopwords": str(stop), "exceptions": str(exc)})
-
-        got = self.run_both(monkeypatch, config)
-        # merge twice, graph and evaluate: each per-stage run read both 4 times
-        assert opened.count(str(stop)) == opened.count(str(exc)) == 5
-        assert "/c/en/big_dog" not in got["matrix"].labels
+        cache_dir = str(workspace / "cache")
+        for out, reads in (("cold", 4), ("warm", 1)):
+            opened.clear()
+            run = run_pipeline(config(out), cache_dir=cache_dir)
+            assert opened.count(str(stop)) == opened.count(str(exc)) == reads, out
+            for key in ("matrix_path", "labels_path", "report_path"):
+                assert Path(run[key]).read_bytes() == Path(got[key]).read_bytes(), out
 
 
-def reachable(root, kinds):
-    """The objects of `kinds` reachable from `root`'s attributes through
-    containers and the attributes of vecfuse objects."""
-    seen, stack, found = {id(root)}, gc.get_referents(root), []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, kinds):
-            found.append(obj)
-        if isinstance(obj, (dict, list, tuple, set, frozenset)) \
-                or type(obj).__module__.startswith("vecfuse."):
-            stack.extend(gc.get_referents(obj))
-    return found
-
-
-def reachable_labels(root):
-    return reachable(root, StandardLabel)
+def alive(kind):
+    """The live objects of exactly type `kind`, after a collection."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) is kind]
 
 
 class TestNoLabelMemoOutlivesItsStage:
     """Each stage standardizes with a memo and a vocabulary of its own,
-    freed with the stage: the run's RunLabels holds no label a stage
-    computed and no vocabulary a stage built."""
+    freed with the stage: no label a stage computed, no standardizer and
+    no vocabulary a stage built is alive after it."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
-        seen = []
+        """The texts standardized so far, and a check that none of their
+        labels is alive. A label is known by its id and URI, not held."""
+        seen, made = [], set()
         real = labels.standardize
 
         def counting(text, language, **kwargs):
+            label = real(text, language, **kwargs)
             seen.append(text)
-            return real(text, language, **kwargs)
+            made.add((id(label), label.uri))
+            return label
+
+        def none_alive():
+            return [label for label in alive(StandardLabel)
+                    if (id(label), label.uri) in made] == []
 
         monkeypatch.setattr(labels, "standardize", counting)
-        return seen
+        return seen, none_alive
 
-    def test_after_prepare_source(self, workspace, computed):
+    @pytest.fixture
+    def standardizers(self, monkeypatch):
+        """The type of the standardizers the stages build from here on."""
+        class Recorded(Standardizer):
+            pass
+
+        monkeypatch.setattr(pipeline, "Standardizer", Recorded)
+        return Recorded
+
+    def test_after_prepare_source(self, workspace, computed, standardizers):
         config = toy_config(workspace)
-        run_labels = pipeline.RunLabels(config)
         matrix = pipeline.prepare_source(config, config.enabled_embeddings()[0],
-                                         pipeline.StageCache(), run_labels)
+                                         pipeline.StageCache())
+        texts, none_alive = computed
         # `Cat` and `running` reach the memo; no lemma vocabulary decides either
-        assert {"Cat", "running"} <= set(computed)
+        assert {"Cat", "running"} <= set(texts)
         assert "/c/en/run" in matrix.labels
-        assert reachable_labels(run_labels) == []
+        assert none_alive()
+        assert alive(standardizers) == []
 
-    def test_after_a_run(self, workspace, monkeypatch, computed):
+    def test_after_a_run(self, workspace, computed, standardizers):
         add_suffixed_words(workspace)
-        runs = []
-
-        class Recording(pipeline.RunLabels):
-            def __init__(self, config):
-                super().__init__(config)
-                runs.append(self)
-
-        monkeypatch.setattr(pipeline, "RunLabels", Recording)
         result = run_pipeline(toy_config(workspace))
-        assert result["reports"] and len(runs) == 1
+        texts, none_alive = computed
+        assert result["reports"]
         # merge, graph and evaluate each computed labels
-        assert {"Cat", "walked", "cats", "runs"} <= set(computed)
-        assert reachable_labels(runs[0]) == []
+        assert {"Cat", "walked", "cats", "runs"} <= set(texts)
+        assert none_alive()
+        assert alive(standardizers) == []
 
     def test_no_vocabulary_after_a_run(self, workspace, monkeypatch):
-        """Every stage builds its lemma vocabulary; none is reachable from
-        the run's RunLabels, which holds only the config and rule files."""
+        """Every stage builds its lemma vocabulary; none is alive after
+        the run."""
         add_suffixed_words(workspace)
-        runs, built = [], []
+        built = []
         token_vocabulary = pipeline.token_vocabulary
 
-        class Recording(pipeline.RunLabels):
-            def __init__(self, config):
-                super().__init__(config)
-                runs.append(self)
+        class Recorded(LazyVocabulary):
+            pass
 
-        monkeypatch.setattr(pipeline, "RunLabels", Recording)
-        monkeypatch.setattr(pipeline, "token_vocabulary",
-                            lambda texts: built.append(token_vocabulary(texts)) or built[-1])
+        def recording(texts):
+            words = token_vocabulary(texts)
+            built.append(weakref.ref(words))
+            return words
+
+        monkeypatch.setattr(pipeline, "LazyVocabulary", Recorded)
+        monkeypatch.setattr(pipeline, "token_vocabulary", recording)
         result = run_pipeline(toy_config(workspace))
-        assert result["reports"] and len(runs) == 1
+        assert result["reports"]
         # merge (two sources), graph and evaluate
         assert len(built) == 4
-        run_labels = runs[0]
-        assert set(vars(run_labels)) == {"config", "rules"}
-        assert reachable(run_labels, pipeline.LazyVocabulary) == []
-        tokens = set().union(*built)
-        assert [s for s in reachable(run_labels, (set, frozenset))
-                if s is not run_labels.rules.stopwords and s & tokens] == []
+        assert alive(Recorded) == []
+        assert [ref for ref in built if ref() is not None] == []
 
 
 class TestCli:
@@ -1122,15 +1144,17 @@ class TestCli:
                          "--labels", str(workspace / "m.labels")]) == cli.EXIT_DATA == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, stores", [
-        (["pipeline"], 1),
-        (["retrofit", "--out-matrix", "r.emb1", "--out-labels", "r.labels"], 1),
-        (["evaluate", "--matrix", "r.emb1", "--labels", "r.labels"], 0)],
+    @pytest.mark.parametrize("command, stores, standardizers", [
+        (["pipeline"], 1, 4),
+        (["retrofit", "--out-matrix", "r.emb1", "--out-labels", "r.labels"], 1, 3),
+        (["evaluate", "--matrix", "r.emb1", "--labels", "r.labels"], 0, 1)],
         ids=["pipeline", "retrofit", "evaluate"])
-    def test_one_label_object_per_run(self, workspace, monkeypatch, capsys, command,
-                                      stores):
-        """A command builds one label object, and a stage store only when
-        it reads or writes artifacts: `pipeline` through `run_pipeline`."""
+    def test_one_standardizer_per_standardizing_stage(self, workspace, monkeypatch,
+                                                       capsys, command, stores,
+                                                       standardizers):
+        """A command builds one standardizer per stage that standardizes
+        (merge once per source, graph and evaluate), and a stage store only
+        when it reads or writes artifacts: `pipeline` through `run_pipeline`."""
         config = self.write_config(workspace, self.raw_toy_dict(workspace))
         monkeypatch.chdir(workspace)
         assert cli.main(["retrofit", "--config", config, "--out-matrix", "r.emb1",
@@ -1145,10 +1169,24 @@ class TestCli:
             monkeypatch.setattr(pipeline, cls.__name__, Counted)
 
         counting(pipeline.StageCache)
-        counting(pipeline.RunLabels)
+        counting(pipeline.Standardizer)
         assert cli.main([command[0], "--config", config] + command[1:]) == 0
-        assert sorted(built) == ["RunLabels"] + ["StageCache"] * stores
+        assert sorted(built) == ["StageCache"] * stores + ["Standardizer"] * standardizers
         capsys.readouterr()
+
+    def test_fuse_exits_3_when_the_svd_does_not_converge(self, workspace, monkeypatch,
+                                                         capsys):
+        def failing(gram):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        config = self.write_config(workspace, self.raw_toy_dict(workspace))
+        out = [str(workspace / "f.emb1"), str(workspace / "f.labels")]
+        assert cli.main(["fuse", "--config", config, "--out-matrix", out[0],
+                         "--out-labels", out[1]]) == cli.EXIT_NUMERICAL == 3
+        assert "stage 'fuse' failed: SVD did not converge: Eigenvalues did not converge" \
+            in capsys.readouterr().err
+        assert not any(os.path.exists(path) for path in out)
 
     def test_singular_values_file_matches_svd_of_concatenation(self, workspace):
         """The --singular-values file holds sqrt of the Gram eigenvalues; the
