@@ -70,8 +70,8 @@ def build_overlap(a: LabeledMatrix, b: LabeledMatrix) -> OverlapIndex:
     return OverlapIndex(
         a=a, b=b, shared=shared, only_a=only_a, only_b=only_b,
         a_shared_rows=a_rows, b_shared_rows=b_rows,
-        a_shared_unit=unit_rows(a.data[a_rows]) if len(shared) else np.zeros((0, a.dims)),
-        b_shared_unit=unit_rows(b.data[b_rows]) if len(shared) else np.zeros((0, b.dims)),
+        a_shared_unit=unit_rows(a.data[a_rows]),
+        b_shared_unit=unit_rows(b.data[b_rows]),
     )
 
 

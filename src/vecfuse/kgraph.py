@@ -13,7 +13,6 @@ numpy operations on its columns.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -114,15 +113,13 @@ def _read_edges(path, label, labels) -> EdgeTable:
     one that `label` rejects.
 
     The file is read `_EDGE_CHUNK_CHARS` at a time, and each chunk is
-    added in bulk; a chunk with a blank line, a comment or anything
-    `label` or the weight check would reject is added line by line
-    instead, which raises each error at its line."""
+    added in bulk, less its blank and `#` comment lines; a chunk with a
+    line that is not an edge raises at the first such line."""
     edges = _EdgeReader(path, label, labels)
     lineno = 0
     with open_utf8(path) as f:
         while lines := f.readlines(_EDGE_CHUNK_CHARS):
-            if not edges.add_chunk(lines):
-                edges.add_lines(lines, lineno)
+            edges.add(lines, lineno)
             lineno += len(lines)
     return edges.table()
 
@@ -142,10 +139,26 @@ class _EdgeReader:
         columns = [np.concatenate(c) for c in zip(*self.columns)] or [(), (), (), ()]
         return EdgeTable(list(self.term_ids), *columns, list(self.source_ids))
 
+    def add(self, lines, lineno) -> None:
+        """Add the edges of `lines`, the first of which is line `lineno + 1`,
+        in one `add_chunk` call, or in two if blank or `#` comment lines
+        must be dropped first; if a line is not an edge, `check_line`
+        raises at the first such line."""
+        if self.add_chunk(lines):
+            return
+        kept = [(i, line) for i, line in enumerate(lines, start=lineno + 1)
+                if line.strip() and not line.startswith("#")]
+        if not kept or self.add_chunk([line for _i, line in kept]):
+            return
+        for i, line in kept:
+            self.check_line(line, i)
+        raise AssertionError(f"{self.path}: add_chunk rejected lines {lineno + 1}"
+                             f"-{lineno + len(lines)}, but no line is bad")
+
     def add_chunk(self, lines) -> bool:
         """Add the edges of `lines` with one split, one weight conversion
         and one `labels` call; False, with nothing added, if a line is
-        blank, a comment or not an edge the line loop would accept."""
+        blank, a comment or not an edge (`check_line` raises for it)."""
         n = len(lines)
         joined = "\t".join(lines)
         if joined.startswith("#") or "\n\t#" in joined:
@@ -157,12 +170,15 @@ class _EdgeReader:
                 or joined.count("\n") != "".join(fields[3::4]).count("\n")):
             return False
         weights = fields[2::4]
-        if "" in weights:
-            weights = [w or "1" for w in weights]
         try:
             weight = np.array(weights, dtype=np.float64)  # the grammar of `float`
         except ValueError:
-            return False
+            # an empty or blank weight means 1.0
+            try:
+                weight = np.array([w if w.strip() else "1" for w in weights],
+                                  dtype=np.float64)
+            except ValueError:
+                return False
         if not (np.isfinite(weight).all() and (weight > 0).all()):
             return False
         # distinct URIs in order of first appearance, a start before its end
@@ -195,53 +211,30 @@ class _EdgeReader:
         self.columns.append((start, end, weight, source))
         return True
 
-    def add_lines(self, lines, lineno) -> None:
-        """Add the edges of `lines`, the first of which is line `lineno + 1`,
-        one line at a time; the first bad line raises."""
-        path, ids, term_ids, source_ids = self.path, self.ids, self.term_ids, self.source_ids
-        # typed columns, so a row costs its 20 bytes while the lines are read
-        starts, ends, sources = array("i"), array("i"), array("i")
-        weights = array("d")
-        for lineno, line in enumerate(lines, start=lineno + 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}",
-                                 path=path, line=lineno)
-            start_uri, end_uri, weight_field, source = fields
-            if weight_field.strip() == "":
-                weight = 1.0
-            else:
-                try:
-                    weight = float(weight_field)
-                except ValueError:
-                    raise ParseError(f"bad weight {weight_field!r}", path=path, line=lineno)
-                if not math.isfinite(weight):
-                    raise ParseError(f"non-finite weight {weight_field!r}",
-                                     path=path, line=lineno)
+    def check_line(self, line, lineno) -> None:
+        """Raise the error of `line`, line `lineno`, if it is not an edge:
+        its field count, its weight, then its start and end URIs."""
+        path = self.path
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}",
+                             path=path, line=lineno)
+        start_uri, end_uri, weight_field, _source = fields
+        if weight_field.strip():
+            try:
+                weight = float(weight_field)
+            except ValueError:
+                raise ParseError(f"bad weight {weight_field!r}", path=path, line=lineno)
+            if not math.isfinite(weight):
+                raise ParseError(f"non-finite weight {weight_field!r}", path=path, line=lineno)
             if weight <= 0:
                 raise NonPositiveWeight(
                     f"{path}:{lineno}: weight must be positive, got {weight}")
-            try:
-                start = ids.get(start_uri)
-                if start is None:
-                    start = ids[start_uri] = term_ids.setdefault(self.label(start_uri),
-                                                                 len(term_ids))
-                end = ids.get(end_uri)
-                if end is None:
-                    end = ids[end_uri] = term_ids.setdefault(self.label(end_uri),
-                                                             len(term_ids))
-            except (DataError, ValueError) as exc:
-                raise ParseError(str(exc), path=path, line=lineno)
-            if start == end:
-                continue
-            starts.append(start)
-            ends.append(end)
-            weights.append(weight)
-            sources.append(source_ids.setdefault(source, len(source_ids)))
-        self.columns.append((starts, ends, weights, sources))
+        try:
+            self.label(start_uri)
+            self.label(end_uri)
+        except (DataError, ValueError) as exc:
+            raise ParseError(str(exc), path=path, line=lineno)
 
 
 def _standard_uri(uri: str) -> str:

@@ -80,19 +80,7 @@ class StandardLabel:
         return self.uri
 
 
-_set_language = StandardLabel.language.__set__
-_set_text = StandardLabel.text.__set__
 _set_uri = StandardLabel.uri.__set__
-
-
-def _unchecked_label(language: str, text: str) -> StandardLabel:
-    """`StandardLabel(language, text)` for a language and text already
-    known to pass its checks."""
-    label = object.__new__(StandardLabel)
-    _set_language(label, language)
-    _set_text(label, text)
-    _set_uri(label, f"/c/{language}/{text}")
-    return label
 
 
 @dataclass(frozen=True)
@@ -266,12 +254,14 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
     never down to zero tokens) and English lemmatization, in that order.
     The stopword/lemmatize stage is re-applied until the token list is
     stable so that standardizing a rendered label reproduces it exactly.
+    Both the plain-text shortcut and the full path build the result with
+    `StandardLabel`, whose checks reject a text that is not a label.
     """
     validate_language(language)
     if rules is None:
         rules = default_rules()
     if _is_own_label(text, language, rules):
-        return _unchecked_label(language, text)
+        return StandardLabel(language, text)
     if stopwords is None:
         stopwords = default_stopwords()
     tokens = tokenize(text)
@@ -300,9 +290,8 @@ def standardize(text: str, language: str, rules: LemmaRuleSet | None = None,
         if not changed:
             break
     joined = "_".join(tokens)
-    _check_label_text(joined)
     # most raw words are their own label text: keep one copy of the string
-    return _unchecked_label(language, text if joined == text else joined)
+    return StandardLabel(language, text if joined == text else joined)
 
 
 def map_digit_runs(text: str) -> str:

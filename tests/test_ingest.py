@@ -1,16 +1,19 @@
-"""The chunked readers against their line loops, and the byte order mark.
+"""The chunked readers against line-by-line readers, and the byte order mark.
 
 `read_text_embeddings` parses each chunk of a vector file with numpy's C
-parser, and the edge reader adds each chunk of an edge file in bulk;
-where either might differ from reading line by line, that chunk is read
-line by line instead. Every case here is read with chunks of several
-sizes, the case line at the end of the first chunk and at the start of
-the second, and must give what reading line by line gives: the same
-labels and bits, or the same error type, message and line.
+parser; where that might differ from reading line by line, the chunk is
+read line by line instead. The edge reader adds each chunk of an edge
+file in bulk, less its blank and comment lines, and checks a chunk line
+by line only to name the line of its error. Every case here is read
+with chunks of several sizes, the case line at the end of the first
+chunk and at the start of the second, and must give what a reference
+reader that reads line by line gives: the same labels and bits, or the
+same error type, message and line.
 """
 
 import importlib
 import json
+import math
 import random
 import re
 
@@ -20,10 +23,11 @@ import pytest
 from conftest import make_matrix
 from test_matrixio import reference_read_text
 from vecfuse.config import load_config
-from vecfuse.errors import DataError, ParseError
+from vecfuse.errors import DataError, NonPositiveWeight, ParseError, open_utf8
 from vecfuse.evaluation import load_gold
-from vecfuse.kgraph import load_assertions, read_assertions
-from vecfuse.labels import load_exceptions, load_stopwords
+from vecfuse.kgraph import EdgeTable, load_assertions, read_assertions
+from vecfuse.labels import (StandardLabel, Standardizer, load_exceptions, load_stopwords,
+                            split_uri)
 from vecfuse.matrixio import read_native, read_text_embeddings, write_native
 
 matrixio = importlib.import_module("vecfuse.matrixio")
@@ -267,6 +271,64 @@ def edge_lines(case, at, rows=8):
     return lines
 
 
+def reference_read_edges(path, label):
+    """The edge file at `path` read one line at a time, with `label(uri)`
+    naming each distinct URI's term at its first line: blank and `#`
+    lines skipped, an empty or blank weight read as 1.0, self-edges
+    dropped, the first bad line raising."""
+    path = str(path)
+    ids, term_ids, source_ids = {}, {}, {}
+    starts, ends, weights, sources = [], [], [], []
+    with open_utf8(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}",
+                                 path=path, line=lineno)
+            start_uri, end_uri, weight_field, source = fields
+            if weight_field.strip() == "":
+                weight = 1.0
+            else:
+                try:
+                    weight = float(weight_field)
+                except ValueError:
+                    raise ParseError(f"bad weight {weight_field!r}", path=path, line=lineno)
+                if not math.isfinite(weight):
+                    raise ParseError(f"non-finite weight {weight_field!r}",
+                                     path=path, line=lineno)
+            if weight <= 0:
+                raise NonPositiveWeight(
+                    f"{path}:{lineno}: weight must be positive, got {weight}")
+            try:
+                start = ids.get(start_uri)
+                if start is None:
+                    start = ids[start_uri] = term_ids.setdefault(label(start_uri),
+                                                                 len(term_ids))
+                end = ids.get(end_uri)
+                if end is None:
+                    end = ids[end_uri] = term_ids.setdefault(label(end_uri), len(term_ids))
+            except (DataError, ValueError) as exc:
+                raise ParseError(str(exc), path=path, line=lineno)
+            if start == end:
+                continue
+            starts.append(start)
+            ends.append(end)
+            weights.append(weight)
+            sources.append(source_ids.setdefault(source, len(source_ids)))
+    return EdgeTable(list(term_ids), starts, ends, weights, sources, list(source_ids))
+
+
+def reference_label(read):
+    """The `label` that `read` names a URI's term with."""
+    if read is read_assertions:
+        return lambda uri: StandardLabel.from_uri(uri).uri
+    standardizer = Standardizer()
+    return lambda uri: standardizer.uri(*split_uri(uri)[::-1])
+
+
 def edge_outcome(read, path):
     try:
         t = read(path)
@@ -277,11 +339,9 @@ def edge_outcome(read, path):
 
 
 def check_edges(read, path, monkeypatch, chunks=EDGE_CHUNKS):
-    """`read(path)` with each chunk size, checked against the line loop
-    alone; returns the outcome."""
-    with monkeypatch.context() as m:
-        m.setattr(kgraph._EdgeReader, "add_chunk", lambda self, lines: False)
-        want = edge_outcome(read, path)
+    """`read(path)` with each chunk size, checked against the reference
+    reader; returns the outcome."""
+    want = edge_outcome(lambda p: reference_read_edges(p, reference_label(read)), path)
     for chunk in chunks:
         monkeypatch.setattr(kgraph, "_EDGE_CHUNK_CHARS", chunk)
         assert edge_outcome(read, path) == want, chunk
@@ -351,6 +411,72 @@ def test_edge_file_is_read_a_chunk_at_a_time(tmp_path, monkeypatch):
     write_lines(path, edge_lines("/c/en/a2\t/c/en/b2\t1\ts", 3))
     assert len(load_assertions(path)) == 8
     assert sizes == [3, 3, 2]
+
+
+def record_adds(monkeypatch):
+    """Record each `add` call's `add_chunk` results, as a list per chunk,
+    and each `check_line` call's line number."""
+    adds, checked = [], []
+    add, add_chunk = kgraph._EdgeReader.add, kgraph._EdgeReader.add_chunk
+    check_line = kgraph._EdgeReader.check_line
+
+    def recording_add(self, lines, lineno):
+        adds.append([])
+        add(self, lines, lineno)
+
+    def recording_add_chunk(self, lines):
+        adds[-1].append(add_chunk(self, lines))
+        return adds[-1][-1]
+
+    def recording_check_line(self, line, lineno):
+        checked.append(lineno)
+        check_line(self, line, lineno)
+
+    monkeypatch.setattr(kgraph._EdgeReader, "add", recording_add)
+    monkeypatch.setattr(kgraph._EdgeReader, "add_chunk", recording_add_chunk)
+    monkeypatch.setattr(kgraph._EdgeReader, "check_line", recording_check_line)
+    return adds, checked
+
+
+@pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+def test_comments_and_blank_lines_are_added_in_bulk(tmp_path, monkeypatch, chunk):
+    lines = edge_lines("# note", 4)
+    lines[2:2] = ["", "   "]
+    path = tmp_path / "edges.tsv"
+    write_lines(path, ["# edges"] + lines)
+    want = check_edges(load_assertions, path, monkeypatch)
+    assert len(want[1]) == 7
+    monkeypatch.setattr(kgraph, "_EDGE_CHUNK_CHARS", chunk)
+    adds, checked = record_adds(monkeypatch)
+    assert edge_outcome(load_assertions, path) == want
+    # each chunk in one add_chunk call, or in two if it has a line to drop
+    # and an edge; no line is checked
+    assert all(results in ([True], [False], [False, True]) for results in adds)
+    assert ([False, True] in adds) == (chunk > 1) and not checked
+
+
+@pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+def test_bad_weight_after_a_comment_names_its_own_line(tmp_path, monkeypatch, chunk):
+    lines = edge_lines("/c/en/x\t/c/en/y\tw\ts", 4)
+    lines[1:1] = [""]
+    path = tmp_path / "edges.tsv"
+    write_lines(path, ["# edges"] + lines)
+    assert check_edges(load_assertions, path, monkeypatch)[1:] == \
+        (f"{path}:6: bad weight 'w'", 6)
+    monkeypatch.setattr(kgraph, "_EDGE_CHUNK_CHARS", chunk)
+    _adds, checked = record_adds(monkeypatch)
+    with pytest.raises(ParseError, match="edges.tsv:6: bad weight 'w'"):
+        load_assertions(path)
+    assert checked[-1] == 6
+
+
+def test_a_chunk_rejected_with_no_bad_line_raises(tmp_path, monkeypatch):
+    path = tmp_path / "edges.tsv"
+    write_lines(path, edge_lines("/c/en/x\t/c/en/y\t1\ts", 4))
+    monkeypatch.setattr(kgraph._EdgeReader, "add_chunk", lambda self, lines: False)
+    with pytest.raises(AssertionError, match="edges.tsv: add_chunk rejected lines 1-8, "
+                       "but no line is bad"):
+        load_assertions(path)
 
 
 URIS = ["/c/en/a", "/c/en/b", "/c/en/Cats", "/c/en/cat", "/c/fr/chat", "/c/en/!!",

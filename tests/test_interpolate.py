@@ -73,6 +73,14 @@ class TestBuildOverlap:
         assert not set(idx.shared) & set(idx.only_a)
         assert not set(idx.shared) & set(idx.only_b)
 
+    def test_disjoint_vocabularies_give_empty_unit_rows(self):
+        a = make_matrix(["x", "y"], np.eye(2, 4))
+        b = make_matrix(["z"], np.ones((1, 3)))
+        idx = build_overlap(a, b)
+        assert idx.shared == [] and idx.only_a == ["x", "y"] and idx.only_b == ["z"]
+        for unit, dims in ((idx.a_shared_unit, 4), (idx.b_shared_unit, 3)):
+            assert unit.shape == (0, dims) and unit.dtype == np.float64
+
 
 def inferred(have, want, term, k):
     """`term`'s row in the `want` space, as `fuse` infers it."""

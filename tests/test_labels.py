@@ -100,7 +100,7 @@ class TestStandardLabel:
 
     def test_uri_is_derived_not_compared(self):
         label = StandardLabel(language="en", text="area_#")
-        plain = standardize("cats", "fr")  # built without the checks
+        plain = standardize("cats", "fr")  # the plain-text shortcut
         assert plain.uri == "/c/fr/cats"
         assert plain == StandardLabel("fr", "cats")
         assert hash(plain) == hash(StandardLabel("fr", "cats"))
@@ -352,6 +352,10 @@ class TestStandardizerMemo:
 # were before their ASCII fast paths: one code path for every string.
 def reference_label_check(language, text):
     validate_language(language)
+    reference_text_check(text)
+
+
+def reference_text_check(text):
     if not text:
         raise EmptyAfterNormalization("label text is empty")
     for token in text.split("_"):
@@ -443,20 +447,28 @@ class TestAsciiFastPaths:
     @staticmethod
     def one_path(monkeypatch):
         """Route `standardize` through the reference steps, with no plain
-        text shortcut."""
+        text shortcut; returns the list of label texts that passed the
+        reference check, in check order."""
+        checked = []
+
+        def check(text):
+            reference_text_check(text)
+            checked.append(text)
         monkeypatch.setattr(labels, "_PLAIN_RE", re.compile(r"(?!)"))
         monkeypatch.setattr(labels, "tokenize", reference_tokenize)
         monkeypatch.setattr(labels, "lemmatize", reference_lemmatize)
-        monkeypatch.setattr(StandardLabel, "__post_init__",
-                            lambda self: reference_label_check(self.language, self.text))
+        monkeypatch.setattr(labels, "_check_label_text", check)
+        return checked
 
     @pytest.mark.parametrize("text", TRICKY)
     def test_standardize_matches_reference(self, text, monkeypatch):
         languages = ("en", "fr")
         got = [outcome(lambda: standardize(text, lang).uri) for lang in languages]
-        self.one_path(monkeypatch)
+        checked = self.one_path(monkeypatch)
         want = [outcome(lambda: standardize(text, lang).uri) for lang in languages]
         assert got == want
+        # every label the one-path run returns passed the reference check
+        assert checked == [split_uri(uri)[1] for ok, uri in want if ok == "ok"]
 
     @pytest.mark.parametrize("text", TRICKY)
     def test_same_memo_as_reference(self, text, monkeypatch):
